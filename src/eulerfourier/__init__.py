@@ -33,7 +33,7 @@ from .linear import (
     symbol_eigenvalues,
     symbol_matrix,
 )
-from .littlewood import DyadicCutoffs, FrequencySplit, LittlewoodPaley, build_cutoffs
+from .littlewood import DyadicCutoffs, FrequencySplit, LittlewoodPaley, ShellSeries, build_cutoffs
 from .lyapunov import (
     coercivity_margin,
     high_freq_functionals,
@@ -51,6 +51,7 @@ __all__ = [
     "DyadicCutoffs",
     "FrequencySplit",
     "LittlewoodPaley",
+    "ShellSeries",
     "build_cutoffs",
     "RadialProfile",
     "SemigroupCurve",

@@ -213,38 +213,29 @@ def _run_simulate(cfg: RunConfig) -> RunnerResult:
         snapshot_stride=int(opts["snapshot_stride"]) or 10**9,
     )
     traj = integrate(grid, state0, sc, lp=lp)
+    times = traj.series.times
 
     drift = float(np.max(np.abs(np.asarray(traj.mean_a) - traj.mean_a[0])))
-    finite = all(np.all(np.isfinite(traj.shell_a[j])) for j in traj.shells)
+    finite = bool(np.all(np.isfinite(traj.series.norms)))
     floor = min(1.0 + traj.snapshots[-1].a.min(), 1.0 + traj.snapshots[-1].theta.min())
     verdicts = [
         Verdict.from_bound("mass-drift", drift, float(opts["mass_tol"])),
         Verdict.from_bound("nonfinite-samples", 0.0 if finite else 1.0, 0.0),
         Verdict.from_floor("final-positivity-margin", floor, sc.positivity_floor),
     ]
-    crit = _critical_series(traj)
+    crit = traj.series.critical(lp.split)
     curves = {
-        "critical_norm": (traj.times, crit, {"what": "hybrid critical norm"}),
-        "max_speed": (traj.times, np.asarray(traj.max_speed), {}),
-        "mean_density": (traj.times, np.asarray(traj.mean_a), {}),
+        "critical_norm": (times, crit, {"what": "hybrid critical norm"}),
+        "max_speed": (times, np.asarray(traj.max_speed), {}),
+        "mean_density": (times, np.asarray(traj.mean_a), {}),
     }
     notes: list[str] = []
     if opts.get("checkpoint", True):
         path = cfg.out_dir / "final_state"
-        save_checkpoint(path, grid, traj.snapshots[-1], float(traj.times[-1]),
+        save_checkpoint(path, grid, traj.snapshots[-1], float(times[-1]),
                         meta={"kind": cfg.kind, "config": cfg.digest})
         notes.append(f"checkpoint written: {path}.npz (+ .txt sidecar)")
     return verdicts, curves, notes
-
-
-def _critical_series(traj) -> np.ndarray:
-    from .decay import _besov_series, _composite_series, _run_series
-
-    times, shells, series, dim = _run_series(traj)
-    comp = _composite_series(shells, series)
-    low = _besov_series(shells, comp, dim / 2.0, 1, lambda j: j <= 0)
-    high = _besov_series(shells, comp, dim / 2.0 + 1.0, 1, lambda j: j >= -1)
-    return low + high
 
 
 def _run_decay_fit(cfg: RunConfig) -> RunnerResult:

@@ -128,9 +128,6 @@ class RunConfig:
     out_dir: Path = Path("runs")
     options: dict = field(default_factory=dict)
 
-    def opt(self, key: str):
-        return self.options[key]
-
     def canonical_text(self) -> str:
         lines = [f"kind = {self.kind}", f"seed = {self.seed}"]
         lines += [f"{k} = {self.options[k]!r}" for k in sorted(self.options)]
@@ -260,14 +257,6 @@ def _check_sigma_u(sigma: float, sigma1: float, dim: int) -> None:
         )
 
 
-def check_weight_exponent(m_exp: float, sigma1: float, dim: int) -> None:
-    m_min = 1.0 + (dim / 2.0 + sigma1) / 2.0
-    if m_exp <= m_min:
-        raise ValueError(
-            f"M = {m_exp} violates M > 1 + (d/2 + sigma1)/2 = {m_min}"
-        )
-
-
 def _positive(cfg: RunConfig, *keys: str) -> None:
     for key in keys:
         if key in cfg.options and not cfg.options[key] > 0:
@@ -307,7 +296,5 @@ def validate_config(cfg: RunConfig) -> None:
         _check_sigma_state(float(opts["sigma"]), float(opts["sigma1"]), dim)
         if opts["source"] not in ("linear", "box"):
             raise ValueError("source must be 'linear' or 'box'")
-    if "m_exp" in opts:
-        check_weight_exponent(float(opts["m_exp"]), float(opts["sigma1"]), dim)
     if cfg.kind == "lyapunov" and opts["j_lo"] > opts["j_hi"]:
         raise ValueError("j_lo must not exceed j_hi")

@@ -10,16 +10,13 @@ rates.
 
 Conventions
 -----------
+* trajectories and semigroup curves both carry a
+  :class:`~eulerfourier.littlewood.ShellSeries`, and every norm here is
+  one of its reductions, so both inputs are treated identically.
 * "state" norms are the ell^2 composite over the three components
-  ``sqrt(|a|^2 + |u|^2 + |theta|^2)`` per shell, matching
-  :meth:`~eulerfourier.solver.TrajectoryRecord.shell_state`.  (The
-  linear :meth:`~eulerfourier.linear.SemigroupCurve.besov_series` sums
-  component norms instead; this module always rebuilds composites from
-  the per-component shell dictionaries so both inputs are treated
-  identically.)
-* the low/high frequency split runs over shells ``j <= j0`` and
-  ``j >= j0 - 1`` with ``j0 = 0`` by default, like
-  :class:`~eulerfourier.littlewood.FrequencySplit`.
+  ``sqrt(|a|^2 + |u|^2 + |theta|^2)`` per shell.
+* the low/high frequency split is ``FrequencySplit(j0)`` with ``j0 = 0``
+  by default: shells ``j <= j0`` and ``j >= j0 - 1``.
 """
 
 from __future__ import annotations
@@ -29,11 +26,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .grid import PeriodicGrid, StateFields
-from .linear import RadialProfile, SemigroupCurve, semigroup_besov_decay
-from .littlewood import LittlewoodPaley
+from .linear import RadialProfile, semigroup_besov_decay
+from .littlewood import COMPONENTS, FrequencySplit, LittlewoodPaley, ShellSeries
 from .solver import TrajectoryRecord, nonlinear_rhs
 
 __all__ = [
@@ -48,6 +44,7 @@ __all__ = [
     "fit_rate",
     "run_decay_experiment",
     "damped_mode_check",
+    "duhamel_reconstruction",
     "time_weighted_functionals",
     "convolution_bound_constant",
 ]
@@ -177,13 +174,14 @@ def generate_initial_data(
     theta = draw()
     state = StateFields(a=a, u=np.stack(u), theta=theta)
 
-    comp = _composite_shells(lp.shells, _state_shell_norms(lp, state))
-    measured_delta0 = _delta0_from_shells(lp.shells, comp, spec.sigma1, spec.dim, j0)
+    series = ShellSeries.of_state(lp, state)
+    measured_delta0 = series.delta0(spec.sigma1, FrequencySplit(j0))
     if measured_delta0 <= 0.0:
         raise RuntimeError("drawn data vanished; enlarge the band or grid")
     scale = spec.amplitude / measured_delta0
     state = StateFields(a=a * scale, u=state.u * scale, theta=theta * scale)
 
+    comp = dict(zip(series.shells, series.composite()[:, 0]))
     inner = [
         j
         for j in lp.shells
@@ -200,80 +198,6 @@ def generate_initial_data(
                 "band too sparse on this grid"
             )
     return state
-
-
-# ----------------------------------------------------------------------
-# shell-series plumbing shared by trajectories and semigroup curves
-# ----------------------------------------------------------------------
-def _state_shell_norms(lp: LittlewoodPaley, state: StateFields) -> dict[str, dict[int, float]]:
-    return {
-        "a": lp.shell_norms(state.a),
-        "u": lp.vector_shell_norms(list(state.u)),
-        "theta": lp.shell_norms(state.theta),
-    }
-
-
-def _composite_shells(shells, per_component) -> dict[int, float]:
-    if isinstance(per_component, dict) and "a" in per_component:
-        comps = [per_component["a"], per_component["u"], per_component["theta"]]
-    else:
-        comps = per_component
-    return {j: float(np.sqrt(sum(np.asarray(c[j]) ** 2 for c in comps))) for j in shells}
-
-
-def _run_series(run) -> tuple[np.ndarray, list[int], dict[str, dict[int, np.ndarray]], int]:
-    """(times, shells, per-component shell series, dim) for either run kind."""
-    if isinstance(run, TrajectoryRecord):
-        dim = run.grid.dim
-    elif isinstance(run, SemigroupCurve):
-        dim = run.dim
-    else:
-        raise TypeError(f"expected TrajectoryRecord or SemigroupCurve, got {type(run)!r}")
-    series = {"a": run.shell_a, "u": run.shell_u, "theta": run.shell_theta}
-    return np.asarray(run.times, dtype=float), list(run.shells), series, dim
-
-
-def _composite_series(shells, series) -> dict[int, np.ndarray]:
-    return {
-        j: np.sqrt(
-            np.asarray(series["a"][j]) ** 2
-            + np.asarray(series["u"][j]) ** 2
-            + np.asarray(series["theta"][j]) ** 2
-        )
-        for j in shells
-    }
-
-
-def _besov_series(
-    shells: Sequence[int],
-    shell_series: dict[int, np.ndarray],
-    s: float,
-    r: float = 1,
-    j_filter=None,
-) -> np.ndarray:
-    js = [j for j in shells if j_filter is None or j_filter(j)]
-    if not js:
-        raise ValueError("no shells selected for the requested norm")
-    vals = np.stack([2.0 ** (j * s) * np.asarray(shell_series[j], dtype=float) for j in js])
-    if r == np.inf:
-        return vals.max(axis=0)
-    return (vals**r).sum(axis=0) ** (1.0 / r)
-
-
-def _delta0_from_shells(shells, comp: dict[int, float], sigma1: float, dim: int, j0: int) -> float:
-    low = [j for j in shells if j <= j0]
-    high = [j for j in shells if j >= j0 - 1]
-    val = 0.0
-    if low:
-        val += max(2.0 ** (-j * sigma1) * comp[j] for j in low)
-    val += sum(2.0 ** (j * (dim / 2.0 + 1.0)) * comp[j] for j in high)
-    return val
-
-
-def _x0_from_shells(shells, comp: dict[int, float], dim: int, j0: int) -> float:
-    low = sum(2.0 ** (j * dim / 2.0) * comp[j] for j in shells if j <= j0)
-    high = sum(2.0 ** (j * (dim / 2.0 + 1.0)) * comp[j] for j in shells if j >= j0 - 1)
-    return low + high
 
 
 # ----------------------------------------------------------------------
@@ -521,20 +445,19 @@ def run_decay_experiment(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    rtimes, shells, series, dim = _run_series(run)
-    comp = _composite_series(shells, series)
-    comp0 = {j: float(comp[j][0]) for j in shells}
-    delta0 = _delta0_from_shells(shells, comp0, spec.sigma1, dim, j0)
-    x0 = _x0_from_shells(shells, comp0, dim, j0)
+    series = run.series
+    rtimes, dim, split = series.times, series.dim, FrequencySplit(j0)
+    delta0 = series.delta0(spec.sigma1, split)
+    x0 = float(series.critical(split)[0])
 
-    neg_sup = _besov_series(shells, comp, -spec.sigma1, np.inf, lambda j: j <= j0)
+    neg_sup = series.besov(-spec.sigma1, np.inf, regime="low", split=split)
     neg_norm_ratio = float(np.max(neg_sup) / delta0) if delta0 > 0 else 0.0
 
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {"neg_sup": (rtimes, neg_sup)}
     verdicts: list[RateVerdict] = []
     for tgt in targets:
-        shell_series = comp if tgt.component == "state" else series["u"]
-        vals = _besov_series(shells, shell_series, tgt.sigma, 1)
+        components = COMPONENTS if tgt.component == "state" else ("u",)
+        vals = series.besov(tgt.sigma, 1, components)
         name = tgt.name(spec.sigma1)
         curves[name] = (rtimes, vals)
         fit = fit_rate(rtimes, vals, window)
@@ -630,7 +553,7 @@ class DampedModeReport:
         return all(checks)
 
 
-def _duhamel_reconstruction(traj: TrajectoryRecord) -> tuple[float, float]:
+def duhamel_reconstruction(traj: TrajectoryRecord) -> tuple[float, float]:
     """Max relative L2 error of the exponential-kernel Duhamel velocity.
 
     The velocity equation reads ``d_t u + u = F`` with F collecting the
@@ -695,7 +618,8 @@ def damped_mode_check(
     ``-(1 + sigma + sigma1)/2``.  Runs with d=1 or sigma1 outside
     (-d/2+1, d/2] are still measured but flagged ``out_of_theorem``.
     """
-    times, shells, series, dim = _run_series(run)
+    series = run.series
+    times, dim = series.times, series.dim
     if sigma1 is None:
         sigma1 = getattr(run, "sigma1", None)
         if sigma1 is None:
@@ -718,15 +642,15 @@ def damped_mode_check(
     duh_err = duh_tol = None
     duh_pass = None
     if isinstance(run, TrajectoryRecord):
-        duh_err, h_max = _duhamel_reconstruction(run)
+        duh_err, h_max = duhamel_reconstruction(run)
         duh_tol = duhamel_rtol if duhamel_rtol is not None else max(25.0 * h_max**2, 1e-12)
         duh_pass = bool(duh_err <= duh_tol)
 
-    neg_series = _besov_series(shells, series["u"], -sigma1, np.inf, lambda j: j <= j0)
+    neg_series = series.besov(-sigma1, np.inf, ("u",), "low", FrequencySplit(j0))
     neg_fit = fit_rate(times, neg_series, window)
     neg_passed = bool(neg_fit.exponent <= -0.5 + tolerance)
 
-    sig_series = _besov_series(shells, series["u"], sigma, 1)
+    sig_series = series.besov(sigma, 1, ("u",))
     sig_fit = fit_rate(times, sig_series, window)
     predicted = -(1.0 + sigma + sigma1) / 2.0
     sig_passed = bool(abs(sig_fit.exponent - predicted) <= tolerance)
@@ -781,38 +705,6 @@ class TimeWeightedReport:
         return abs(self.growth_fit.exponent - self.predicted_growth) <= 0.1
 
 
-def _prefix_sup(weighted: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(weighted, axis=-1)
-
-
-def _prefix_l2(times: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    sq = cumulative_trapezoid(weighted**2, times, initial=0.0, axis=-1)
-    return np.sqrt(sq)
-
-
-def _tilde_piece(
-    times: np.ndarray,
-    shells: Sequence[int],
-    shell_series: dict[int, np.ndarray],
-    s: float,
-    rho: str,
-    weight: np.ndarray,
-    r: float,
-    j_filter,
-) -> np.ndarray:
-    """One Chemin-Lerner piece as a prefix-time curve (ell^r over shells last)."""
-    js = [j for j in shells if j_filter(j)]
-    if not js:
-        return np.zeros_like(times)
-    rows = np.stack(
-        [2.0 ** (j * s) * weight * np.asarray(shell_series[j], dtype=float) for j in js]
-    )
-    prefix = _prefix_sup(rows) if rho == "inf" else _prefix_l2(times, rows)
-    if r == np.inf:
-        return prefix.max(axis=0)
-    return (prefix**r).sum(axis=0) ** (1.0 / r)
-
-
 def time_weighted_functionals(
     run,
     m_exp: float,
@@ -833,7 +725,8 @@ def time_weighted_functionals(
     -sigma1) must stay bounded by a moderate multiple of delta0;
     ``bound_ratio`` reports that multiple.
     """
-    times, shells, series, dim = _run_series(run)
+    series = run.series
+    times, dim = series.times, series.dim
     if sigma1 is None:
         sigma1 = getattr(run, "sigma1", None)
         if sigma1 is None:
@@ -845,39 +738,33 @@ def time_weighted_functionals(
             f"= {m_min}; smaller weights leave the tail integrals divergent"
         )
 
-    comp = _composite_series(shells, series)
-    comp_at = {
-        j: np.sqrt(np.asarray(series["a"][j]) ** 2 + np.asarray(series["theta"][j]) ** 2)
-        for j in shells
-    }
-    comp_au = {
-        j: np.sqrt(np.asarray(series["a"][j]) ** 2 + np.asarray(series["u"][j]) ** 2)
-        for j in shells
-    }
+    split = FrequencySplit(j0)
     half = dim / 2.0
-    low = lambda j: j <= j0  # noqa: E731
-    high = lambda j: j >= j0 - 1  # noqa: E731
     w_m = (1.0 + times) ** m_exp
-    ones = np.ones_like(times)
+
+    def x_m_piece(components, s, rho, regime):
+        return series.chemin_lerner(s, rho, 1, components, regime, split, w_m)
+
+    def x_l_piece(components, s, rho):
+        return series.chemin_lerner(s, rho, np.inf, components, "low", split)
 
     x_m = (
-        _tilde_piece(times, shells, comp, half, "inf", w_m, 1, low)
-        + _tilde_piece(times, shells, comp_at, half + 1.0, "l2", w_m, 1, low)
-        + _tilde_piece(times, shells, series["u"], half, "l2", w_m, 1, low)
-        + _tilde_piece(times, shells, comp, half + 1.0, "inf", w_m, 1, high)
-        + _tilde_piece(times, shells, comp_au, half + 1.0, "l2", w_m, 1, high)
-        + _tilde_piece(times, shells, series["theta"], half + 2.0, "l2", w_m, 1, high)
+        x_m_piece(COMPONENTS, half, np.inf, "low")
+        + x_m_piece(("a", "theta"), half + 1.0, 2, "low")
+        + x_m_piece(("u",), half, 2, "low")
+        + x_m_piece(COMPONENTS, half + 1.0, np.inf, "high")
+        + x_m_piece(("a", "u"), half + 1.0, 2, "high")
+        + x_m_piece(("theta",), half + 2.0, 2, "high")
     )
     x_l = (
-        _tilde_piece(times, shells, comp, -sigma1, "inf", ones, np.inf, low)
-        + _tilde_piece(times, shells, series["a"], -sigma1 + 1.0, "l2", ones, np.inf, low)
-        + _tilde_piece(times, shells, series["u"], -sigma1, "l2", ones, np.inf, low)
-        + _tilde_piece(times, shells, series["theta"], -sigma1 + 1.0, "l2", ones, np.inf, low)
+        x_l_piece(COMPONENTS, -sigma1, np.inf)
+        + x_l_piece(("a",), -sigma1 + 1.0, 2)
+        + x_l_piece(("u",), -sigma1, 2)
+        + x_l_piece(("theta",), -sigma1 + 1.0, 2)
     )
 
-    comp0 = {j: float(comp[j][0]) for j in shells}
-    delta0 = _delta0_from_shells(shells, comp0, sigma1, dim, j0)
-    x0 = _x0_from_shells(shells, comp0, dim, j0)
+    delta0 = series.delta0(sigma1, split)
+    x0 = float(series.critical(split)[0])
     bound_ratio = float(x_l[-1] / delta0) if delta0 > 0 else 0.0
 
     predicted = m_exp - (dim / 2.0 + sigma1) / 2.0

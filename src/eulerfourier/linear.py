@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .littlewood import DyadicCutoffs, build_cutoffs
+from .littlewood import DyadicCutoffs, ShellSeries, build_cutoffs
 
 
 def symbol_matrix(xi: np.ndarray) -> np.ndarray:
@@ -147,47 +147,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class SemigroupCurve:
-    """Shell norms of the evolved profile, per component, over time."""
+    """Shell norms of the evolved profile over time."""
 
-    dim: int
     sigma1: float
-    times: np.ndarray
-    shells: list[int]
-    shell_a: dict[int, np.ndarray]
-    shell_u: dict[int, np.ndarray]
-    shell_theta: dict[int, np.ndarray]
+    series: ShellSeries
     meta: dict = field(default_factory=dict)
-
-    def _series(self, component: str) -> dict[int, np.ndarray]:
-        return {"a": self.shell_a, "u": self.shell_u, "theta": self.shell_theta}[component]
-
-    def besov_series(
-        self, components: tuple[str, ...], s: float, r: float = 1
-    ) -> np.ndarray:
-        """Besov-norm time series; component norms are summed."""
-        total = np.zeros_like(self.times)
-        for comp in components:
-            series = self._series(comp)
-            vals = np.stack([2.0 ** (j * s) * series[j] for j in self.shells])
-            if r == np.inf:
-                total += vals.max(axis=0)
-            else:
-                total += (vals**r).sum(axis=0) ** (1.0 / r)
-        return total
-
-    def delta0(self, j0: int = 0, reg_high: float | None = None) -> float:
-        """Size of the data: low sup-norm at -sigma1 plus high 1-norm."""
-        if reg_high is None:
-            reg_high = self.dim / 2.0 + 1.0
-        low = [j for j in self.shells if j <= j0]
-        high = [j for j in self.shells if j >= j0 - 1]
-        val = 0.0
-        for comp in ("a", "u", "theta"):
-            series = self._series(comp)
-            if low:
-                val += max(2.0 ** (-j * self.sigma1) * series[j][0] for j in low)
-            val += sum(2.0 ** (j * reg_high) * series[j][0] for j in high)
-        return val
 
 
 def _resolved_shells(r_range: tuple[float, float]) -> list[int]:
@@ -259,23 +223,15 @@ def semigroup_besov_decay(
         shells = _resolved_shells(r_range)
         area = _SPHERE_AREA[dim]
         meas = w * r ** (dim - 1)
-        shell_a: dict[int, np.ndarray] = {}
-        shell_u: dict[int, np.ndarray] = {}
-        shell_th: dict[int, np.ndarray] = {}
-        for j in shells:
+        norms = np.empty((len(shells), 3, times.size))
+        for k, j in enumerate(shells):
             phi2 = cutoffs.phi(r * 2.0 ** (-j)) ** 2
             kern = area * phi2 * meas
-            shell_a[j] = np.sqrt(np.abs(evolved[:, :, 0]) ** 2 @ kern)
-            shell_u[j] = np.sqrt(np.abs(evolved[:, :, 1]) ** 2 @ kern)
-            shell_th[j] = np.sqrt(np.abs(evolved[:, :, 2]) ** 2 @ kern)
+            for c in range(3):
+                norms[k, c] = np.sqrt(np.abs(evolved[:, :, c]) ** 2 @ kern)
         return SemigroupCurve(
-            dim=dim,
             sigma1=sigma1,
-            times=times,
-            shells=shells,
-            shell_a=shell_a,
-            shell_u=shell_u,
-            shell_theta=shell_th,
+            series=ShellSeries(times, tuple(shells), dim, norms),
             meta={
                 "nodes_per_octave": npo,
                 "r_range": r_range,
@@ -289,8 +245,10 @@ def semigroup_besov_decay(
         fine = run(2 * nodes_per_octave)
         cols = convergence_columns if convergence_columns is not None else DEFAULT_CONVERGENCE_COLUMNS
         for comps, s_reg, r_sum in cols:
-            coarse_col = curve.besov_series(comps, s_reg, r_sum)
-            fine_col = fine.besov_series(comps, s_reg, r_sum)
+            # component norms are summed, not combined in ell^2
+            coarse_col, fine_col = (
+                sum(crv.series.besov(s_reg, r_sum, (c,)) for c in comps) for crv in (curve, fine)
+            )
             floor = 1e-12 * np.max(fine_col) if np.max(fine_col) > 0 else 1e-300
             rel = np.abs(coarse_col - fine_col) / np.maximum(fine_col, floor)
             rel[fine_col <= floor] = 0.0

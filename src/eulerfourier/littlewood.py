@@ -14,6 +14,10 @@ The descent is built by integrating the compactly supported bump
 exp(-sharpness/(1-x^2)) on (-1, 1) and interpolating the normalised
 cumulative integral with a monotone cubic (PCHIP), which preserves the
 0 <= chi <= 1 and monotonicity constraints exactly.
+
+:class:`ShellSeries` holds sampled shell norms of the state and is the one
+place where they are reduced to Besov, Chemin-Lerner, critical and delta0
+norms, for solver trajectories and semigroup quadratures alike.
 """
 
 from __future__ import annotations
@@ -39,9 +43,6 @@ class DyadicCutoffs:
     sharpness: float
     samples: int
     _step: PchipInterpolator = field(repr=False)
-    # raw tabulation of the descent, kept for export/inspection
-    table_r: np.ndarray = field(repr=False)
-    table_chi: np.ndarray = field(repr=False)
 
     def chi(self, r) -> np.ndarray:
         """Low-pass profile; accepts scalars or arrays of radii >= 0."""
@@ -58,11 +59,6 @@ class DyadicCutoffs:
         """Shell profile chi(r/2) - chi(r), supported on [3/4, 8/3]."""
         r = np.asarray(r, dtype=float)
         return self.chi(r / 2.0) - self.chi(r)
-
-    def export_table(self, path) -> None:
-        """Write the chi descent tabulation as a two-column text table."""
-        data = np.column_stack([self.table_r, self.table_chi])
-        np.savetxt(path, data, header="radius chi", comments="# ")
 
 
 def build_cutoffs(sharpness: float = 1.0, samples: int = 4097) -> DyadicCutoffs:
@@ -84,14 +80,7 @@ def build_cutoffs(sharpness: float = 1.0, samples: int = 4097) -> DyadicCutoffs:
     cum /= cum[-1]
     step = PchipInterpolator(x, cum, extrapolate=False)
 
-    r_tab = CHI_FLAT + (CHI_ZERO - CHI_FLAT) * (x + 1.0) / 2.0
-    cuts = DyadicCutoffs(
-        sharpness=sharpness,
-        samples=samples,
-        _step=step,
-        table_r=r_tab,
-        table_chi=1.0 - cum,
-    )
+    cuts = DyadicCutoffs(sharpness=sharpness, samples=samples, _step=step)
 
     # contract checks
     rr = np.linspace(0.0, 3.0, 2001)
@@ -119,6 +108,16 @@ class FrequencySplit:
     def high_shells(self, shells: range) -> list[int]:
         return [j for j in shells if j >= self.j0 - 1]
 
+    def select(self, shells, regime: str) -> list[int]:
+        """Shells of one regime: ``"all"``, ``"low"`` or ``"high"``."""
+        if regime == "all":
+            return list(shells)
+        if regime == "low":
+            return self.low_shells(shells)
+        if regime == "high":
+            return self.high_shells(shells)
+        raise ValueError(f"regime must be 'all', 'low' or 'high', got {regime!r}")
+
 
 class LittlewoodPaley:
     """Dyadic shell calculus bound to one grid.
@@ -140,7 +139,6 @@ class LittlewoodPaley:
         self.cutoffs = cutoffs if cutoffs is not None else build_cutoffs()
         self.split = split if split is not None else FrequencySplit()
         self._phi_cache: dict[int, np.ndarray] = {}
-        self._chi_cache: dict[int, np.ndarray] = {}
 
         # shells whose annulus is fully resolved by the dealiased grid
         self.j_min = math.ceil(math.log2(2.0 * np.pi / grid.length)) - 1
@@ -173,13 +171,6 @@ class LittlewoodPaley:
             self._phi_cache[j] = mult
         return mult
 
-    def low_multiplier(self, j: int) -> np.ndarray:
-        mult = self._chi_cache.get(j)
-        if mult is None:
-            mult = self.cutoffs.chi(self.grid.kmag * 2.0 ** (-j))
-            self._chi_cache[j] = mult
-        return mult
-
     def block_hat(self, fhat: np.ndarray, j: int) -> np.ndarray:
         """Spectral coefficients of the dyadic block at shell j."""
         return fhat * self.shell_multiplier(j)
@@ -187,10 +178,6 @@ class LittlewoodPaley:
     def block(self, f: np.ndarray, j: int) -> np.ndarray:
         """Physical-space dyadic block of a real field."""
         return self.grid.inverse(self.block_hat(self.grid.forward(f), j))
-
-    def low_block(self, f: np.ndarray, j: int) -> np.ndarray:
-        """Low-pass part at cutoff scale 2^j (zero mode retained)."""
-        return self.grid.inverse(self.grid.forward(f) * self.low_multiplier(j))
 
     # ------------------------------------------------------------------
     def shell_l2_hat(self, fhat: np.ndarray, j: int) -> float:
@@ -213,15 +200,6 @@ class LittlewoodPaley:
         return {j: float(np.sqrt(sum(s[j] ** 2 for s in per))) for j in self.shells}
 
     # ------------------------------------------------------------------
-    def _select(self, regime: str) -> list[int]:
-        if regime == "all":
-            return list(self.shells)
-        if regime == "low":
-            return self.split.low_shells(self.shells)
-        if regime == "high":
-            return self.split.high_shells(self.shells)
-        raise ValueError(f"regime must be 'all', 'low' or 'high', got {regime!r}")
-
     @staticmethod
     def _accumulate(weighted: list[float], r: float) -> float:
         if not weighted:
@@ -240,55 +218,113 @@ class LittlewoodPaley:
     ) -> float:
         """Homogeneous Besov norm, truncated to the resolvable shells."""
         fhat = self.grid.forward(np.asarray(f, dtype=float))
-        vals = [2.0 ** (j * s) * self.shell_lp_hat(fhat, j, p) for j in self._select(regime)]
+        shells = self.split.select(self.shells, regime)
+        vals = [2.0 ** (j * s) * self.shell_lp_hat(fhat, j, p) for j in shells]
         return self._accumulate(vals, r)
 
-    def besov_norm_from_shells(
-        self, shell: dict[int, float], s: float, r: float = 1, regime: str = "all"
-    ) -> float:
-        vals = [2.0 ** (j * s) * shell[j] for j in self._select(regime) if j in shell]
-        return self._accumulate(vals, r)
 
-    def hybrid_norm(self, f: np.ndarray, s: float, t_exp: float, j0: int | None = None) -> float:
-        """Two-exponent norm: weight 2^{js} below the threshold, 2^{jt} above."""
-        if j0 is None:
-            j0 = self.split.j0
-        fhat = self.grid.forward(np.asarray(f, dtype=float))
-        total = 0.0
-        for j in self.shells:
-            w = s if j <= j0 else t_exp
-            total += 2.0 ** (j * w) * self.shell_lp_hat(fhat, j, 2)
-        return total
+#: component order of :attr:`ShellSeries.norms`
+COMPONENTS = ("a", "u", "theta")
 
-    # ------------------------------------------------------------------
-    def chemin_lerner_norm(
+
+@dataclass(frozen=True)
+class ShellSeries:
+    """Per-shell L^2 norms of the state (a, u, theta) sampled over time.
+
+    ``norms[k, c, n]`` is the norm of component ``COMPONENTS[c]`` on shell
+    ``shells[k]`` at ``times[n]`` (for u, ell^2 over its d components).
+    Every Besov-type quantity is one reduction of it: an ell^2 composite
+    over some components, the weight 2^{js} per shell, optionally an
+    L^rho prefix in time, then ell^r over the shells of one regime.
+    Shells are the leading axis and shell sums run one shell at a time in
+    increasing j, so a value does not depend on how many times are stored.
+    """
+
+    times: np.ndarray
+    shells: tuple[int, ...]
+    dim: int
+    norms: np.ndarray
+
+    @classmethod
+    def of_state(cls, lp: LittlewoodPaley, state) -> ShellSeries:
+        """Single-time series (at t = 0) of a :class:`~eulerfourier.grid.StateFields`."""
+        per = [lp.shell_norms(state.a), lp.vector_shell_norms(list(state.u)),
+               lp.shell_norms(state.theta)]
+        norms = np.array([[[c[j]] for c in per] for j in lp.shells])
+        return cls(np.zeros(1), tuple(lp.shells), lp.grid.dim, norms)
+
+    def composite(self, components: tuple[str, ...] = COMPONENTS) -> np.ndarray:
+        """(shells, times) ell^2 composite; one component is returned as stored."""
+        rows = [self.norms[:, COMPONENTS.index(c)] for c in components]
+        if len(rows) == 1:
+            return rows[0]
+        total = rows[0] ** 2
+        for row in rows[1:]:
+            total = total + row**2
+        return np.sqrt(total)
+
+    def _weighted(self, s, components, regime, split, weight=None) -> np.ndarray:
+        shells = split.select(self.shells, regime)
+        # Python floats: numpy's vectorised power may differ in the last bit
+        scale = np.array([2.0 ** (j * s) for j in shells]).reshape(-1, 1)
+        if weight is not None:
+            scale = scale * weight
+        return scale * self.composite(components)[[self.shells.index(j) for j in shells]]
+
+    def _ell(self, rows: np.ndarray, r: float) -> np.ndarray:
+        if rows.shape[0] == 0:
+            return np.zeros_like(self.times)
+        if r == np.inf:
+            return rows.max(axis=0)
+        # cumsum adds shell by shell; sum() would switch to pairwise
+        # summation when a single time is stored
+        return np.cumsum(rows**r, axis=0)[-1] ** (1.0 / r)
+
+    def besov(
         self,
-        times: np.ndarray,
-        shell_series: dict[int, np.ndarray],
-        rho: float,
         s: float,
         r: float = 1,
+        components: tuple[str, ...] = COMPONENTS,
         regime: str = "all",
-        weight: np.ndarray | None = None,
-    ) -> float:
-        """Time-integrated shell norm: L^rho in time inside, ell^r outside.
+        split: FrequencySplit = FrequencySplit(),
+    ) -> np.ndarray:
+        """Besov norm B^s_{2,r} of the composite at every stored time."""
+        return self._ell(self._weighted(s, components, regime, split), r)
 
-        ``shell_series[j]`` holds the shell-j spatial norm sampled at
-        ``times``; the optional ``weight`` multiplies the integrand
-        pointwise in time (used for the (1+t)^M weighted functionals).
-        Time integrals use the trapezoid rule, suprema the sample max.
+    def chemin_lerner(
+        self,
+        s: float,
+        rho: float,
+        r: float = 1,
+        components: tuple[str, ...] = COMPONENTS,
+        regime: str = "all",
+        split: FrequencySplit = FrequencySplit(),
+        weight: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Chemin-Lerner norm over [0, t] for every stored time t.
+
+        L^rho in time inside (trapezoid rule, or the running max for
+        rho = inf), ell^r over shells outside, as in Bahouri, Chemin and
+        Danchin, *Fourier Analysis and Nonlinear PDEs* (2011); ``weight``
+        multiplies the integrand pointwise in time (the (1+t)^M weighted
+        functionals).
         """
-        times = np.asarray(times, dtype=float)
-        vals = []
-        for j in self._select(regime):
-            if j not in shell_series:
-                continue
-            g = np.asarray(shell_series[j], dtype=float)
-            if weight is not None:
-                g = g * weight
-            if rho == np.inf:
-                tnorm = float(np.max(g))
-            else:
-                tnorm = float(np.trapezoid(g**rho, times) ** (1.0 / rho))
-            vals.append(2.0 ** (j * s) * tnorm)
-        return self._accumulate(vals, r)
+        rows = self._weighted(s, components, regime, split, weight)
+        if rho == np.inf:
+            prefix = np.maximum.accumulate(rows, axis=1)
+        else:
+            integral = cumulative_trapezoid(rows**rho, self.times, initial=0.0, axis=1)
+            prefix = integral ** (1.0 / rho)
+        return self._ell(prefix, r)
+
+    def critical(self, split: FrequencySplit = FrequencySplit()) -> np.ndarray:
+        """Critical norm X(t): low shells at d/2 plus high shells at d/2 + 1."""
+        half = self.dim / 2.0
+        return (self.besov(half, 1, regime="low", split=split)
+                + self.besov(half + 1.0, 1, regime="high", split=split))
+
+    def delta0(self, sigma1: float, split: FrequencySplit = FrequencySplit()) -> float:
+        """Size of the data at t = 0: low sup at -sigma1 plus high sum at d/2 + 1."""
+        low = self.besov(-sigma1, np.inf, regime="low", split=split)
+        high = self.besov(self.dim / 2.0 + 1.0, 1, regime="high", split=split)
+        return float(low[0] + high[0])

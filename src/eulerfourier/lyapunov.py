@@ -31,14 +31,12 @@ from .littlewood import LittlewoodPaley
 from .solver import PositivityViolation, TrajectoryRecord, nonlinear_rhs
 
 __all__ = [
-    "ModeEnergyRecord",
     "StrideTooCoarse",
     "LyapunovResidualSeries",
     "low_freq_functionals",
     "high_freq_functionals",
     "commutator_remainders",
     "coercivity_margin",
-    "mode_energy_record",
     "lyapunov_residual",
 ]
 
@@ -81,7 +79,7 @@ def _check_positive(state: StateFields) -> None:
         raise PositivityViolation("density or temperature lost positivity")
 
 
-def _shell_state(lp: LittlewoodPaley, state: StateFields, j: int):
+def _shell_blocks(lp: LittlewoodPaley, state: StateFields, j: int):
     a_j = lp.block(state.a, j)
     u_j = [lp.block(comp, j) for comp in state.u]
     th_j = lp.block(state.theta, j)
@@ -107,7 +105,7 @@ def low_freq_functionals(
     if not 0.0 < eta1 < 1.0:
         raise ValueError("eta1 must lie in (0, 1)")
     grid = lp.grid
-    a_j, u_j, th_j = _shell_state(lp, state, j)
+    a_j, u_j, th_j = _shell_blocks(lp, state, j)
     grad_a = grid.gradient(a_j)
     grad_th = grid.gradient(th_j)
 
@@ -142,7 +140,7 @@ def high_freq_functionals(
     _check_positive(state)
     grid = lp.grid
     beta = eta2 * 2.0 ** (-2 * j)
-    a_j, u_j, th_j = _shell_state(lp, state, j)
+    a_j, u_j, th_j = _shell_blocks(lp, state, j)
     grad_a = grid.gradient(a_j)
     grad_th = grid.gradient(th_j)
 
@@ -263,57 +261,6 @@ def coercivity_margin(j: int, eta: float = DEFAULT_ETA, regime: str = "low", sam
             f"dissipation form loses coercivity at shell {j} (eta={eta}); reduce eta"
         )
     return margin
-
-
-# ----------------------------------------------------------------------
-# records
-
-
-@dataclass
-class ModeEnergyRecord:
-    """All shell-``j`` functionals of one state, plus the remainder norms."""
-
-    j: int
-    E1: float
-    D1: float
-    E2: float
-    D2: float
-    eta1: float
-    eta2: float
-    remainder_norms: tuple[float, float, float]
-
-    def as_row(self) -> dict:
-        return {
-            "j": self.j,
-            "E1": self.E1,
-            "D1": self.D1,
-            "E2": self.E2,
-            "D2": self.D2,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "R1": self.remainder_norms[0],
-            "R2": self.remainder_norms[1],
-            "R3": self.remainder_norms[2],
-        }
-
-
-def mode_energy_record(
-    lp: LittlewoodPaley,
-    state: StateFields,
-    j: int,
-    eta1: float = DEFAULT_ETA,
-    eta2: float = DEFAULT_ETA,
-) -> ModeEnergyRecord:
-    e1, d1 = low_freq_functionals(lp, state, j, eta1)
-    e2, d2 = high_freq_functionals(lp, state, j, eta2)
-    r1, r2, r3 = commutator_remainders(lp, state, j)
-    grid = lp.grid
-    norms = (
-        grid.l2_norm(r1),
-        math.sqrt(sum(grid.l2_norm(c) ** 2 for c in r2)),
-        grid.l2_norm(r3),
-    )
-    return ModeEnergyRecord(j, e1, d1, e2, d2, eta1, eta2, norms)
 
 
 # ----------------------------------------------------------------------

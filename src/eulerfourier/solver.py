@@ -23,9 +23,8 @@ the density is conserved to rounding.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,8 @@ from scipy.linalg import expm
 
 from .grid import PeriodicGrid, StateFields
 from .linear import reduced_symbol
-from .littlewood import LittlewoodPaley
+from .littlewood import LittlewoodPaley, ShellSeries
+from .reporting import config_hash
 
 
 class PositivityViolation(RuntimeError):
@@ -289,23 +289,11 @@ class TrajectoryRecord:
     grid: PeriodicGrid
     config: SolverConfig
     dt: float
-    times: np.ndarray
-    shell_a: dict[int, np.ndarray]
-    shell_u: dict[int, np.ndarray]
-    shell_theta: dict[int, np.ndarray]
+    series: ShellSeries
     mean_a: np.ndarray
     max_speed: np.ndarray
     snapshot_times: list[float]
     snapshots: list[StateFields]
-    hook_data: dict[str, list] = field(default_factory=dict)
-    shells: list[int] = field(default_factory=list)
-
-    def shell_state(self) -> dict[int, np.ndarray]:
-        """Shell norms of the full state (a, u, theta), ell^2 in components."""
-        return {
-            j: np.sqrt(self.shell_a[j] ** 2 + self.shell_u[j] ** 2 + self.shell_theta[j] ** 2)
-            for j in self.shells
-        }
 
 
 def _check_admissible(
@@ -345,7 +333,6 @@ def integrate(
     grid: PeriodicGrid,
     state0: StateFields,
     config: SolverConfig,
-    hooks: dict[str, callable] | None = None,
     lp: LittlewoodPaley | None = None,
 ) -> TrajectoryRecord:
     """March the system to ``config.t_end`` recording shell norms.
@@ -354,8 +341,7 @@ def integrate(
     norms of each component (the raw material of every Besov-type
     functional downstream), the density mean and the maximum signal
     speed.  Full snapshots are kept every ``snapshot_stride`` samples
-    when requested.  ``hooks`` maps names to callables ``f(t, state)``
-    whose return values are collected per sample.
+    when requested.
     """
     if lp is None:
         lp = LittlewoodPaley(grid)
@@ -372,26 +358,25 @@ def integrate(
     hats = stepper._to_hat(state0)
 
     times: list[float] = []
-    shell_a: dict[int, list[float]] = {j: [] for j in lp.shells}
-    shell_u: dict[int, list[float]] = {j: [] for j in lp.shells}
-    shell_th: dict[int, list[float]] = {j: [] for j in lp.shells}
+    shell_rows: list[list[tuple]] = []  # per sample: (a, u, theta) norms per shell
     mean_a: list[float] = []
     max_speed: list[float] = []
     snap_times: list[float] = []
     snaps: list[StateFields] = []
-    hook_data: dict[str, list] = {name: [] for name in (hooks or {})}
 
     d = grid.dim
 
     def sample(i_sample: int, t: float, hats_now: list[np.ndarray]) -> None:
         times.append(t)
+        rows = []
         for j in lp.shells:
             mult = lp.shell_multiplier(j)
-            shell_a[j].append(grid.l2_norm_hat(hats_now[0] * mult))
-            shell_u[j].append(
-                float(np.sqrt(sum(grid.l2_norm_hat(hats_now[1 + m] * mult) ** 2 for m in range(d))))
-            )
-            shell_th[j].append(grid.l2_norm_hat(hats_now[d + 1] * mult))
+            rows.append((
+                grid.l2_norm_hat(hats_now[0] * mult),
+                float(np.sqrt(sum(grid.l2_norm_hat(hats_now[1 + m] * mult) ** 2 for m in range(d)))),
+                grid.l2_norm_hat(hats_now[d + 1] * mult),
+            ))
+        shell_rows.append(rows)
         mean_a.append(float(np.real(hats_now[0].flat[0])))
         state = stepper._to_state(hats_now)
         if np.min(1.0 + state.a) < config.positivity_floor or np.min(
@@ -402,8 +387,6 @@ def integrate(
         if config.snapshot_stride is not None and i_sample % config.snapshot_stride == 0:
             snap_times.append(t)
             snaps.append(state.copy())
-        for name, fn in (hooks or {}).items():
-            hook_data[name].append(fn(t, state))
 
     sample(0, 0.0, hats)
     i_sample = 1
@@ -424,29 +407,20 @@ def integrate(
         snap_times.append(times[-1])
         snaps.append(stepper._to_state(hats).copy())
 
+    norms = np.array(shell_rows).transpose(1, 2, 0).copy()  # (shells, 3, times)
     return TrajectoryRecord(
         grid=grid,
         config=config,
         dt=dt,
-        times=np.asarray(times),
-        shell_a={j: np.asarray(v) for j, v in shell_a.items()},
-        shell_u={j: np.asarray(v) for j, v in shell_u.items()},
-        shell_theta={j: np.asarray(v) for j, v in shell_th.items()},
+        series=ShellSeries(np.asarray(times), tuple(lp.shells), d, norms),
         mean_a=np.asarray(mean_a),
         max_speed=np.asarray(max_speed),
         snapshot_times=snap_times,
         snapshots=snaps,
-        hook_data=hook_data,
-        shells=list(lp.shells),
     )
 
 
 # ----------------------------------------------------------------------
-def config_digest(meta: dict) -> str:
-    """Stable short hash of a metadata mapping."""
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
 
 def save_checkpoint(
     path: str | Path, grid: PeriodicGrid, state: StateFields, t: float, meta: dict | None = None
@@ -464,7 +438,7 @@ def save_checkpoint(
             "format": "eulerfourier-checkpoint-v1",
         }
     )
-    meta["digest"] = config_digest(meta)
+    meta["digest"] = config_hash(json.dumps(meta, sort_keys=True, separators=(",", ":")))
     lines = [f"{k} = {meta[k]}" for k in sorted(meta)]
     path.with_suffix(".txt").write_text("\n".join(lines) + "\n")
 

@@ -16,8 +16,6 @@ from eulerfourier import cli
 from eulerfourier.decay import (
     InitialDataSpec,
     RateTarget,
-    _besov_series,
-    _composite_series,
     damped_mode_check,
     generate_initial_data,
     run_decay_experiment,
@@ -128,10 +126,9 @@ def test_criterion_3_velocity_enhancement():
     rep = damped_mode_check(curve, 1.0, window=FIT_WINDOW)
     u_exp = rep.neg_fit.exponent
 
-    per_comp = {"a": curve.shell_a, "u": curve.shell_u, "theta": curve.shell_theta}
-    composite = _composite_series(curve.shells, per_comp)
-    state_sup = _besov_series(curve.shells, composite, -1.0, r=np.inf)
-    mask = (curve.times >= FIT_WINDOW[0]) & (curve.times <= FIT_WINDOW[1])
+    state_sup = curve.series.besov(-1.0, np.inf)
+    times = curve.series.times
+    mask = (times >= FIT_WINDOW[0]) & (times <= FIT_WINDOW[1])
     ratio = float(state_sup[mask].max() / state_sup[mask].min())
 
     _report(
@@ -191,7 +188,7 @@ N_STATES = 1000
 SLACK = 1e-12
 
 
-def _shell_states(j: int, n: int, seed: int, scale: float = 0.25):
+def _shell_localized_states(j: int, n: int, seed: int, scale: float = 0.25):
     """n random states supported on dyadic shell j, max-norm <= scale.
 
     scale = 0.25 keeps 1 + a inside [3/4, 5/4], well within the positivity
@@ -225,7 +222,7 @@ def test_criterion_5_functional_equivalence():
     e1_viol = d1_viol = 0.0
     for j in range(-4, 1):
         margin = coercivity_margin(j, ETA, "low")
-        for st in _shell_states(j, N_STATES, seed=100 + j):
+        for st in _shell_localized_states(j, N_STATES, seed=100 + j):
             aj, uj, tj = _block_sq(st, j)
             q = aj + uj + tj
             e1, d1 = low_freq_functionals(LP, st, j, eta1=ETA)
@@ -239,7 +236,7 @@ def test_criterion_5_functional_equivalence():
     r_e2 = []
     r_d2 = []
     for j in range(0, 3):
-        for st in _shell_states(j, N_STATES, seed=200 + j):
+        for st in _shell_localized_states(j, N_STATES, seed=200 + j):
             aj, uj, tj = _block_sq(st, j)
             e2, d2 = high_freq_functionals(LP, st, j, eta2=ETA)
             r_e2.append(e2 / (aj + uj + tj))
@@ -332,7 +329,7 @@ def test_criterion_7_nonlinear_box():
     drift = 0.0
     for amp in (1e-3, 1e-4):
         state0, traj = _box_run(amp, t_end=5.0, dt=2e-3)
-        lin_a, lin_u, lin_theta = _linear_final(state0, traj.times[-1])
+        lin_a, lin_u, lin_theta = _linear_final(state0, traj.series.times[-1])
         fin = traj.snapshots[-1]
         devs[amp] = np.sqrt(
             BOX_GRID.l2_norm(fin.a - lin_a) ** 2

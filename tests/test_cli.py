@@ -12,7 +12,6 @@ import pytest
 from eulerfourier.config import (
     KIND_DEFAULTS,
     KINDS,
-    check_weight_exponent,
     parse_config,
     read_config_file,
 )
@@ -88,12 +87,6 @@ def test_domain_validation_messages_name_the_interval():
         parse_config(kind="lyapunov", overrides={"eta": "1.5"})
     with pytest.raises(ValueError, match="t_start"):
         parse_config(kind="linear-decay", overrides={"t_start": "100", "t_end": "10"})
-
-
-def test_weight_exponent_rule():
-    check_weight_exponent(2.0, dim=1, sigma1=0.5)  # admissible
-    with pytest.raises(ValueError, match="M = 1.2"):
-        check_weight_exponent(1.2, dim=1, sigma1=0.5)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from eulerfourier.decay import (
     RateTarget,
     convolution_bound_constant,
     damped_mode_check,
+    duhamel_reconstruction,
     fit_rate,
     generate_initial_data,
     run_decay_experiment,
@@ -17,7 +18,7 @@ from eulerfourier.decay import (
 )
 from eulerfourier.grid import PeriodicGrid
 from eulerfourier.linear import saturating_profile, semigroup_besov_decay
-from eulerfourier.littlewood import LittlewoodPaley
+from eulerfourier.littlewood import LittlewoodPaley, ShellSeries
 from eulerfourier.solver import SolverConfig, integrate
 
 
@@ -104,15 +105,9 @@ def test_generated_data_is_normalized_and_uniform():
     spec = InitialDataSpec(sigma1=0.5, dim=1, amplitude=1e-3, seed=3)
     state = generate_initial_data(spec, grid, lp)
 
-    from eulerfourier.decay import (
-        _composite_shells,
-        _delta0_from_shells,
-        _state_shell_norms,
-    )
-
-    comp = _composite_shells(lp.shells, _state_shell_norms(lp, state))
-    delta0 = _delta0_from_shells(lp.shells, comp, spec.sigma1, 1, j0=0)
-    assert np.isclose(delta0, 1e-3, rtol=1e-10)
+    series = ShellSeries.of_state(lp, state)
+    assert np.isclose(series.delta0(spec.sigma1), 1e-3, rtol=1e-10)
+    comp = dict(zip(series.shells, series.composite()[:, 0]))
 
     # weighted low shells sit within a factor two of each other
     weighted = [
@@ -222,10 +217,8 @@ def _tiny_trajectory(eps=1e-4, n_steps=20, dt=1e-3):
 def test_duhamel_reconstruction_is_exact_for_pure_friction():
     # For data whose nonlinearity vanishes identically the velocity is
     # exactly e^{-t} u0 and the reconstruction error is pure roundoff.
-    from eulerfourier.decay import _duhamel_reconstruction
-
     traj = _tiny_trajectory(eps=1e-12)
-    err, h_max = _duhamel_reconstruction(traj)
+    err, h_max = duhamel_reconstruction(traj)
     assert err < 1e-10
     assert np.isclose(h_max, 1e-3)
 
@@ -244,28 +237,22 @@ def _longitudinal_trajectory(eps, n_steps, dt):
 
 
 def test_duhamel_reconstruction_is_second_order():
-    from eulerfourier.decay import _duhamel_reconstruction
-
     errs = {}
     for dt, n in [(2e-3, 10), (1e-3, 20)]:
-        errs[dt] = _duhamel_reconstruction(_longitudinal_trajectory(0.05, n, dt))[0]
+        errs[dt] = duhamel_reconstruction(_longitudinal_trajectory(0.05, n, dt))[0]
     ratio = errs[2e-3] / errs[1e-3]
     assert 3.5 < ratio < 4.5, f"Duhamel error ratio {ratio}"
 
 
 def test_duhamel_needs_enough_snapshots():
-    from eulerfourier.decay import _duhamel_reconstruction
-
     traj = _tiny_trajectory(n_steps=3)
     trimmed = type(traj)(
-        grid=traj.grid, config=traj.config, dt=traj.dt, times=traj.times,
-        shell_a=traj.shell_a, shell_u=traj.shell_u, shell_theta=traj.shell_theta,
+        grid=traj.grid, config=traj.config, dt=traj.dt, series=traj.series,
         mean_a=traj.mean_a, max_speed=traj.max_speed,
         snapshot_times=traj.snapshot_times[:3], snapshots=traj.snapshots[:3],
-        shells=traj.shells,
     )
     with pytest.raises(ValueError, match="snapshots"):
-        _duhamel_reconstruction(trimmed)
+        duhamel_reconstruction(trimmed)
 
 
 def test_convolution_bound_constant_is_small():

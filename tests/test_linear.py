@@ -94,10 +94,10 @@ def test_saturating_profile_gives_flat_weighted_shells():
         r_range=(5e-4, 8.0),
     )
     weighted = []
-    for j in curve.shells:
+    for k, j in enumerate(curve.series.shells):
         if 2.0**j < 3e-3 or 2.0**j > 0.2:
             continue  # skip band edges
-        weighted.append(2.0 ** (-j * sigma1) * curve.shell_a[j][0])
+        weighted.append(2.0 ** (-j * sigma1) * curve.series.norms[k, 0, 0])
     weighted = np.asarray(weighted)
     assert weighted.size >= 4
     assert weighted.max() / weighted.min() < 1.3
@@ -108,12 +108,13 @@ def test_semigroup_curve_delta0_and_series_shapes():
     times = np.array([0.0, 1.0, 10.0])
     curve = semigroup_besov_decay(prof, 1, 0.5, times=times, nodes_per_octave=32,
                                   r_range=(5e-3, 8.0))
-    assert curve.delta0() > 0.0
-    series = curve.besov_series(("a", "u", "theta"), s=0.0)
+    assert curve.series.norms.shape == (len(curve.series.shells), 3, times.size)
+    assert curve.series.delta0(0.5) > 0.0
+    series = curve.series.besov(0.0)
     assert series.shape == times.shape
     assert np.all(np.diff(series) <= 1e-12)  # linear flow only dissipates here
-    sup = curve.besov_series(("a",), s=0.0, r=np.inf)
-    one = curve.besov_series(("a",), s=0.0, r=1)
+    sup = curve.series.besov(0.0, np.inf, ("a",))
+    one = curve.series.besov(0.0, 1, ("a",))
     assert np.all(sup <= one + 1e-12)
 
 
@@ -132,6 +133,6 @@ def test_quadrature_is_stable_under_node_doubling():
     kw = dict(times=times, r_range=(5e-3, 8.0), check_convergence=False)
     coarse = semigroup_besov_decay(prof, 1, 0.5, nodes_per_octave=32, **kw)
     fine = semigroup_besov_decay(prof, 1, 0.5, nodes_per_octave=64, **kw)
-    a = coarse.besov_series(("a", "u", "theta"), s=0.5)
-    b = fine.besov_series(("a", "u", "theta"), s=0.5)
+    a = coarse.series.besov(0.5)
+    b = fine.series.besov(0.5)
     assert np.max(np.abs(a - b) / b) < 1e-3

@@ -1,4 +1,4 @@
-"""Dyadic shell calculus: partition, telescoping, Besov and hybrid norms."""
+"""Dyadic shell calculus: partition, telescoping, Besov norms, shell series."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from eulerfourier.littlewood import (
     CHI_ZERO,
     FrequencySplit,
     LittlewoodPaley,
+    ShellSeries,
     build_cutoffs,
 )
 
@@ -92,52 +93,93 @@ def test_vector_shell_norms_combine_components(grid1d, lp1d, rng):
         assert np.isclose(double[j], np.sqrt(2.0) * single[j], rtol=1e-12)
 
 
+def _shell_series(lp, f, times):
+    """ShellSeries holding f's shell norms in every component, constant in time."""
+    norms = np.array([lp.shell_norms(f)[j] for j in lp.shells])
+    stack = np.broadcast_to(norms[:, None, None], (len(norms), 3, len(times)))
+    return ShellSeries(np.asarray(times), tuple(lp.shells), lp.grid.dim, stack.copy())
+
+
 def test_besov_norm_from_shells_consistency(grid1d, lp1d, rng):
     f = _band_limited_field(grid1d, lp1d, rng)
-    shells = lp1d.shell_norms(f)
+    series = _shell_series(lp1d, f, [0.0])
     for s, r in [(0.0, 1), (0.5, 1), (-0.5, np.inf), (1.5, 2)]:
-        assert np.isclose(
-            lp1d.besov_norm_from_shells(shells, s=s, r=r),
-            lp1d.besov_norm(f, s=s, r=r),
-            rtol=1e-12,
-        )
+        for regime in ("all", "low", "high"):
+            oracle = lp1d.besov_norm(f, s=s, r=r, regime=regime)
+            single = series.besov(s, r, ("a",), regime)
+            assert single.shape == (1,)
+            assert np.isclose(single[0], oracle, rtol=1e-12, atol=0.0)
+            # three equal components: the ell^2 composite is sqrt(3) times one
+            full = series.besov(s, r, regime=regime)[0]
+            assert np.isclose(full, np.sqrt(3.0) * oracle, rtol=1e-12, atol=0.0)
 
-
-def test_chemin_lerner_norm_constant_series(grid1d, lp1d, rng):
-    f = _band_limited_field(grid1d, lp1d, rng)
-    shells = lp1d.shell_norms(f)
-    times = np.linspace(0.0, 4.0, 41)
-    series = {j: np.full_like(times, v) for j, v in shells.items()}
-    base = lp1d.besov_norm_from_shells(shells, s=0.25)
-
-    sup = lp1d.chemin_lerner_norm(times, series, rho=np.inf, s=0.25)
-    assert np.isclose(sup, base, rtol=1e-12)
-
-    # constant integrand: L^2 in time contributes sqrt(T)
-    l2t = lp1d.chemin_lerner_norm(times, series, rho=2, s=0.25)
-    assert np.isclose(l2t, 2.0 * base, rtol=1e-12)
-
-    # pointwise weight scales straight through the sup
-    weighted = lp1d.chemin_lerner_norm(
-        times, series, rho=np.inf, s=0.25, weight=np.full_like(times, 3.0)
-    )
-    assert np.isclose(weighted, 3.0 * base, rtol=1e-12)
+    # verdict files are byte-stable only if shell sums run left to right;
+    # with one stored time numpy's sum() would add these 24 shells pairwise
+    shells = tuple(range(-20, 4))
+    draws = np.random.default_rng(5)
+    for n_times in [1, 5] * 10:
+        norms = draws.random((len(shells), 3, n_times))
+        norms *= 10.0 ** draws.integers(-3, 3, (len(shells), 1, 1))
+        series = ShellSeries(np.arange(float(n_times)), shells, 2, norms)
+        expected = 0.0
+        for k, j in enumerate(shells):
+            expected += 2.0 ** (j * 0.75) * norms[k, 1, 0]
+        assert series.besov(0.75, 1, ("u",))[0] == expected
 
 
 def test_hybrid_norm_reduces_to_besov_on_pure_regimes(grid1d, lp1d):
     (x,) = grid1d.coordinates()
     low = np.sin(1.0 * x)  # shells {-1, 0}: entirely at or below j0 = 0
     high = np.sin(4.0 * x)  # shells {1, 2}: entirely above j0 = 0
+    low_series = _shell_series(lp1d, low, [0.0])
+    high_series = _shell_series(lp1d, high, [0.0])
     assert np.isclose(
-        lp1d.hybrid_norm(low, s=-0.5, t_exp=1.5, j0=0),
+        low_series.besov(-0.5, 1, ("a",), "low")[0],
         lp1d.besov_norm(low, s=-0.5),
         rtol=1e-12,
     )
+    # no low shell of the high field holds more than FFT roundoff
+    leak = high_series.besov(-0.5, 1, ("a",), "low")[0]
+    assert leak <= 1e-12 * lp1d.besov_norm(high, s=-0.5)
     assert np.isclose(
-        lp1d.hybrid_norm(high, s=-0.5, t_exp=1.5, j0=0),
+        high_series.besov(1.5, 1, ("a",), "high")[0],
         lp1d.besov_norm(high, s=1.5),
         rtol=1e-12,
     )
+    # the two-exponent critical norm (d/2 low, d/2 + 1 high) is one Besov
+    # norm once the split puts every shell of the data in one regime only
+    assert np.isclose(
+        low_series.critical(FrequencySplit(j0=2))[0],
+        np.sqrt(3.0) * lp1d.besov_norm(low, s=0.5),
+        rtol=1e-12,
+    )
+    assert np.isclose(
+        high_series.critical(FrequencySplit(j0=0))[0],
+        np.sqrt(3.0) * lp1d.besov_norm(high, s=1.5),
+        rtol=1e-12,
+    )
+
+
+def test_shell_series_chemin_lerner_on_constant_series(grid1d, lp1d, rng):
+    f = _band_limited_field(grid1d, lp1d, rng)
+    times = np.linspace(0.0, 4.0, 41)
+    series = _shell_series(lp1d, f, times)
+    base = lp1d.besov_norm(f, s=0.25)
+
+    sup = series.chemin_lerner(0.25, np.inf, components=("u",))
+    assert np.allclose(sup, base, rtol=1e-12, atol=0.0)
+
+    # constant integrand: L^2 over [0, t] contributes sqrt(t)
+    l2t = series.chemin_lerner(0.25, 2, components=("u",))
+    assert np.isclose(l2t[-1], 2.0 * base, rtol=1e-12)
+    assert np.allclose(l2t, np.sqrt(times) * base, rtol=1e-12, atol=0.0)
+
+    # a constant weight scales straight through both time norms
+    weight = np.full_like(times, 3.0)
+    assert np.isclose(series.chemin_lerner(0.25, np.inf, components=("u",), weight=weight)[-1],
+                      3.0 * base, rtol=1e-12)
+    assert np.isclose(series.chemin_lerner(0.25, 2, components=("u",), weight=weight)[-1],
+                      6.0 * base, rtol=1e-12)
 
 
 def test_frequency_split_overlap():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eulerfourier.grid import PeriodicGrid, StateFields
-from eulerfourier.littlewood import LittlewoodPaley
+from eulerfourier.littlewood import LittlewoodPaley, ShellSeries
 from eulerfourier.lyapunov import (
     StrideTooCoarse,
     coercivity_margin,
@@ -12,7 +12,6 @@ from eulerfourier.lyapunov import (
     high_freq_functionals,
     low_freq_functionals,
     lyapunov_residual,
-    mode_energy_record,
 )
 from eulerfourier.randfields import ball_field
 from eulerfourier.solver import SolverConfig, TrajectoryRecord, integrate
@@ -162,13 +161,6 @@ def test_commutators_are_nonzero_for_varying_coefficients(rng):
     assert GRID.l2_norm(r1) > 1e-8
 
 
-def test_mode_energy_record_row():
-    rec = mode_energy_record(LP, _mode_state("a", 1.0), j=0)
-    row = rec.as_row()
-    assert {"j", "E1", "D1", "E2", "D2"} <= set(row)
-    assert row["E1"] > 0.0
-
-
 def _small_run(amplitude):
     grid = PeriodicGrid(dim=1, npts=512, length=8.0 * np.pi)
     rng = np.random.default_rng(21)
@@ -214,11 +206,9 @@ def test_residual_is_vacuous_on_spectrally_empty_shells():
 def test_residual_requires_enough_snapshots():
     traj = _small_run(1e-4)
     starved = TrajectoryRecord(
-        grid=traj.grid, config=traj.config, dt=traj.dt, times=traj.times,
-        shell_a=traj.shell_a, shell_u=traj.shell_u, shell_theta=traj.shell_theta,
+        grid=traj.grid, config=traj.config, dt=traj.dt, series=traj.series,
         mean_a=traj.mean_a, max_speed=traj.max_speed,
         snapshot_times=traj.snapshot_times[:4], snapshots=traj.snapshots[:4],
-        shells=traj.shells,
     )
     with pytest.raises(StrideTooCoarse, match="five snapshots"):
         lyapunov_residual(starved, 0, regime="low")
@@ -235,12 +225,12 @@ def test_residual_rejects_coarse_sampling():
         s = StateFields.zeros(grid)
         s.a = 0.1 * (1.0 + 0.5 * np.sin(20.0 * t)) * np.cos(5.0 * x)
         snaps.append(s)
+    shells = tuple(LittlewoodPaley(grid).shells)
     traj = TrajectoryRecord(
         grid=grid, config=SolverConfig(dt=0.1, t_end=1.0), dt=0.1,
-        times=times, shell_a={}, shell_u={}, shell_theta={},
+        series=ShellSeries(times, shells, 1, np.zeros((len(shells), 3, times.size))),
         mean_a=np.zeros_like(times), max_speed=np.zeros_like(times),
         snapshot_times=list(times), snapshots=snaps,
-        shells=list(LittlewoodPaley(grid).shells),
     )
     with pytest.raises(StrideTooCoarse, match="differencing error"):
         lyapunov_residual(traj, 2, regime="high")

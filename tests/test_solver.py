@@ -118,12 +118,12 @@ def test_dealiased_run_stays_band_limited():
 def test_sampling_and_time_grid_contract():
     state0 = _single_mode_state(GRID, 1e-3, 2.0)
     traj = integrate(GRID, state0, SolverConfig(dt=1e-3, t_end=0.05, sample_stride=5))
-    assert np.isclose(traj.times[-1], 0.05)
-    assert np.isclose(traj.times[0], 0.0)
-    steps = np.diff(traj.times)
+    assert np.isclose(traj.series.times[-1], 0.05)
+    assert np.isclose(traj.series.times[0], 0.0)
+    steps = np.diff(traj.series.times)
     assert np.allclose(steps[:-1], 5e-3)  # every 5th step, last interval may be shorter
     assert traj.dt == pytest.approx(1e-3)
-    assert set(traj.shells) == set(LittlewoodPaley(GRID).shells)
+    assert set(traj.series.shells) == set(LittlewoodPaley(GRID).shells)
 
 
 def test_admissibility_gates():
