@@ -458,29 +458,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _guarded_run(out_dir: Path, strict: bool, label: str, **parse_kw) -> tuple:
+    """Parse and run one configuration; a failure leaves ``error.json``.
+
+    Returns ``(record, kind, config_hash)``; ``record`` is None when the
+    configuration did not parse (``label`` stands in for the kind) or the
+    run raised.
+    """
+    try:
+        cfg = parse_config(out_dir=out_dir, **parse_kw)
+    except (ValueError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        write_error_record(out_dir / "error.json", label, "unparsed", exc)
+        return None, label, "unparsed"
+    try:
+        return run(cfg, strict=strict), cfg.kind, cfg.digest
+    except Exception as exc:  # noqa: BLE001 - module errors become error records
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        write_error_record(cfg.out_dir / "error.json", cfg.kind, cfg.digest, exc)
+        return None, cfg.kind, cfg.digest
+
+
 def _run_sweep(args) -> int:
+    """Run every config in its own directory, isolated from the others.
+
+    A config that fails to parse or raises gets its ``error.json`` and a
+    failed ``sweep_summary.jsonl`` row with measured = inf.  Exit code 2
+    if any config errored, else 1 if any verdict failed, else 0.
+    """
     out_root = _resolve_out(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    configs = []
-    for path in args.configs:
-        cfg = parse_config(path=path, out_dir=out_root / path.stem)
-        configs.append((path.stem, cfg))
 
-    def work(item):
-        _, cfg = item
-        return run(cfg, strict=args.strict)
+    def work(path: Path) -> tuple:
+        return _guarded_run(out_root / path.stem, args.strict, "unparsed", path=path)
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        records = list(pool.map(work, configs))
+        results = list(pool.map(work, args.configs))
 
     summary = [
-        Verdict.from_bound(f"sweep:{stem}", rec.n_fail, 0.0,
-                           kind=rec.kind, config_hash=rec.config_hash)
-        for (stem, _), rec in zip(configs, records)
+        Verdict.from_bound(f"sweep:{path.stem}",
+                           float("inf") if rec is None else rec.n_fail, 0.0,
+                           kind=kind, config_hash=digest)
+        for path, (rec, kind, digest) in zip(args.configs, results)
     ]
     write_verdicts(out_root / "sweep_summary.jsonl", summary)
     for line in (_format_verdict(v) for v in summary):
         print(line)
+    if any(rec is None for rec, _, _ in results):
+        return 2
     return 0 if all(v.passed for v in summary) else 1
 
 
@@ -490,23 +515,12 @@ def main(argv=None) -> int:
         return _run_sweep(args)
 
     out_dir = _resolve_out(args.out)
-    try:
-        cfg = parse_config(kind=args.command, path=args.config,
-                           overrides=_parse_set_flags(args.set),
-                           seed=args.seed, out_dir=out_dir)
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        write_error_record(out_dir / "error.json", args.command, "unparsed", exc)
+    record, _, _ = _guarded_run(out_dir, args.strict, args.command, kind=args.command,
+                                path=args.config, overrides=_parse_set_flags(args.set),
+                                seed=args.seed)
+    if record is None:
         return 2
-
-    try:
-        record = run(cfg, strict=args.strict)
-    except Exception as exc:  # noqa: BLE001 - module errors become error records
-        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        write_error_record(cfg.out_dir / "error.json", cfg.kind, cfg.digest, exc)
-        return 2
-
-    print((Path(cfg.out_dir) / "summary.txt").read_text(), end="")
+    print((out_dir / "summary.txt").read_text(), end="")
     return 0 if record.passed else 1
 
 

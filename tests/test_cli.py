@@ -240,6 +240,29 @@ def test_sweep_runs_configs_in_parallel(tmp_path):
     assert all(row["pass"] for row in summary)
 
 
+def test_sweep_isolates_failing_configs(tmp_path):
+    good = tmp_path / "good.cfg"
+    good.write_text("kind = lp-inspect\nradii = 1500\ntrials = 10\n")
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("kind = lp-inspect\nradiii = 1500\n")
+    raises = tmp_path / "raises.cfg"  # parses, then the run rejects the band
+    raises.write_text("kind = simulate\nnpts = 64\nt_end = 0.01\n")
+    out = tmp_path / "sweepout"
+    code = main(["sweep", str(good), str(typo), str(raises), "--jobs", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert (out / "good" / "verdicts.jsonl").exists()
+    typo_err = json.loads((out / "typo" / "error.json").read_text())
+    assert typo_err["schema"] == "error-v1" and "radiii" in typo_err["message"]
+    run_err = json.loads((out / "raises" / "error.json").read_text())
+    assert run_err["kind"] == "simulate" and run_err["error"] == "ValueError"
+    rows = {row["name"]: row for row in load_verdicts(out / "sweep_summary.jsonl")}
+    assert set(rows) == {"sweep:good", "sweep:typo", "sweep:raises"}
+    assert rows["sweep:good"]["pass"]
+    assert not rows["sweep:typo"]["pass"] and not rows["sweep:raises"]["pass"]
+    assert rows["sweep:raises"]["config_hash"] == run_err["config_hash"]
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "eulerfourier.cli", "--help"],

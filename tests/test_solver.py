@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from eulerfourier.grid import PeriodicGrid, StateFields
-from eulerfourier.linear import mode_propagator
-from eulerfourier.littlewood import LittlewoodPaley
+from eulerfourier.linear import expm_stack, mode_propagator, reduced_symbol
+from eulerfourier.littlewood import LittlewoodPaley, ShellSeries
 from eulerfourier.solver import (
     NonFinite,
     PositivityViolation,
     SolverConfig,
+    Stepper,
     cfl_check,
     critical_norm,
     integrate,
@@ -41,6 +43,50 @@ def _exact_linear_mode(grid, eps, k, t):
         f = out[+1.0][comp] * np.exp(1j * k * x) + out[-1.0][comp] * np.exp(-1j * k * x)
         fields.append(np.real(f))
     return StateFields(a=fields[0], u=np.stack([fields[1]]), theta=fields[2])
+
+
+def _augmented(mats, h):
+    """The 9x9 blocks [[hM, I, 0], [0, 0, I], [0, 0, 0]] of _phi_tables."""
+    big = np.zeros((len(mats), 9, 9), dtype=complex)
+    big[:, :3, :3] = h * mats
+    big[:, :3, 3:6] = np.eye(3)
+    big[:, 3:6, 6:] = np.eye(3)
+    return big
+
+
+RADII = np.concatenate([[0.0], np.geomspace(1e-3, 150.0, 700)])
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.05])
+def test_phi_blocks_match_scipy(h):
+    # steps this small need at most a few squarings: measured 5e-14
+    big = _augmented(reduced_symbol(RADII), h)
+    got, want = expm_stack(big), expm(big)
+    scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1.0)
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.05])
+def test_phi_blocks_satisfy_the_phi_identities(h):
+    # M f1 = e0 - I and M f2 = f1/h - I, with f_k = h phi_k(hM) read off
+    # the top block row of exp(C)
+    m = reduced_symbol(RADII)
+    top = expm_stack(_augmented(m, h))[:, :3]
+    e0, f1, f2 = top[:, :, :3], h * top[:, :, 3:6], h * top[:, :, 6:]
+    eye = np.eye(3)
+    mnorm = np.abs(m).max(axis=(1, 2))
+    for lhs, rhs, f in ((m @ f1, e0 - eye, f1), (m @ f2, f1 / h - eye, f2)):
+        err = np.abs(lhs - rhs).max(axis=(1, 2))
+        scale = np.maximum(mnorm * np.abs(f).max(axis=(1, 2)), 1.0)
+        assert np.all(err <= 1e-13 * scale)  # measured 6e-16 of scale
+
+
+def test_phi_blocks_are_independent_of_the_rest_of_the_stack():
+    # 701 blocks of 9x9 span two kernel blocks
+    big = _augmented(reduced_symbol(RADII), 0.05)
+    whole = expm_stack(big)
+    for i in range(0, len(big), 37):
+        assert np.array_equal(expm_stack(big[i : i + 1])[0], whole[i])
 
 
 def test_linear_rhs_of_density_mode():
@@ -144,6 +190,29 @@ def test_admissibility_gates():
     integrate(GRID, big, SolverConfig(dt=1e-4, t_end=0.001, epsilon0=None))
 
 
+def test_nan_in_any_component_stops_the_run_at_that_step(monkeypatch):
+    # a NaN in one deep mode of u_2 must be caught at the step it appears
+    # (t = 3 dt), before the nonlinear terms spread it to other components
+    grid = PeriodicGrid(dim=2, npts=16, length=2.0 * np.pi)
+    x, y = grid.coordinates()
+    state0 = StateFields.zeros(grid)
+    state0.u[0] = 1e-3 * np.sin(x) * np.cos(2.0 * y)
+    step_hat = Stepper.step_hat
+    calls = []
+
+    def poisoned(self, hats):
+        out = step_hat(self, hats)
+        calls.append(None)
+        if len(calls) == 3:
+            out[2] = out[2].copy()
+            out[2][5, 7] = np.nan
+        return out
+
+    monkeypatch.setattr(Stepper, "step_hat", poisoned)
+    with pytest.raises(NonFinite, match=r"t=0\.003$"):
+        integrate(grid, state0, SolverConfig(dt=1e-3, t_end=0.01, sample_stride=10**9))
+
+
 def test_dt_above_cfl_bound_is_rejected():
     state = _single_mode_state(GRID, 1e-3, 2.0)
     bound = cfl_check(GRID, state)
@@ -155,6 +224,22 @@ def test_critical_norm_zero_state():
     lp = LittlewoodPaley(GRID)
     assert critical_norm(lp, StateFields.zeros(GRID)) == 0.0
     assert critical_norm(lp, _single_mode_state(GRID, 1e-3, 2.0)) > 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_critical_norm_gate_bounds_the_composite_critical_norm(dim):
+    # the gate sums per-field Besov norms; ShellSeries.critical takes the
+    # ell^2 composite of the same shells, so ell^1 >= ell^2 >= ell^1/sqrt(d+2)
+    grid = PeriodicGrid(dim=dim, npts=128 if dim == 1 else 32, length=8.0 * np.pi)
+    lp = LittlewoodPaley(grid)
+    rng = np.random.default_rng(20 + dim)
+    for _ in range(4):
+        fields = rng.standard_normal((dim + 2,) + grid.shape) * rng.uniform(1e-4, 1.0, dim + 2)[
+            (slice(None),) + (None,) * dim]
+        state = StateFields(a=fields[0], u=fields[1 : dim + 1], theta=fields[dim + 1])
+        composite = ShellSeries.of_state(lp, state).critical(lp.split)[0]
+        gate = critical_norm(lp, state)
+        assert composite <= gate <= np.sqrt(dim + 2) * composite
 
 
 def test_checkpoint_roundtrip(tmp_path):
