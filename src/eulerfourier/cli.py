@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import KINDS, RunConfig, parse_config
 from .grid import PeriodicGrid
-from .littlewood import LittlewoodPaley, build_cutoffs
+from .littlewood import LittlewoodPaley
 from .reporting import (
     RunRecord,
     Verdict,
@@ -317,12 +317,11 @@ def _run_damped_mode(cfg: RunConfig) -> RunnerResult:
         from .solver import SolverConfig, integrate
 
         grid, lp, spec, state0 = _box_pieces(cfg)
+        # the fit window ends at L/2; integrating past it is wasted work
+        window = (window[0], min(window[1], grid.length / 2.0))
         sc = SolverConfig(t_end=window[1], sample_stride=int(opts["sample_stride"]),
                           snapshot_stride=int(opts["snapshot_stride"]), epsilon0=None)
         run = integrate(grid, state0, sc, lp=lp)
-        box = grid.length
-        if window[1] > box / 2.0:
-            window = (window[0], box / 2.0)
     rep = damped_mode_check(run, sigma1, sigma=float(opts["sigma"]),
                             window=window, tolerance=float(opts["tolerance"]))
     verdicts = [

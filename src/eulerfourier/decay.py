@@ -571,10 +571,7 @@ def duhamel_reconstruction(traj: TrajectoryRecord) -> tuple[float, float]:
             "lower snapshot_stride"
         )
     grid = traj.grid
-    forcing = []
-    for snap in snaps:
-        tend = nonlinear_rhs(grid, snap, dealias=traj.config.dealias)
-        forcing.append(tend.u + snap.u)
+    forcing = [nonlinear_rhs(grid, snap).u + snap.u for snap in snaps]
 
     u0 = snaps[0].u
     accum = np.zeros_like(u0)

@@ -208,17 +208,6 @@ class StateFields:
         """Flat list [a, u_1, ..., u_d, theta]."""
         return [self.a, *list(self.u), self.theta]
 
-    def __add__(self, other: "StateFields") -> "StateFields":
-        return StateFields(self.a + other.a, self.u + other.u, self.theta + other.theta)
-
-    def __sub__(self, other: "StateFields") -> "StateFields":
-        return StateFields(self.a - other.a, self.u - other.u, self.theta - other.theta)
-
-    def __mul__(self, c: float) -> "StateFields":
-        return StateFields(c * self.a, c * self.u, c * self.theta)
-
-    __rmul__ = __mul__
-
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(c))) for c in self.components())
 

@@ -79,72 +79,22 @@ def _check_positive(state: StateFields) -> None:
         raise PositivityViolation("density or temperature lost positivity")
 
 
-def _shell_blocks(lp: LittlewoodPaley, state: StateFields, j: int):
-    a_j = lp.block(state.a, j)
-    u_j = [lp.block(comp, j) for comp in state.u]
-    th_j = lp.block(state.theta, j)
-    return a_j, u_j, th_j
-
-
 # ----------------------------------------------------------------------
 # functionals
 
 
-def low_freq_functionals(
-    lp: LittlewoodPaley, state: StateFields, j: int, eta1: float = DEFAULT_ETA
+def _shell_functionals(
+    lp: LittlewoodPaley, state: StateFields, j: int, beta: float, weight
 ) -> tuple[float, float]:
-    """Energy and dissipation of shell ``j`` with the fixed mixed weight.
-
-    Returns ``(E1, D1)`` where
-
-        E1 = 1/2 ||(a_j, u_j, th_j)||^2 + eta1 <grad a_j, u_j>
-        D1 = ||u_j||^2 + ||grad th_j||^2 + eta1 ||grad a_j||^2
-             - eta1 ||div u_j||^2 + eta1 <u_j, grad a_j>
-             + eta1 <grad th_j, grad a_j>
-    """
-    if not 0.0 < eta1 < 1.0:
-        raise ValueError("eta1 must lie in (0, 1)")
+    """Energy and dissipation of shell ``j``: mixed weight ``beta`` and
+    density weight ``weight`` (a scalar or a pointwise field)."""
     grid = lp.grid
-    a_j, u_j, th_j = _shell_blocks(lp, state, j)
+    a_j = lp.block(state.a, j)
+    u_j = [lp.block(comp, j) for comp in state.u]
+    th_j = lp.block(state.theta, j)
     grad_a = grid.gradient(a_j)
     grad_th = grid.gradient(th_j)
 
-    cross_au = sum(_inner(grid, ga, uc) for ga, uc in zip(grad_a, u_j))
-    energy = 0.5 * (_sq(grid, a_j) + _vec_sq(grid, u_j) + _sq(grid, th_j))
-    energy += eta1 * cross_au
-
-    div_u = grid.divergence(np.stack(u_j))
-    cross_tha = sum(_inner(grid, gt, ga) for gt, ga in zip(grad_th, grad_a))
-    dissipation = (
-        _vec_sq(grid, u_j)
-        + _vec_sq(grid, grad_th)
-        + eta1 * _vec_sq(grid, grad_a)
-        - eta1 * _sq(grid, div_u)
-        + eta1 * cross_au
-        + eta1 * cross_tha
-    )
-    return energy, dissipation
-
-
-def high_freq_functionals(
-    lp: LittlewoodPaley, state: StateFields, j: int, eta2: float = DEFAULT_ETA
-) -> tuple[float, float]:
-    """Energy and dissipation of shell ``j`` with the entropic weight.
-
-    The density term of the energy carries the pointwise weight
-    ``(1+theta)/(1+a)**2`` evaluated on the unfiltered state, and every
-    mixed/auxiliary term is scaled by ``eta2 * 2**(-2j)``.
-    """
-    if not 0.0 < eta2 < 1.0:
-        raise ValueError("eta2 must lie in (0, 1)")
-    _check_positive(state)
-    grid = lp.grid
-    beta = eta2 * 2.0 ** (-2 * j)
-    a_j, u_j, th_j = _shell_blocks(lp, state, j)
-    grad_a = grid.gradient(a_j)
-    grad_th = grid.gradient(th_j)
-
-    weight = (1.0 + state.theta) / (1.0 + state.a) ** 2
     cross_au = sum(_inner(grid, ga, uc) for ga, uc in zip(grad_a, u_j))
     energy = 0.5 * (
         _inner(grid, weight, a_j * a_j) + _vec_sq(grid, u_j) + _sq(grid, th_j)
@@ -162,6 +112,39 @@ def high_freq_functionals(
         + beta * cross_tha
     )
     return energy, dissipation
+
+
+def low_freq_functionals(
+    lp: LittlewoodPaley, state: StateFields, j: int, eta1: float = DEFAULT_ETA
+) -> tuple[float, float]:
+    """Energy and dissipation of shell ``j`` with the fixed mixed weight.
+
+    Returns ``(E1, D1)`` where
+
+        E1 = 1/2 ||(a_j, u_j, th_j)||^2 + eta1 <grad a_j, u_j>
+        D1 = ||u_j||^2 + ||grad th_j||^2 + eta1 ||grad a_j||^2
+             - eta1 ||div u_j||^2 + eta1 <u_j, grad a_j>
+             + eta1 <grad th_j, grad a_j>
+    """
+    if not 0.0 < eta1 < 1.0:
+        raise ValueError("eta1 must lie in (0, 1)")
+    return _shell_functionals(lp, state, j, eta1, 1.0)
+
+
+def high_freq_functionals(
+    lp: LittlewoodPaley, state: StateFields, j: int, eta2: float = DEFAULT_ETA
+) -> tuple[float, float]:
+    """Energy and dissipation of shell ``j`` with the entropic weight.
+
+    The density term of the energy carries the pointwise weight
+    ``(1+theta)/(1+a)**2`` evaluated on the unfiltered state, and every
+    mixed/auxiliary term is scaled by ``eta2 * 2**(-2j)``.
+    """
+    if not 0.0 < eta2 < 1.0:
+        raise ValueError("eta2 must lie in (0, 1)")
+    _check_positive(state)
+    weight = (1.0 + state.theta) / (1.0 + state.a) ** 2
+    return _shell_functionals(lp, state, j, eta2 * 2.0 ** (-2 * j), weight)
 
 
 # ----------------------------------------------------------------------
@@ -299,8 +282,32 @@ def _shell_vec_norm(lp: LittlewoodPaley, vec, j: int) -> float:
     return math.sqrt(sum(_shell_norm(lp, comp, j) ** 2 for comp in vec))
 
 
+def _shell_grad_norm(lp: LittlewoodPaley, f: np.ndarray, j: int) -> float:
+    return math.sqrt(_vec_sq(lp.grid, lp.grid.gradient(lp.block(f, j))))
+
+
 def _sup(grid: PeriodicGrid, f: np.ndarray) -> float:
     return float(np.max(np.abs(f)))
+
+
+def _dealiased(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
+    return grid.inverse(grid.dealias(grid.forward(f)))
+
+
+def _products(grid: PeriodicGrid, state: StateFields):
+    """Dealiased a u, (u . grad) u, ((theta - a)/(1 + a)) grad a and u theta."""
+    d = grid.dim
+    a, u, th = state.a, state.u, state.theta
+    au = [_dealiased(grid, a * u[m]) for m in range(d)]
+    adv = []
+    for m in range(d):
+        grad_um = grid.gradient(u[m])
+        adv.append(_dealiased(grid, sum(u[n] * grad_um[n] for n in range(d))))
+    grad_a = grid.gradient(a)
+    coef_bad = (th - a) / (1.0 + a)
+    bad = [_dealiased(grid, coef_bad * grad_a[m]) for m in range(d)]
+    uth = [_dealiased(grid, u[m] * th) for m in range(d)]
+    return au, adv, bad, uth
 
 
 def _low_nl_bound(lp: LittlewoodPaley, state: StateFields, j: int, eta: float) -> float:
@@ -309,29 +316,17 @@ def _low_nl_bound(lp: LittlewoodPaley, state: StateFields, j: int, eta: float) -
     d = grid.dim
     a, u, th = state.a, state.u, state.theta
 
-    def dealias(f: np.ndarray) -> np.ndarray:
-        return grid.inverse(grid.dealias(grid.forward(f)))
-
-    au = [dealias(a * u[m]) for m in range(d)]
-    adv = []
-    for m in range(d):
-        grad_um = grid.gradient(u[m])
-        adv.append(dealias(sum(u[n] * grad_um[n] for n in range(d))))
-    grad_a = grid.gradient(a)
-    coef_bad = (th - a) / (1.0 + a)
-    bad = [dealias(coef_bad * grad_a[m]) for m in range(d)]
-    uth = [dealias(u[m] * th) for m in range(d)]
+    au, adv, bad, uth = _products(grid, state)
     ratio_s = a / (1.0 + a)
     grad_th = grid.gradient(th)
-    sflux = [dealias(ratio_s * grad_th[m]) for m in range(d)]
+    sflux = [_dealiased(grid, ratio_s * grad_th[m]) for m in range(d)]
     grad_s = grid.gradient(ratio_s)
-    gcoef = dealias(sum(grad_s[m] * grad_th[m] for m in range(d)))
+    gcoef = _dealiased(grid, sum(grad_s[m] * grad_th[m] for m in range(d)))
 
-    a_j = lp.block(a, j)
-    na_j = math.sqrt(_vec_sq(grid, grid.gradient(a_j)))
+    na_j = _shell_grad_norm(lp, a, j)
     u_j = _shell_vec_norm(lp, u, j)
     th_j = _shell_norm(lp, th, j)
-    th_grad_j = math.sqrt(_vec_sq(grid, grid.gradient(lp.block(th, j))))
+    th_grad_j = _shell_grad_norm(lp, th, j)
 
     term1 = (1.0 + 4.0**j * eta) * _shell_vec_norm(lp, au, j) * math.hypot(na_j, u_j)
     term2 = (
@@ -351,9 +346,6 @@ def _high_nl_bound(lp: LittlewoodPaley, state: StateFields, j: int, eta: float) 
     a, u, th = state.a, state.u, state.theta
     beta = eta * 2.0 ** (-2 * j)
 
-    def dealias(f: np.ndarray) -> np.ndarray:
-        return grid.inverse(grid.dealias(grid.forward(f)))
-
     weight = (1.0 + th) / (1.0 + a) ** 2
     ratio_v = (1.0 + th) / (1.0 + a)
     ratio_s = a / (1.0 + a)
@@ -370,19 +362,12 @@ def _high_nl_bound(lp: LittlewoodPaley, state: StateFields, j: int, eta: float) 
     a_j = _shell_norm(lp, a, j)
     u_j = _shell_vec_norm(lp, u, j)
     th_j = _shell_norm(lp, th, j)
-    th_grad_j = math.sqrt(_vec_sq(grid, grid.gradient(lp.block(th, j))))
-    a_grad_j = math.sqrt(_vec_sq(grid, grid.gradient(lp.block(a, j))))
+    th_grad_j = _shell_grad_norm(lp, th, j)
+    a_grad_j = _shell_grad_norm(lp, a, j)
     divu_j = grid.l2_norm(grid.divergence(np.stack([lp.block(c, j) for c in u])))
 
-    uth = [dealias(u[m] * th) for m in range(d)]
-    au = [dealias(a * u[m]) for m in range(d)]
+    au, adv, bad, uth = _products(grid, state)
     div_au = grid.divergence(np.stack(au))
-    adv = []
-    for m in range(d):
-        grad_um = grid.gradient(u[m])
-        adv.append(dealias(sum(u[n] * grad_um[n] for n in range(d))))
-    grad_a_full = grid.gradient(a)
-    bad = [dealias((th - a) / (1.0 + a) * grad_a_full[m]) for m in range(d)]
 
     r1, r2, r3 = commutator_remainders(lp, state, j)
     r1_n = grid.l2_norm(r1)
@@ -447,27 +432,23 @@ def lyapunov_residual(
     dissipation = np.empty(n)
     target = np.empty(n)
     nl = np.empty(n)
+    low = regime == "low"
+    functionals = low_freq_functionals if low else high_freq_functionals
+    nl_bound = _low_nl_bound if low else _high_nl_bound
     for i, state in enumerate(snaps):
-        if regime == "low":
-            energy[i], dissipation[i] = low_freq_functionals(lp, state, j, eta)
-            nl[i] = _low_nl_bound(lp, state, j, eta)
-            a_j = lp.shell_l2_hat(lp.grid.forward(state.a), j)
-            th_j = lp.shell_l2_hat(lp.grid.forward(state.theta), j)
-            u_j = _shell_vec_norm(lp, state.u, j)
+        energy[i], dissipation[i] = functionals(lp, state, j, eta)
+        nl[i] = nl_bound(lp, state, j, eta)
+        a_j = _shell_norm(lp, state.a, j)
+        th_j = _shell_norm(lp, state.theta, j)
+        u_j = _shell_vec_norm(lp, state.u, j)
+        if low:
             target[i] = 4.0**j * (a_j**2 + th_j**2) + u_j**2
         else:
-            energy[i], dissipation[i] = high_freq_functionals(lp, state, j, eta)
-            nl[i] = _high_nl_bound(lp, state, j, eta)
-            a_j = lp.shell_l2_hat(lp.grid.forward(state.a), j)
-            th_j = lp.shell_l2_hat(lp.grid.forward(state.theta), j)
-            u_j = _shell_vec_norm(lp, state.u, j)
             target[i] = a_j**2 + u_j**2 + 4.0**j * th_j**2
 
     # centered first derivative and a third-derivative error estimate;
     # both need two neighbours, so the usable window is [2, n-3]
     idx = np.arange(2, n - 2)
-    if idx.size == 0:
-        raise StrideTooCoarse("need at least five snapshots for centered differencing")
     dEdt = (energy[idx + 1] - energy[idx - 1]) / (2.0 * h)
     third = (
         energy[idx + 2] - 2.0 * energy[idx + 1] + 2.0 * energy[idx - 1] - energy[idx - 2]

@@ -17,6 +17,13 @@ transverse velocity, so the propagator and both phi-function tables are
 built once per distinct radius from a single augmented-block matrix
 exponential (scaling-and-squaring Pade), never by diagonalisation.
 
+The quadratic and quotient terms are formed in one place,
+:func:`_remainder_hat`, always dealiased by the 2/3 rule.  The stepper
+advances it, and :func:`nonlinear_rhs` (the full tendency that the
+Lyapunov and Duhamel checks read) is the linear symbol plus the same
+remainder.  :func:`linear_rhs` is an independent physical-space oracle
+for the linear part.
+
 The continuity equation is advanced in divergence form, so the mean of
 the density is conserved to rounding.
 """
@@ -60,7 +67,6 @@ class SolverConfig:
     cfl_safety: float = 0.4
     positivity_floor: float = 0.1
     epsilon0: float | None = 0.5
-    dealias: bool = True
     sample_stride: int = 1
     snapshot_stride: int | None = None
 
@@ -126,47 +132,80 @@ def _phi_tables(mats: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.
     return e0, f1, f2
 
 
+def _to_hat(grid: PeriodicGrid, state: StateFields) -> list[np.ndarray]:
+    """Dealiased spectral components [a, u_1, ..., u_d, theta] of a state."""
+    return [grid.dealias(grid.forward(c)) for c in state.components()]
+
+
+def _to_state(grid: PeriodicGrid, hats: list[np.ndarray]) -> StateFields:
+    d = grid.dim
+    return StateFields(
+        a=grid.inverse(hats[0]),
+        u=np.stack([grid.inverse(hats[1 + m]) for m in range(d)]),
+        theta=grid.inverse(hats[d + 1]),
+    )
+
+
+def _remainder_hat(grid: PeriodicGrid, hats: list[np.ndarray]) -> list[np.ndarray]:
+    """Spectral nonlinear remainder (full tendency minus linear part).
+
+    The one place the quadratic and quotient terms are formed: -div(a u),
+    -(u . grad) u - ((theta - a)/(1 + a)) grad a, and
+    -div(theta u) - (a/(1 + a)) Lap theta, each dealiased by the 2/3 rule.
+    """
+    d = grid.dim
+    ah, th = hats[0], hats[d + 1]
+    uh = hats[1 : d + 1]
+
+    a = grid.inverse(ah)
+    theta = grid.inverse(th)
+    u = [grid.inverse(uh[m]) for m in range(d)]
+    grad_a = [grid.inverse(grid.derivative_hat(ah, m)) for m in range(d)]
+    grad_u = [[grid.inverse(grid.derivative_hat(uh[m], n)) for n in range(d)] for m in range(d)]
+    lap_th = grid.inverse(-(grid.kmag**2) * th)
+
+    one_a = 1.0 + a
+    q = (theta - a) / one_a
+    s = a / one_a
+
+    # continuity: -div(a u), kept in divergence form
+    na = np.zeros(grid.shape, dtype=complex)
+    for m in range(d):
+        na -= grid.derivative_hat(grid.forward(a * u[m]), m)
+
+    nu = []
+    for m in range(d):
+        adv = sum(u[n] * grad_u[m][n] for n in range(d))
+        nu.append(grid.forward(-adv - q * grad_a[m]))
+
+    transport = np.zeros(grid.shape, dtype=complex)
+    for m in range(d):
+        transport -= grid.derivative_hat(grid.forward(theta * u[m]), m)
+    nth = transport + grid.forward(-s * lap_th)
+
+    return [grid.dealias(h) for h in (na, *nu, nth)]
+
+
 class Stepper:
     """ETDRK2 stepper with cached per-radius propagator tables."""
 
-    def __init__(self, grid: PeriodicGrid, dt: float, dealias: bool = True):
+    def __init__(self, grid: PeriodicGrid, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
-        self.dt = dt
-        self.dealias = dealias
 
         kmag = grid.kmag
         r_unique, idx = np.unique(np.round(kmag, 12), return_inverse=True)
         self._idx = idx.reshape(grid.shape)
-        e0, f1, f2 = _phi_tables(reduced_symbol(r_unique), dt)
-        self._e0, self._f1, self._f2 = e0, f1, f2
+        self._e0, self._f1, self._f2 = _phi_tables(reduced_symbol(r_unique), dt)
 
         # transverse velocity: scalar damping with the same phi calculus
         e0t, f1t, f2t = _phi_tables(np.array([[[-1.0 + 0j]]]), dt)
         self._perp = (complex(e0t[0, 0, 0]), complex(f1t[0, 0, 0]), complex(f2t[0, 0, 0]))
 
         with np.errstate(invalid="ignore", divide="ignore"):
-            self._unit_k = [np.where(kmag > 0, km / kmag, 0.0) for km in grid.wavenumbers]
-            for m, km in enumerate(grid.wavenumbers):
-                self._unit_k[m] = np.broadcast_to(self._unit_k[m], grid.shape)
-
-    # -- spectral packing ------------------------------------------------
-    def _to_hat(self, state: StateFields) -> list[np.ndarray]:
-        g = self.grid
-        hats = [g.forward(c) for c in state.components()]
-        if self.dealias:
-            hats = [g.dealias(h) for h in hats]
-        return hats
-
-    def _to_state(self, hats: list[np.ndarray]) -> StateFields:
-        g = self.grid
-        d = g.dim
-        return StateFields(
-            a=g.inverse(hats[0]),
-            u=np.stack([g.inverse(hats[1 + m]) for m in range(d)]),
-            theta=g.inverse(hats[d + 1]),
-        )
+            self._unit_k = [np.broadcast_to(np.where(kmag > 0, km / kmag, 0.0), grid.shape)
+                            for km in grid.wavenumbers]
 
     def _apply_table(self, table: np.ndarray, hats: list[np.ndarray], scalar: complex) -> list[np.ndarray]:
         """Apply a per-radius 3x3 table to (a, u_par, theta); damp u_perp."""
@@ -183,49 +222,9 @@ class Stepper:
         out_u = [self._unit_k[m] * p2 + scalar * uperp[m] for m in range(d)]
         return [a2, *out_u, t2]
 
-    # -- physics ---------------------------------------------------------
-    def _nonlinear_hat(self, hats: list[np.ndarray]) -> list[np.ndarray]:
-        """Spectral nonlinear remainder (full tendency minus linear part)."""
-        g = self.grid
-        d = g.dim
-        ah, th = hats[0], hats[d + 1]
-        uh = hats[1 : d + 1]
-
-        a = g.inverse(ah)
-        theta = g.inverse(th)
-        u = [g.inverse(uh[m]) for m in range(d)]
-        grad_a = [g.inverse(g.derivative_hat(ah, m)) for m in range(d)]
-        grad_th = [g.inverse(g.derivative_hat(th, m)) for m in range(d)]
-        grad_u = [[g.inverse(g.derivative_hat(uh[m], n)) for n in range(d)] for m in range(d)]
-        lap_th = g.inverse(-(g.kmag**2) * th)
-
-        one_a = 1.0 + a
-        q = (theta - a) / one_a
-        s = a / one_a
-
-        # continuity: -div(a u), kept in divergence form
-        na = np.zeros(g.shape, dtype=complex)
-        for m in range(d):
-            na -= g.derivative_hat(g.forward(a * u[m]), m)
-
-        nu = []
-        for m in range(d):
-            adv = sum(u[n] * grad_u[m][n] for n in range(d))
-            nu.append(g.forward(-adv - q * grad_a[m]))
-
-        transport = np.zeros(g.shape, dtype=complex)
-        for m in range(d):
-            transport -= g.derivative_hat(g.forward(theta * u[m]), m)
-        nth = transport + g.forward(-s * lap_th)
-
-        out = [na, *nu, nth]
-        if self.dealias:
-            out = [g.dealias(h) for h in out]
-        return out
-
     def step_hat(self, hats: list[np.ndarray]) -> list[np.ndarray]:
         """One ETDRK2 step on spectral components."""
-        n0 = self._nonlinear_hat(hats)
+        n0 = _remainder_hat(self.grid, hats)
         e0, f1, f2 = self._e0, self._f1, self._f2
         s0, s1, s2 = self._perp
 
@@ -233,18 +232,15 @@ class Stepper:
         kick = self._apply_table(f1, n0, s1)
         mid = [lin[i] + kick[i] for i in range(len(hats))]
 
-        n1 = self._nonlinear_hat(mid)
+        n1 = _remainder_hat(self.grid, mid)
         dn = [n1[i] - n0[i] for i in range(len(hats))]
         corr = self._apply_table(f2, dn, s2)
         return [mid[i] + corr[i] for i in range(len(hats))]
 
-    def step(self, state: StateFields) -> StateFields:
-        return self._to_state(self.step_hat(self._to_hat(state)))
-
 
 # ----------------------------------------------------------------------
 def linear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
-    """Tendency of the linearised system."""
+    """Tendency of the linearised system, in physical space (a test oracle)."""
     div_u = grid.divergence(state.u)
     grad_a = grid.gradient(state.a)
     grad_th = grid.gradient(state.theta)
@@ -252,39 +248,24 @@ def linear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
     return StateFields(a=-div_u, u=du, theta=-div_u + grid.laplacian(state.theta))
 
 
-def nonlinear_rhs(grid: PeriodicGrid, state: StateFields, dealias: bool = True) -> StateFields:
-    """Full tendency of the nonlinear system (linear part included)."""
-    d = grid.dim
-    a, u, theta = state.a, state.u, state.theta
-    one_a = 1.0 + a
-    if np.min(one_a) <= 0:
+def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
+    """Full tendency of the nonlinear system (linear part included).
+
+    The state is dealiased on entry, the linear symbol is applied mode by
+    mode and the remainder is the stepper's own :func:`_remainder_hat`,
+    so this is the band-limited tendency the integrator advances.
+    """
+    if np.min(1.0 + state.a) <= 0:
         raise PositivityViolation("1 + a must stay positive to form quotients")
-
-    def maybe(fh):
-        return grid.dealias(fh) if dealias else fh
-
-    grad_a = [grid.inverse(grid.derivative_hat(grid.forward(a), m)) for m in range(d)]
-    grad_th = [grid.inverse(grid.derivative_hat(grid.forward(theta), m)) for m in range(d)]
-    uh = [grid.forward(u[m]) for m in range(d)]
-    div_u = grid.inverse(sum(grid.derivative_hat(uh[m], m) for m in range(d)))
-    lap_th = grid.laplacian(theta)
-
-    # continuity in divergence form: -div((1 + a) u)
-    da_hat = np.zeros(grid.shape, dtype=complex)
-    for m in range(d):
-        da_hat -= grid.derivative_hat(maybe(grid.forward(one_a * u[m])), m)
-    da = grid.inverse(da_hat)
-
-    q = (theta - a) / one_a
-    du = []
-    for m in range(d):
-        adv = sum(u[n] * grid.inverse(grid.derivative_hat(uh[m], n)) for n in range(d))
-        rhs = -grad_a[m] - u[m] - grad_th[m] - adv - q * grad_a[m]
-        du.append(grid.inverse(maybe(grid.forward(rhs))))
-
-    dth = -(1.0 + theta) * div_u - sum(u[m] * grad_th[m] for m in range(d)) + lap_th / one_a
-    dth = grid.inverse(maybe(grid.forward(dth)))
-    return StateFields(a=da, u=np.stack(du), theta=dth)
+    d = grid.dim
+    hats = _to_hat(grid, state)
+    ah, th = hats[0], hats[d + 1]
+    uh = hats[1 : d + 1]
+    div_u = sum(grid.derivative_hat(uh[m], m) for m in range(d))
+    du = [-grid.derivative_hat(ah, m) - uh[m] - grid.derivative_hat(th, m) for m in range(d)]
+    linear = [-div_u, *du, -div_u - grid.kmag**2 * th]
+    remainder = _remainder_hat(grid, hats)
+    return _to_state(grid, [lin + rem for lin, rem in zip(linear, remainder)])
 
 
 # ----------------------------------------------------------------------
@@ -366,8 +347,8 @@ def integrate(
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
     dt = config.t_end / n_steps
 
-    stepper = Stepper(grid, dt, dealias=config.dealias)
-    hats = stepper._to_hat(state0)
+    stepper = Stepper(grid, dt)
+    hats = _to_hat(grid, state0)
 
     times: list[float] = []
     shell_rows: list[list[tuple]] = []  # per sample: (a, u, theta) norms per shell
@@ -390,7 +371,7 @@ def integrate(
             ))
         shell_rows.append(rows)
         mean_a.append(float(np.real(hats_now[0].flat[0])))
-        state = stepper._to_state(hats_now)
+        state = _to_state(grid, hats_now)
         if np.min(1.0 + state.a) < config.positivity_floor or np.min(
             1.0 + state.theta
         ) < config.positivity_floor:
@@ -417,7 +398,7 @@ def integrate(
         not snap_times or snap_times[-1] != times[-1]
     ):
         snap_times.append(times[-1])
-        snaps.append(stepper._to_state(hats).copy())
+        snaps.append(_to_state(grid, hats).copy())
 
     norms = np.array(shell_rows).transpose(1, 2, 0).copy()  # (shells, 3, times)
     return TrajectoryRecord(
