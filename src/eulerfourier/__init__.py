@@ -30,7 +30,6 @@ from .linear import (
     reduced_symbol,
     saturating_profile,
     semigroup_besov_decay,
-    symbol_eigenvalues,
     symbol_matrix,
 )
 from .littlewood import DyadicCutoffs, FrequencySplit, LittlewoodPaley, ShellSeries, build_cutoffs
@@ -59,7 +58,6 @@ __all__ = [
     "reduced_symbol",
     "saturating_profile",
     "semigroup_besov_decay",
-    "symbol_eigenvalues",
     "symbol_matrix",
     "SolverConfig",
     "TrajectoryRecord",

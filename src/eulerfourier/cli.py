@@ -1,11 +1,13 @@
 """Command-line driver: experiment registry, persistence, report emission.
 
 Every subcommand resolves to one experiment runner that returns verdict
-records and named curves; this module owns directory layout, JSONL/CSV
-emission, schema validation, the run record with timestamps, and exit
-codes (0 iff all verdicts pass, 2 on errors, with a machine-readable
-``error.json``).  Verdict files are byte-identical across reruns of the
-same configuration.
+records and named curves.  The module that measures a quantity also
+decides its pass rule: the inequality, decay, damped-mode and Lyapunov
+runners only collect the verdicts their checks return.  This module owns
+directory layout, JSONL/CSV emission, schema validation, the run record
+with timestamps, and exit codes (0 iff all verdicts pass, 2 on errors,
+with a machine-readable ``error.json``).  Verdict files are
+byte-identical across reruns of the same configuration.
 """
 
 from __future__ import annotations
@@ -114,33 +116,18 @@ def _run_validate(cfg: RunConfig) -> RunnerResult:
     lp = LittlewoodPaley(grid)
     trials = int(opts["trials"])
     budget = float(opts["budget"])
-    verdicts: list[Verdict] = []
 
-    rng = np.random.default_rng(cfg.seed)
-    ball = ineq.check_bernstein(lp, rng, trials=trials, k=1, support="ball")
-    verdicts.append(Verdict.from_bound("bernstein-ball-k1", ball.worst_ratio,
-                                       ball.budget, trials=trials))
+    def rng(offset: int) -> np.random.Generator:
+        return np.random.default_rng(cfg.seed + offset)
+
+    verdicts = ineq.check_bernstein(lp, rng(0), trials=trials, k=1, support="ball")
     for k in (1, 2):
-        rng = np.random.default_rng(cfg.seed + k)
-        rep = ineq.check_bernstein(lp, rng, trials=trials, k=k, support="annulus")
-        verdicts.append(Verdict.from_bound(f"bernstein-annulus-k{k}-upper",
-                                           rep.worst_ratio, (8.0 / 3.0) ** k))
-        verdicts.append(Verdict.from_floor(f"bernstein-annulus-k{k}-lower",
-                                           rep.extras["min_ratio"], 0.75**k))
-    rng = np.random.default_rng(cfg.seed + 10)
-    interp = ineq.check_interpolation(lp, rng, trials=trials, budget=budget)
-    verdicts.append(Verdict.from_bound("interpolation", interp.worst_ratio,
-                                       interp.budget,
-                                       base_budget=interp.extras["base_budget"]))
+        verdicts += ineq.check_bernstein(lp, rng(k), trials=trials, k=k, support="annulus")
+    verdicts += ineq.check_interpolation(lp, rng(10), trials=trials, budget=budget)
     for i, variant in enumerate(ineq.PRODUCT_VARIANTS):
-        rng = np.random.default_rng(cfg.seed + 20 + i)
-        rep = ineq.check_product(lp, rng, trials=trials, variant=variant, budget=budget)
-        verdicts.append(Verdict.from_bound(f"product-{variant}", rep.worst_ratio,
-                                           rep.budget))
-    rng = np.random.default_rng(cfg.seed + 30)
-    comm = ineq.check_commutator(lp, rng, trials=trials, budget=budget)
-    verdicts.append(Verdict.from_bound("commutator", comm.worst_ratio, comm.budget,
-                                       worst_shell=comm.extras["worst_shell_ratio"]))
+        verdicts += ineq.check_product(lp, rng(20 + i), trials=trials, variant=variant,
+                                       budget=budget)
+    verdicts += ineq.check_commutator(lp, rng(30), trials=trials, budget=budget)
     return verdicts, {}, []
 
 
@@ -156,18 +143,6 @@ def _decay_targets(cfg: RunConfig):
     return targets
 
 
-def _verdicts_from_decay_report(report, neg_bound: float) -> list[Verdict]:
-    verdicts = [
-        Verdict.from_comparison(v.name, v.predicted, v.fitted, v.tolerance,
-                                ci=v.ci, sigma=v.sigma, component=v.component,
-                                window=list(v.window))
-        for v in report.verdicts
-    ]
-    verdicts.append(Verdict.from_bound("neg-norm-ratio", report.neg_norm_ratio,
-                                       neg_bound, delta0=report.delta0, x0=report.x0))
-    return verdicts
-
-
 def _run_linear_decay(cfg: RunConfig) -> RunnerResult:
     from .decay import InitialDataSpec, run_decay_experiment
 
@@ -178,13 +153,13 @@ def _run_linear_decay(cfg: RunConfig) -> RunnerResult:
     report = run_decay_experiment(
         spec, _decay_targets(cfg), "linear-quadrature", window=window,
         nodes_per_octave=int(opts["nodes_per_octave"]),
+        neg_ratio_bound=float(opts["neg_ratio_bound"]),
     )
-    verdicts = _verdicts_from_decay_report(report, float(opts["neg_ratio_bound"]))
     curves = {
         _slug(name): (t, v, {"window": list(window), "mode": report.mode})
         for name, (t, v) in report.curves.items()
     }
-    return verdicts, curves, []
+    return report.verdicts, curves, []
 
 
 def _box_pieces(cfg: RunConfig):
@@ -253,12 +228,11 @@ def _run_decay_fit(cfg: RunConfig) -> RunnerResult:
                           tolerance=float(opts["tolerance"]))]
     report = run_decay_experiment(spec, targets, "nonlinear-box",
                                   trajectory=traj, window=window)
-    verdicts = _verdicts_from_decay_report(report, 4.0)
     curves = {
         _slug(name): (t, v, {"window": list(window), "mode": report.mode})
         for name, (t, v) in report.curves.items()
     }
-    return verdicts, curves, []
+    return report.verdicts, curves, []
 
 
 def _run_lyapunov(cfg: RunConfig) -> RunnerResult:
@@ -271,29 +245,16 @@ def _run_lyapunov(cfg: RunConfig) -> RunnerResult:
                       sample_stride=1, snapshot_stride=1, epsilon0=None)
     traj = integrate(grid, state0, sc, lp=lp)
     eta = float(opts["eta"])
-    budget = float(opts["budget"])
+    shells = [j for j in range(int(opts["j_lo"]), int(opts["j_hi"]) + 1)
+              if j in lp.shells]
     verdicts: list[Verdict] = []
     curves: dict = {}
-    j0 = lp.split.j0
     for regime in ("low", "high"):
-        for j in range(int(opts["j_lo"]), int(opts["j_hi"]) + 1):
-            if j not in lp.shells:
-                continue
-            # each functional is coercive only on its own side of the split
-            if (regime == "low" and j > j0) or (regime == "high" and j < j0 - 1):
-                continue
+        # each functional is coercive only on its own side of the split
+        for j in lp.split.select(shells, regime):
             res = lyapunov_residual(traj, j, regime=regime, eta=eta,
-                                    budget=budget, lp=lp)
-            worst = float(np.max(res.ratio)) if res.ratio.size else 0.0
-            verdicts.append(
-                Verdict.from_bound(
-                    f"lyapunov-{regime}-j{j}", worst, budget,
-                    coercivity_margin=res.coercivity_margin,
-                    n_dropped=res.n_dropped,
-                    worst_dissipation_ratio=float(np.max(res.dissipation_ratio))
-                    if res.dissipation_ratio.size else 0.0,
-                )
-            )
+                                    budget=float(opts["budget"]), lp=lp)
+            verdicts.append(res.verdict)
             curves[f"energy_{regime}_j{j}"] = (
                 res.times, res.energy, {"regime": regime, "shell": j, "eta": eta})
     return verdicts, curves, []
@@ -324,24 +285,12 @@ def _run_damped_mode(cfg: RunConfig) -> RunnerResult:
         run = integrate(grid, state0, sc, lp=lp)
     rep = damped_mode_check(run, sigma1, sigma=float(opts["sigma"]),
                             window=window, tolerance=float(opts["tolerance"]))
-    verdicts = [
-        Verdict.from_bound("u-neg-sup-exponent", rep.neg_fit.exponent,
-                           -0.5 + float(opts["tolerance"]), ci=rep.neg_fit.ci),
-        Verdict.from_comparison("u-enhanced-exponent", rep.sigma_predicted,
-                                rep.sigma_fit.exponent, float(opts["tolerance"]),
-                                ci=rep.sigma_fit.ci, sigma=rep.sigma),
-        Verdict.from_bound("duhamel-convolution-constant",
-                           rep.convolution_constant, 3.0),
-    ]
-    if rep.duhamel_rel_error is not None:
-        verdicts.append(Verdict.from_bound("duhamel-reconstruction",
-                                           rep.duhamel_rel_error, rep.duhamel_rtol))
     notes = [rep.note] if rep.out_of_theorem else []
     curves = {
         _slug(name): (t, v, {"sigma1": sigma1})
         for name, (t, v) in rep.curves.items()
     }
-    return verdicts, curves, notes
+    return rep.verdicts, curves, notes
 
 
 RUNNERS = {

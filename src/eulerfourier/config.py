@@ -3,7 +3,9 @@
 Every theorem-range precondition is checked here, so the experiment
 runners receive only valid inputs and error messages always name the
 violated admissibility condition rather than failing deep inside a
-norm computation.
+norm computation.  The ranges themselves are stated once, in
+:class:`~eulerfourier.decay.InitialDataSpec` and
+:meth:`~eulerfourier.decay.RateTarget.validate`, which this module calls.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .decay import InitialDataSpec, RateTarget
 from .reporting import config_hash
 
 KINDS = (
@@ -220,43 +223,6 @@ def parse_config(
 # ----------------------------------------------------------------------
 # theorem-range validation
 # ----------------------------------------------------------------------
-def _check_sigma1(sigma1: float, dim: int) -> None:
-    half = dim / 2.0
-    if not (-half < sigma1 <= half):
-        raise ValueError(
-            f"sigma1 = {sigma1} violates sigma1 in (-d/2, d/2] "
-            f"= ({-half}, {half}] for d = {dim}"
-        )
-
-
-def _check_sigma_state(sigma: float, sigma1: float, dim: int) -> None:
-    hi = dim / 2.0
-    if not (-sigma1 < sigma <= hi):
-        raise ValueError(
-            f"sigma = {sigma} violates sigma in (-sigma1, d/2] "
-            f"= ({-sigma1}, {hi}] for the state norms"
-        )
-
-
-def _check_sigma_u(sigma: float, sigma1: float, dim: int) -> None:
-    if dim < 2:
-        raise ValueError(
-            "velocity-enhancement fits require d >= 2 "
-            "(the d = 1 velocity rate is outside the proven range)"
-        )
-    if not (-dim / 2.0 + 1.0 < sigma1 <= dim / 2.0):
-        raise ValueError(
-            f"sigma1 = {sigma1} violates sigma1 in (-d/2+1, d/2] "
-            f"= ({-dim / 2.0 + 1.0}, {dim / 2.0}] required for velocity enhancement"
-        )
-    hi = dim / 2.0 - 1.0
-    if not (-sigma1 < sigma <= hi):
-        raise ValueError(
-            f"sigma = {sigma} violates sigma in (-sigma1, d/2 - 1] "
-            f"= ({-sigma1}, {hi}] for the velocity norms"
-        )
-
-
 def _positive(cfg: RunConfig, *keys: str) -> None:
     for key in keys:
         if key in cfg.options and not cfg.options[key] > 0:
@@ -273,8 +239,6 @@ def validate_config(cfg: RunConfig) -> None:
         if n < 8 or n & (n - 1):
             raise ValueError(f"npts must be a power of two >= 8, got {n}")
     _positive(cfg, "length", "trials", "budget", "radii", "nodes_per_octave")
-    if "amplitude" in opts and opts["amplitude"] < 0:
-        raise ValueError("amplitude must be nonnegative")
     if "eta" in opts and not (0.0 < opts["eta"] < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {opts['eta']}")
     if "t_start" in opts and "t_end" in opts and opts["t_end"] > 0:
@@ -283,18 +247,25 @@ def validate_config(cfg: RunConfig) -> None:
                 f"need 0 <= t_start < t_end, got ({opts['t_start']}, {opts['t_end']})"
             )
 
+    # every kind with sigma1 also draws data of the given amplitude
     if "sigma1" in opts:
-        _check_sigma1(float(opts["sigma1"]), dim)
-    if cfg.kind in ("linear-decay", "decay-fit"):
-        _check_sigma_state(float(opts["sigma"]), float(opts["sigma1"]), dim)
+        InitialDataSpec(sigma1=float(opts["sigma1"]), dim=dim,
+                        amplitude=float(opts["amplitude"]))
+    # damped-mode checks only the state range: runs outside the
+    # velocity-enhancement range are allowed but labeled out-of-theorem in
+    # the report (failures only under --strict)
+    if cfg.kind in ("linear-decay", "decay-fit", "damped-mode"):
+        RateTarget(float(opts["sigma"])).validate(dim, float(opts["sigma1"]))
     if cfg.kind == "linear-decay" and opts.get("with_u"):
-        _check_sigma_u(float(opts["sigma_u"]), float(opts["sigma1"]), dim)
+        RateTarget(float(opts["sigma_u"]), "u").validate(dim, float(opts["sigma1"]))
     if cfg.kind == "damped-mode":
-        # only the state-range condition is a hard error here: runs outside
-        # the velocity-enhancement range are allowed but labeled
-        # out-of-theorem in the report (failures only under --strict)
-        _check_sigma_state(float(opts["sigma"]), float(opts["sigma1"]), dim)
         if opts["source"] not in ("linear", "box"):
             raise ValueError("source must be 'linear' or 'box'")
+        # a box run's fit window ends at the sound-crossing horizon L/2
+        if opts["source"] == "box" and opts["t_start"] >= opts["length"] / 2.0:
+            raise ValueError(
+                f"source = box needs t_start < L/2 = {opts['length'] / 2.0} "
+                f"(the box horizon), got t_start = {opts['t_start']}"
+            )
     if cfg.kind == "lyapunov" and opts["j_lo"] > opts["j_hi"]:
         raise ValueError("j_lo must not exceed j_hi")

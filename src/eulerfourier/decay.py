@@ -6,7 +6,9 @@ data saturating a prescribed negative-regularity shell profile, fits
 algebraic decay exponents against ``log(1+t)``, reconstructs the damped
 velocity through its exponential Duhamel formula, and accumulates the
 time-weighted norm budgets whose boundedness/growth encodes the optimal
-rates.
+rates.  :func:`run_decay_experiment` and :func:`damped_mode_check` decide
+their own pass rules: their reports carry
+:class:`~eulerfourier.reporting.Verdict` records, ready to be written.
 
 Conventions
 -----------
@@ -30,13 +32,13 @@ import numpy as np
 from .grid import PeriodicGrid, StateFields
 from .linear import RadialProfile, semigroup_besov_decay
 from .littlewood import COMPONENTS, FrequencySplit, LittlewoodPaley, ShellSeries
+from .reporting import Verdict
 from .solver import TrajectoryRecord, nonlinear_rhs
 
 __all__ = [
     "InitialDataSpec",
     "RateTarget",
     "RateFit",
-    "RateVerdict",
     "DecayReport",
     "DampedModeReport",
     "TimeWeightedReport",
@@ -47,6 +49,7 @@ __all__ = [
     "duhamel_reconstruction",
     "time_weighted_functionals",
     "convolution_bound_constant",
+    "velocity_enhancement_in_range",
 ]
 
 #: Minimum number of curve samples inside a fit window.
@@ -54,6 +57,17 @@ MIN_FIT_SAMPLES = 10
 
 #: Default 95% confidence multiplier on the slope standard error.
 CONFIDENCE_Z = 1.96
+
+#: Bound on the Duhamel convolution constant; the measured value is ~1.1.
+CONVOLUTION_BOUND = 3.0
+
+
+def velocity_enhancement_in_range(dim: int, sigma1: float) -> bool:
+    """Whether the theorem covers the extra -1/2 velocity rate.
+
+    It does for ``d >= 2`` and ``sigma1`` in ``(-d/2+1, d/2]``.
+    """
+    return dim >= 2 and -dim / 2.0 + 1.0 < sigma1 <= dim / 2.0
 
 
 # ----------------------------------------------------------------------
@@ -97,10 +111,6 @@ class InitialDataSpec:
         if self.envelope_exponent is not None:
             return self.envelope_exponent
         return self.sigma1 - self.dim / 2.0
-
-    def supports_velocity_enhancement(self) -> bool:
-        """Whether the extra -1/2 velocity rate is in scope for this data."""
-        return self.dim >= 2 and (-self.dim / 2.0 + 1.0) < self.sigma1 <= self.dim / 2.0
 
 
 def _octave_edges(lo: float, hi: float) -> np.ndarray:
@@ -285,16 +295,12 @@ class RateTarget:
 
     def validate(self, dim: int, sigma1: float) -> None:
         if self.component == "u":
+            if not velocity_enhancement_in_range(dim, sigma1):
+                raise ValueError(
+                    f"velocity targets require d >= 2 and sigma1 in (-d/2+1, d/2] "
+                    f"= ({-dim / 2.0 + 1.0}, {dim / 2.0}]; got d={dim}, sigma1={sigma1}"
+                )
             hi = dim / 2.0 - 1.0
-            if dim < 2:
-                raise ValueError(
-                    "velocity enhancement targets require d >= 2; "
-                    "d=1 velocity fits are out of theorem scope"
-                )
-            if not (-dim / 2.0 + 1.0 < sigma1 <= dim / 2.0):
-                raise ValueError(
-                    f"sigma1={sigma1} outside (-d/2+1, d/2] required for velocity targets"
-                )
         else:
             hi = dim / 2.0
         if not (-sigma1 < self.sigma <= hi):
@@ -309,36 +315,22 @@ class RateTarget:
         return f"{self.component}_s{self.sigma:g}_sigma1_{sigma1:g}"
 
 
-@dataclass(frozen=True)
-class RateVerdict:
-    name: str
-    component: str
-    sigma: float
-    predicted: float
-    fitted: float
-    ci: float
-    tolerance: float
-    window: tuple[float, float]
-    passed: bool
-
-
 @dataclass
 class DecayReport:
-    """Outcome of one decay experiment: verdicts plus the raw curves."""
+    """Outcome of one decay experiment: verdicts plus the raw curves.
+
+    ``verdicts`` holds one fitted-exponent comparison per target, then the
+    ``neg-norm-ratio`` bound on the low sup-shell norm at regularity
+    ``-sigma1`` relative to ``delta0``.
+    """
 
     mode: str
     dim: int
     sigma1: float
     delta0: float
-    x0: float
-    verdicts: list[RateVerdict]
-    neg_norm_ratio: float
+    verdicts: list[Verdict]
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
 
 
 def _default_linear_times(window: tuple[float, float]) -> np.ndarray:
@@ -363,6 +355,7 @@ def run_decay_experiment(
     solver_config=None,
     lp: LittlewoodPaley | None = None,
     trajectory: TrajectoryRecord | None = None,
+    neg_ratio_bound: float = 4.0,
 ) -> DecayReport:
     """Measure decay exponents against their predictions.
 
@@ -371,7 +364,8 @@ def run_decay_experiment(
     ``nonlinear-box`` integrates the full system on a periodic grid, so
     the fit window must end before the box sound-crossing horizon
     ``L/2``.  A precomputed ``trajectory`` may be passed to fit several
-    target sets without re-integrating.
+    target sets without re-integrating.  ``neg_ratio_bound`` bounds the
+    growth of the sup-shell norm at regularity ``-sigma1`` over ``delta0``.
     """
     for tgt in targets:
         tgt.validate(spec.dim, spec.sigma1)
@@ -454,36 +448,26 @@ def run_decay_experiment(
     neg_norm_ratio = float(np.max(neg_sup) / delta0) if delta0 > 0 else 0.0
 
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {"neg_sup": (rtimes, neg_sup)}
-    verdicts: list[RateVerdict] = []
+    verdicts: list[Verdict] = []
     for tgt in targets:
         components = COMPONENTS if tgt.component == "state" else ("u",)
         vals = series.besov(tgt.sigma, 1, components)
         name = tgt.name(spec.sigma1)
         curves[name] = (rtimes, vals)
         fit = fit_rate(rtimes, vals, window)
-        predicted = tgt.predicted_exponent(spec.sigma1)
-        verdicts.append(
-            RateVerdict(
-                name=name,
-                component=tgt.component,
-                sigma=tgt.sigma,
-                predicted=predicted,
-                fitted=fit.exponent,
-                ci=fit.ci,
-                tolerance=tgt.tolerance,
-                window=fit.window,
-                passed=bool(abs(fit.exponent - predicted) <= tgt.tolerance),
-            )
-        )
+        verdicts.append(Verdict.from_comparison(
+            name, tgt.predicted_exponent(spec.sigma1), fit.exponent, tgt.tolerance,
+            ci=fit.ci, sigma=tgt.sigma, component=tgt.component, window=list(fit.window),
+        ))
+    verdicts.append(Verdict.from_bound("neg-norm-ratio", neg_norm_ratio, neg_ratio_bound,
+                                       delta0=delta0, x0=x0))
 
     return DecayReport(
         mode=mode,
         dim=dim,
         sigma1=spec.sigma1,
         delta0=delta0,
-        x0=x0,
         verdicts=verdicts,
-        neg_norm_ratio=neg_norm_ratio,
         curves=curves,
         meta=meta | {"j0": j0, "seed": spec.seed, "amplitude": spec.amplitude},
     )
@@ -528,29 +512,21 @@ def convolution_bound_constant(
 
 @dataclass
 class DampedModeReport:
-    """Duhamel-identity and enhanced-decay diagnostics for the velocity."""
+    """Duhamel-identity and enhanced-decay diagnostics for the velocity.
+
+    ``verdicts`` holds ``u-neg-sup-exponent``, ``u-enhanced-exponent``,
+    ``duhamel-convolution-constant`` and, for trajectory input only,
+    ``duhamel-reconstruction``.
+    """
 
     sigma1: float
     sigma: float
     out_of_theorem: bool
     note: str
-    duhamel_rel_error: float | None
-    duhamel_rtol: float | None
-    duhamel_passed: bool | None
     neg_fit: RateFit
-    neg_passed: bool
     sigma_fit: RateFit
-    sigma_predicted: float
-    sigma_passed: bool
-    convolution_constant: float
+    verdicts: list[Verdict]
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        checks = [self.neg_passed, self.sigma_passed]
-        if self.duhamel_passed is not None:
-            checks.append(self.duhamel_passed)
-        return all(checks)
 
 
 def duhamel_reconstruction(traj: TrajectoryRecord) -> tuple[float, float]:
@@ -612,8 +588,10 @@ def damped_mode_check(
     L2; (ii) fit ``||u||`` in the sup-shell norm at regularity
     ``-sigma1`` (prediction: exponent <= -1/2); (iii) fit the summed
     shell norm at regularity ``sigma`` against the enhanced exponent
-    ``-(1 + sigma + sigma1)/2``.  Runs with d=1 or sigma1 outside
-    (-d/2+1, d/2] are still measured but flagged ``out_of_theorem``.
+    ``-(1 + sigma + sigma1)/2``.  Each probe is one verdict, and a fourth
+    bounds the convolution constant of the Duhamel argument by
+    ``CONVOLUTION_BOUND``.  Runs with d=1 or sigma1 outside (-d/2+1, d/2]
+    are still measured but flagged ``out_of_theorem``.
     """
     series = run.series
     times, dim = series.times, series.dim
@@ -622,7 +600,7 @@ def damped_mode_check(
         if sigma1 is None:
             raise ValueError("sigma1 must be given for trajectory input")
 
-    out = not (dim >= 2 and (-dim / 2.0 + 1.0) < sigma1 <= dim / 2.0)
+    out = not velocity_enhancement_in_range(dim, sigma1)
     note = (
         "d=1 or sigma1 outside (-d/2+1, d/2]: enhanced velocity decay is "
         "outside the proven range; exponents reported for exploration only"
@@ -636,38 +614,32 @@ def damped_mode_check(
             raise ValueError("too few positive-time samples to fit")
         window = (float(positive[0]), float(times[-1]))
 
-    duh_err = duh_tol = None
-    duh_pass = None
+    neg_series = series.besov(-sigma1, np.inf, ("u",), "low", FrequencySplit(j0))
+    neg_fit = fit_rate(times, neg_series, window)
+    sig_series = series.besov(sigma, 1, ("u",))
+    sig_fit = fit_rate(times, sig_series, window)
+    verdicts = [
+        Verdict.from_bound("u-neg-sup-exponent", neg_fit.exponent, -0.5 + tolerance,
+                           ci=neg_fit.ci),
+        Verdict.from_comparison("u-enhanced-exponent", -(1.0 + sigma + sigma1) / 2.0,
+                                sig_fit.exponent, tolerance, ci=sig_fit.ci, sigma=sigma),
+        Verdict.from_bound("duhamel-convolution-constant",
+                           convolution_bound_constant(t_max=convolution_t_max),
+                           CONVOLUTION_BOUND),
+    ]
     if isinstance(run, TrajectoryRecord):
         duh_err, h_max = duhamel_reconstruction(run)
         duh_tol = duhamel_rtol if duhamel_rtol is not None else max(25.0 * h_max**2, 1e-12)
-        duh_pass = bool(duh_err <= duh_tol)
-
-    neg_series = series.besov(-sigma1, np.inf, ("u",), "low", FrequencySplit(j0))
-    neg_fit = fit_rate(times, neg_series, window)
-    neg_passed = bool(neg_fit.exponent <= -0.5 + tolerance)
-
-    sig_series = series.besov(sigma, 1, ("u",))
-    sig_fit = fit_rate(times, sig_series, window)
-    predicted = -(1.0 + sigma + sigma1) / 2.0
-    sig_passed = bool(abs(sig_fit.exponent - predicted) <= tolerance)
-
-    conv = convolution_bound_constant(t_max=convolution_t_max)
+        verdicts.append(Verdict.from_bound("duhamel-reconstruction", duh_err, duh_tol))
 
     return DampedModeReport(
         sigma1=float(sigma1),
         sigma=sigma,
         out_of_theorem=out,
         note=note,
-        duhamel_rel_error=duh_err,
-        duhamel_rtol=duh_tol,
-        duhamel_passed=duh_pass,
         neg_fit=neg_fit,
-        neg_passed=neg_passed,
         sigma_fit=sig_fit,
-        sigma_predicted=predicted,
-        sigma_passed=sig_passed,
-        convolution_constant=conv,
+        verdicts=verdicts,
         curves={
             "u_neg_sup": (times, neg_series),
             f"u_s{sigma:g}": (times, sig_series),

@@ -208,8 +208,5 @@ class StateFields:
         """Flat list [a, u_1, ..., u_d, theta]."""
         return [self.a, *list(self.u), self.theta]
 
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(c))) for c in self.components())
-
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(c)) for c in self.components())

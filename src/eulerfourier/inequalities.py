@@ -1,26 +1,27 @@
 """Empirical validation of the harmonic-analysis toolbox.
 
 Each check generates random band-controlled fields, evaluates both sides of
-one inequality, and reports the worst ratio of left side to right side with
-the generic constant stripped.  The inequalities carry unspecified constants,
-so "validation" means the ratio stays below a fixed, generously chosen budget
-across many seeded trials -- boundedness, not a sharp constant.  Budgets are
-inputs, never tuned from the data.
+one inequality, and returns its verdicts: the worst ratio of left side to
+right side, with the generic constant stripped, against a budget.  The
+inequalities carry unspecified constants, so "validation" means the ratio
+stays below a fixed, generously chosen budget across many seeded trials --
+boundedness, not a sharp constant.  Budgets are inputs, never tuned from
+the data.  The annulus Bernstein check also returns the reverse bound, a
+floor of ``RING_INNER**k`` on the least ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import alias_free_product
 from .littlewood import LittlewoodPaley
 from .randfields import random_field, ball_field
+from .reporting import Verdict
 
 __all__ = [
-    "InequalityReport",
     "check_bernstein",
     "check_interpolation",
     "check_product",
@@ -36,25 +37,6 @@ RING_INNER = 0.75
 RING_OUTER = 8.0 / 3.0
 
 _MAX_REGENERATE = 100
-
-
-@dataclass
-class InequalityReport:
-    """Outcome of one inequality sweep.
-
-    ``passed`` is always ``worst_ratio <= budget``; anything else the check
-    wants to expose (two-sided minima, shell profiles) goes in ``extras``.
-    """
-
-    name: str
-    trials: int
-    worst_ratio: float
-    budget: float
-    passed: bool
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.passed = bool(self.worst_ratio <= self.budget)
 
 
 # ----------------------------------------------------------------------
@@ -91,14 +73,16 @@ def check_bernstein(
     support: str = "ball",
     budget: float | None = None,
     scale_j: int | None = None,
-) -> InequalityReport:
+) -> list[Verdict]:
     """Derivative growth on ball- or annulus-supported fields.
 
     Measures ``|D^k f|_{L^b} / (lam^(k + d(1/a - 1/b)) |f|_{L^a})`` with
     ``D^k`` the radial multiplier ``|xi|^k`` and ``lam = 2^j`` the support
-    scale.  For annulus support the reverse ratio is tracked as well
-    (``extras["min_ratio"]``), since there the derivative is invertible on
-    the support and the bound is two-sided.
+    scale, against ``budget``.  For annulus support the derivative is
+    invertible on the support and the bound is two-sided: the verdicts are
+    ``-upper`` (the worst ratio) and ``-lower`` (the least
+    ``|D^k f|_{L^a} / (lam^k |f|_{L^a})`` against the floor
+    ``RING_INNER**k``).
     """
     if not 1.0 <= a_exp <= b_exp:
         raise ValueError("need 1 <= a_exp <= b_exp (use math.inf for sup norms)")
@@ -129,20 +113,11 @@ def check_bernstein(
         if support == "annulus":
             least = min(least, grid.lp_norm(dkf, a_exp) / (lam**k * grid.lp_norm(f, a_exp)))
 
-    extras = {"k": k, "a_exp": a_exp, "b_exp": b_exp, "support": support}
-    if support == "annulus":
-        extras["min_ratio"] = least
-    report = InequalityReport(
-        name=f"bernstein-{support}-k{k}",
-        trials=trials,
-        worst_ratio=worst,
-        budget=budget,
-        passed=True,
-        extras=extras,
-    )
-    if support == "annulus":
-        report.passed = bool(report.passed and least >= 1.0 / budget)
-    return report
+    name = f"bernstein-{support}-k{k}"
+    if support == "ball":
+        return [Verdict.from_bound(name, worst, budget, trials=trials)]
+    return [Verdict.from_bound(f"{name}-upper", worst, budget),
+            Verdict.from_floor(f"{name}-lower", least, RING_INNER**k)]
 
 
 # ----------------------------------------------------------------------
@@ -158,12 +133,12 @@ def check_interpolation(
     theta_mix: float = 0.5,
     p: float = 2.0,
     budget: float = DEFAULT_BUDGET,
-) -> InequalityReport:
+) -> list[Verdict]:
     """Intermediate summed norm against the product of sup-norm endpoints.
 
     The allowed constant degrades like ``1/(theta (1-theta) (s2-s1))`` as
     the endpoints pinch together, so that factor is folded into the
-    reported budget rather than the ratio.
+    verdict's bound rather than the ratio; ``base_budget`` keeps ``budget``.
     """
     if not s1 < s2:
         raise ValueError("need s1 < s2")
@@ -185,14 +160,8 @@ def check_interpolation(
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)
 
-    return InequalityReport(
-        name="interpolation",
-        trials=trials,
-        worst_ratio=worst,
-        budget=effective_budget,
-        passed=True,
-        extras={"s1": s1, "s2": s2, "theta_mix": theta_mix, "base_budget": budget},
-    )
+    return [Verdict.from_bound("interpolation", worst, effective_budget,
+                               base_budget=budget)]
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +178,7 @@ def check_product(
     s2: float | None = None,
     variant: str = "summed",
     budget: float = DEFAULT_BUDGET,
-) -> InequalityReport:
+) -> list[Verdict]:
     """Bilinear estimates for pointwise products, three flavours.
 
     - ``"algebra"``: summed norm of ``fg`` at positive ``s1`` against
@@ -263,14 +232,7 @@ def check_product(
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)
 
-    return InequalityReport(
-        name=f"product-{variant}",
-        trials=trials,
-        worst_ratio=worst,
-        budget=budget,
-        passed=True,
-        extras={"s1": s1, "s2": s2, "variant": variant},
-    )
+    return [Verdict.from_bound(f"product-{variant}", worst, budget)]
 
 
 # ----------------------------------------------------------------------
@@ -283,17 +245,17 @@ def check_commutator(
     trials: int = 100,
     s: float = 0.0,
     budget: float = DEFAULT_BUDGET,
-) -> InequalityReport:
+) -> list[Verdict]:
     """Shell-filter commutators against the smooth-factor norm.
 
     For every resolvable shell the raw ratio
 
         2^(j(s+1)) |[P_j, f] g|_{L^2} / (|f|_{B^{d/2+1}} |g|_{B^s})
 
-    is recorded (both products on the refined grid).  The reported worst
-    ratio is the largest *sum over shells*, which dominates the largest
-    single shell; the shell sequence itself is exposed in ``extras`` since
-    its normalization is a free choice.
+    is recorded (both products on the refined grid).  The verdict measures
+    the largest *sum over shells*, which dominates the largest single
+    shell; that largest single-shell ratio goes in the ``worst_shell``
+    extra, since its normalization is a free choice.
     """
     grid = lp.grid
     half_d = grid.dim / 2.0
@@ -325,11 +287,4 @@ def check_commutator(
             total += ratio
         worst_sum = max(worst_sum, total)
 
-    return InequalityReport(
-        name="commutator",
-        trials=trials,
-        worst_ratio=worst_sum,
-        budget=budget,
-        passed=True,
-        extras={"s": s, "worst_shell_ratio": worst_shell},
-    )
+    return [Verdict.from_bound("commutator", worst_sum, budget, worst_shell=worst_shell)]

@@ -216,12 +216,6 @@ def mode_propagator(xi: np.ndarray, t: float) -> np.ndarray:
     return expm_stack((t * symbol_matrix(xi))[None])[0]
 
 
-def symbol_eigenvalues(xi: np.ndarray) -> np.ndarray:
-    """Eigenvalues of M(xi), sorted by decreasing real part."""
-    lam = np.linalg.eigvals(symbol_matrix(xi))
-    return lam[np.argsort(-lam.real, kind="stable")]
-
-
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RadialProfile:

@@ -15,7 +15,10 @@ energy functional along stored solver snapshots and checks that
 where ``Q_j`` is the target dissipation quadratic form of the regime and
 ``c`` is half the worst-phase coercivity margin of ``D_j`` against ``Q_j``.
 Everything on both sides is computed from the same snapshot data, so the
-check probes the trajectory itself, not the solver internals.
+check probes the trajectory itself, not the solver internals.  The pass
+rule lives in one place, :attr:`LyapunovResidualSeries.verdict`: the
+worst ratio of the left side to the nonlinear products is at most
+``budget``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from scipy.linalg import eigh
 
 from .grid import PeriodicGrid, StateFields, alias_free_product
 from .littlewood import LittlewoodPaley
+from .reporting import Verdict
 from .solver import PositivityViolation, TrajectoryRecord, nonlinear_rhs
 
 __all__ = [
@@ -271,7 +275,16 @@ class LyapunovResidualSeries:
     dissipation_ratio: np.ndarray
     fd_error: np.ndarray
     n_dropped: int
-    passed: bool
+
+    @property
+    def verdict(self) -> Verdict:
+        """``lyapunov-<regime>-j<j>``: the worst ratio against the budget."""
+        return Verdict.from_bound(
+            f"lyapunov-{self.regime}-j{self.j}", float(np.max(self.ratio)), self.budget,
+            coercivity_margin=self.coercivity_margin,
+            n_dropped=self.n_dropped,
+            worst_dissipation_ratio=float(np.max(self.dissipation_ratio)),
+        )
 
 
 def _shell_norm(lp: LittlewoodPaley, f: np.ndarray, j: int) -> float:
@@ -512,5 +525,4 @@ def lyapunov_residual(
         dissipation_ratio=diss_ratio,
         fd_error=fd_err,
         n_dropped=n_dropped,
-        passed=bool(np.all(ratio <= budget)),
     )

@@ -67,11 +67,13 @@ def test_criterion_1_classical_rates():
         "linear-quadrature",
         window=FIT_WINDOW,
     )
+    rates = report.verdicts[:-1]  # the last one is the neg-norm-ratio bound
     bits = ", ".join(
-        f"{v.component}: fitted {v.fitted:+.4f} vs {v.predicted:+.4f} (tol {v.tolerance})"
-        for v in report.verdicts
+        f"{v.extras['component']}: fitted {v.measured:+.4f} vs {v.predicted:+.4f} "
+        f"(tol {v.tolerance})"
+        for v in rates
     )
-    _report(1, bits, all(v.passed for v in report.verdicts))
+    _report(1, bits, all(v.passed for v in rates))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +94,7 @@ RATE_MATRIX = [
 def test_criterion_2_rate_matrix():
     n_verdicts = 0
     worst = 0.0
+    worst_neg = 0.0
     all_passed = True
     for dim, sigma1, cells in RATE_MATRIX:
         targets = [
@@ -104,14 +107,18 @@ def test_criterion_2_rate_matrix():
             "linear-quadrature",
             window=FIT_WINDOW,
         )
-        for v in report.verdicts:
+        *rates, neg = report.verdicts
+        assert neg.name == "neg-norm-ratio"
+        for v in rates:
             n_verdicts += 1
-            worst = max(worst, abs(v.fitted - v.predicted))
-            all_passed = all_passed and v.passed
+            worst = max(worst, abs(v.measured - v.predicted))
+        worst_neg = max(worst_neg, neg.measured)
+        all_passed = all_passed and all(v.passed for v in report.verdicts)
     _report(
         2,
         f"{n_verdicts} verdicts over {len(RATE_MATRIX)} (d, sigma1) runs, "
-        f"worst |fitted - predicted| = {worst:.4f}",
+        f"worst |fitted - predicted| = {worst:.4f}, worst neg-norm ratio "
+        f"{worst_neg:.3f} (need <= 4)",
         all_passed and n_verdicts == 20,
     )
 
@@ -125,6 +132,7 @@ def test_criterion_3_velocity_enhancement():
     curve = semigroup_besov_decay(profile, 2, 1.0, LONG_TIMES, nodes_per_octave=32)
     rep = damped_mode_check(curve, 1.0, window=FIT_WINDOW)
     u_exp = rep.neg_fit.exponent
+    neg_passed = {v.name: v for v in rep.verdicts}["u-neg-sup-exponent"].passed
 
     state_sup = curve.series.besov(-1.0, np.inf)
     times = curve.series.times
@@ -135,7 +143,7 @@ def test_criterion_3_velocity_enhancement():
         3,
         f"u sup-norm exponent {u_exp:+.4f} (need <= -0.45), "
         f"state sup-norm max/min = {ratio:.4f} (need <= 4)",
-        rep.neg_passed and u_exp <= -0.45 and ratio <= 4.0,
+        neg_passed and u_exp <= -0.45 and ratio <= 4.0,
     )
 
 
@@ -262,27 +270,28 @@ def test_criterion_6_inequality_budgets():
     checks = []
 
     for k in (1, 2):
-        rep = check_bernstein(LP, np.random.default_rng(60 + k),
-                              trials=100, k=k, support="annulus")
-        lo = rep.extras["min_ratio"]
-        ok = rep.worst_ratio <= RING_OUTER ** k + eps and lo >= RING_INNER ** k - eps
-        checks.append((f"annulus k={k} ratios [{lo:.3f}, {rep.worst_ratio:.3f}]", ok))
+        upper, lower = check_bernstein(LP, np.random.default_rng(60 + k),
+                                       trials=100, k=k, support="annulus")
+        lo, hi = lower.measured, upper.measured
+        ok = hi <= RING_OUTER ** k + eps and lo >= RING_INNER ** k - eps
+        checks.append((f"annulus k={k} ratios [{lo:.3f}, {hi:.3f}]", ok))
 
-    rep = check_bernstein(LP, np.random.default_rng(63), trials=100, k=1, support="ball")
-    checks.append((f"ball worst {rep.worst_ratio:.3f}/{rep.budget}", rep.passed))
+    (rep,) = check_bernstein(LP, np.random.default_rng(63), trials=100, k=1, support="ball")
+    checks.append((f"ball worst {rep.measured:.3f}/{rep.predicted}", rep.passed))
 
-    rep = check_interpolation(LP, np.random.default_rng(64), trials=100)
-    checks.append((f"interpolation worst {rep.worst_ratio:.3f}/{rep.budget}", rep.passed))
+    (rep,) = check_interpolation(LP, np.random.default_rng(64), trials=100)
+    checks.append((f"interpolation worst {rep.measured:.3f}/{rep.predicted}", rep.passed))
 
     for i, (variant, s1, s2) in enumerate(
         [("algebra", 0.5, None), ("summed", 0.25, 0.25), ("mixed", 0.5, -0.25)]
     ):
-        rep = check_product(LP, np.random.default_rng(65 + i),
-                            trials=100, s1=s1, s2=s2, variant=variant)
-        checks.append((f"product[{variant}] worst {rep.worst_ratio:.3f}/{rep.budget}", rep.passed))
+        (rep,) = check_product(LP, np.random.default_rng(65 + i),
+                               trials=100, s1=s1, s2=s2, variant=variant)
+        checks.append((f"product[{variant}] worst {rep.measured:.3f}/{rep.predicted}",
+                       rep.passed))
 
-    rep = check_commutator(LP, np.random.default_rng(68), trials=100, s=0.0)
-    checks.append((f"commutator worst {rep.worst_ratio:.3f}/{rep.budget}", rep.passed))
+    (rep,) = check_commutator(LP, np.random.default_rng(68), trials=100, s=0.0)
+    checks.append((f"commutator worst {rep.measured:.3f}/{rep.predicted}", rep.passed))
 
     _report(6, "; ".join(d for d, _ in checks), all(ok for _, ok in checks))
 

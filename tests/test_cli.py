@@ -89,6 +89,14 @@ def test_domain_validation_messages_name_the_interval():
         parse_config(kind="linear-decay", overrides={"t_start": "100", "t_end": "10"})
 
 
+def test_box_damped_mode_needs_t_start_below_half_the_box():
+    # the default t_start = 1e2 lies beyond L/2 = 8 pi of the default box
+    with pytest.raises(ValueError, match=r"L/2 = 25\.13"):
+        parse_config(kind="damped-mode", overrides={"source": "box"})
+    parse_config(kind="damped-mode", overrides={"source": "box", "t_start": "25"})
+    parse_config(kind="damped-mode")  # the quadrature has no box
+
+
 # ----------------------------------------------------------------------
 # verdicts and curves
 
@@ -205,6 +213,18 @@ def test_damped_mode_box_run_stops_at_half_the_box(tmp_path):
     assert code in (0, 1)  # verdicts on so coarse a grid may fail; the run must not
     lines = (out / "curves" / "u_neg_sup.csv").read_text().splitlines()
     assert float(lines[-1].split(",")[0]) == pytest.approx(length / 2.0, rel=1e-12)
+
+
+def test_lyapunov_subcommand_splits_shells_at_j0(tmp_path):
+    # j0 = 0: the low functional covers j <= 0 and the high one j >= -1
+    args = ["lyapunov", "--set", "t_end=0.0015", "--set", "j_lo=-2", "--set", "j_hi=1"]
+    code, out = _run_main(args, tmp_path, "lyap")
+    assert code == 0
+    names = [v["name"] for v in load_verdicts(out / "verdicts.jsonl")]
+    assert names == [
+        "lyapunov-low-j-2", "lyapunov-low-j-1", "lyapunov-low-j0",
+        "lyapunov-high-j-1", "lyapunov-high-j0", "lyapunov-high-j1",
+    ]
 
 
 def test_invalid_config_exits_2_with_error_record(tmp_path):

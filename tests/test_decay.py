@@ -15,6 +15,7 @@ from eulerfourier.decay import (
     generate_initial_data,
     run_decay_experiment,
     time_weighted_functionals,
+    velocity_enhancement_in_range,
 )
 from eulerfourier.grid import PeriodicGrid
 from eulerfourier.linear import saturating_profile, semigroup_besov_decay
@@ -94,9 +95,9 @@ def test_initial_data_spec_validation():
 
 
 def test_velocity_enhancement_predicate():
-    assert not InitialDataSpec(sigma1=0.5, dim=1).supports_velocity_enhancement()
-    assert InitialDataSpec(sigma1=1.0, dim=2).supports_velocity_enhancement()
-    assert not InitialDataSpec(sigma1=-0.4, dim=2).supports_velocity_enhancement()
+    assert not velocity_enhancement_in_range(1, 0.5)
+    assert velocity_enhancement_in_range(2, 1.0)
+    assert not velocity_enhancement_in_range(2, -0.4)
 
 
 def test_generated_data_is_normalized_and_uniform():
@@ -123,7 +124,7 @@ def test_generated_data_is_normalized_and_uniform():
 def test_generated_data_zero_amplitude_and_bad_band():
     grid = PeriodicGrid(dim=1, npts=256, length=16.0 * np.pi)
     zero = generate_initial_data(InitialDataSpec(sigma1=0.5, dim=1, amplitude=0.0), grid)
-    assert zero.max_abs() == 0.0
+    assert np.max(np.abs(zero.components())) == 0.0
 
     with pytest.raises(ValueError, match="band"):
         generate_initial_data(
@@ -159,12 +160,12 @@ def test_linear_decay_small_case():
         window=(1e2, 1e4),
         nodes_per_octave=32,
     )
-    assert report.passed, [v.__dict__ for v in report.verdicts]
-    v = report.verdicts[0]
+    assert all(v.passed for v in report.verdicts), [v.__dict__ for v in report.verdicts]
+    v, neg = report.verdicts
     assert np.isclose(v.predicted, -0.5, atol=1e-12)
-    assert abs(v.fitted - v.predicted) < 0.05
+    assert abs(v.measured - v.predicted) < 0.05
     assert report.delta0 > 0.0
-    assert report.neg_norm_ratio < 4.0
+    assert neg.name == "neg-norm-ratio" and neg.measured < 4.0
     assert "neg_sup" in report.curves
 
 
@@ -175,7 +176,7 @@ def test_linear_decay_exponent_is_amplitude_invariant():
     for amp in (1.0, 7.3):
         spec = InitialDataSpec(sigma1=0.5, dim=1, amplitude=amp)
         report = run_decay_experiment(spec, [RateTarget(sigma=0.5)], **kw)
-        fits.append(report.verdicts[0].fitted)
+        fits.append(report.verdicts[0].measured)
     assert abs(fits[0] - fits[1]) < 1e-9
 
 
@@ -184,7 +185,7 @@ def test_linear_decay_exponent_stable_under_node_doubling():
     kw = dict(window=(1e1, 1e3))
     coarse = run_decay_experiment(spec, [RateTarget(sigma=0.5)], nodes_per_octave=24, **kw)
     fine = run_decay_experiment(spec, [RateTarget(sigma=0.5)], nodes_per_octave=48, **kw)
-    assert abs(coarse.verdicts[0].fitted - fine.verdicts[0].fitted) < 0.01
+    assert abs(coarse.verdicts[0].measured - fine.verdicts[0].measured) < 0.01
 
 
 def test_box_experiment_rejects_window_beyond_horizon():
@@ -265,10 +266,12 @@ def test_damped_mode_check_on_linear_curve():
     curve = _linear_curve(sigma1=1.0, dim=2, t_end=1e4, nodes=32)
     out = damped_mode_check(curve, window=(1e2, 1e4), tolerance=0.10)
     assert not out.out_of_theorem
-    assert out.neg_passed and out.neg_fit.exponent <= -0.45
-    assert out.sigma_passed and abs(out.sigma_fit.exponent - out.sigma_predicted) < 0.10
-    assert out.duhamel_rel_error is None  # no trajectory, nothing to reconstruct
-    assert out.passed
+    verdicts = {v.name: v for v in out.verdicts}
+    assert verdicts["u-neg-sup-exponent"].passed and out.neg_fit.exponent <= -0.45
+    enhanced = verdicts["u-enhanced-exponent"]
+    assert enhanced.passed and abs(enhanced.measured - enhanced.predicted) < 0.10
+    assert "duhamel-reconstruction" not in verdicts  # no trajectory, nothing to reconstruct
+    assert all(v.passed for v in out.verdicts)
 
 
 def test_damped_mode_check_flags_out_of_theorem_range():

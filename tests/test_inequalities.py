@@ -8,19 +8,11 @@ from hypothesis import strategies as st
 from eulerfourier.inequalities import (
     RING_INNER,
     RING_OUTER,
-    InequalityReport,
     check_bernstein,
     check_commutator,
     check_interpolation,
     check_product,
 )
-
-
-def test_report_recomputes_pass_flag():
-    rep = InequalityReport(name="x", trials=1, worst_ratio=2.0, budget=1.0, passed=True)
-    assert rep.passed is False
-    rep2 = InequalityReport(name="x", trials=1, worst_ratio=0.5, budget=1.0, passed=False)
-    assert rep2.passed is True
 
 
 def test_radial_derivative_multiplier_is_exact_on_single_mode(grid1d):
@@ -31,17 +23,21 @@ def test_radial_derivative_multiplier_is_exact_on_single_mode(grid1d):
 
 
 def test_bernstein_ball(lp1d):
-    rep = check_bernstein(lp1d, np.random.default_rng(0), trials=40, k=1, support="ball")
-    assert rep.passed, f"worst ratio {rep.worst_ratio} > {rep.budget}"
+    (rep,) = check_bernstein(lp1d, np.random.default_rng(0), trials=40, k=1, support="ball")
+    assert rep.passed, f"worst ratio {rep.measured} > {rep.predicted}"
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_bernstein_annulus_is_two_sided(lp1d, k):
-    rep = check_bernstein(
+    upper, lower = check_bernstein(
         lp1d, np.random.default_rng(k), trials=40, k=k, support="annulus"
     )
-    assert rep.worst_ratio <= RING_OUTER**k + 1e-12
-    assert rep.extras["min_ratio"] >= RING_INNER**k - 1e-12
+    assert upper.name == f"bernstein-annulus-k{k}-upper"
+    assert lower.name == f"bernstein-annulus-k{k}-lower"
+    assert upper.measured <= RING_OUTER**k + 1e-12
+    assert lower.measured >= RING_INNER**k - 1e-12
+    assert upper.predicted == RING_OUTER**k and lower.predicted == RING_INNER**k
+    assert upper.passed and lower.passed
 
 
 def test_bernstein_argument_validation(lp1d):
@@ -53,8 +49,8 @@ def test_bernstein_argument_validation(lp1d):
 
 
 def test_interpolation_inequality(lp1d):
-    rep = check_interpolation(lp1d, np.random.default_rng(5), trials=40,
-                              s1=0.0, s2=1.0, theta_mix=0.5)
+    (rep,) = check_interpolation(lp1d, np.random.default_rng(5), trials=40,
+                                 s1=0.0, s2=1.0, theta_mix=0.5)
     assert rep.passed
     with pytest.raises(ValueError, match="s1 < s2"):
         check_interpolation(lp1d, np.random.default_rng(5), s1=1.0, s2=0.0)
@@ -68,9 +64,9 @@ def test_interpolation_inequality(lp1d):
     ("mixed", 0.5, -0.25),
 ])
 def test_product_inequalities(lp1d, variant, s1, s2):
-    rep = check_product(lp1d, np.random.default_rng(9), trials=30,
-                        s1=s1, s2=s2, variant=variant)
-    assert rep.passed, f"{variant}: worst ratio {rep.worst_ratio}"
+    (rep,) = check_product(lp1d, np.random.default_rng(9), trials=30,
+                           s1=s1, s2=s2, variant=variant)
+    assert rep.passed, f"{variant}: worst ratio {rep.measured}"
 
 
 def test_product_constraint_validation(lp1d):
@@ -86,7 +82,7 @@ def test_product_constraint_validation(lp1d):
 
 
 def test_commutator_inequality(lp1d):
-    rep = check_commutator(lp1d, np.random.default_rng(2), trials=30, s=0.0)
+    (rep,) = check_commutator(lp1d, np.random.default_rng(2), trials=30, s=0.0)
     assert rep.passed
     with pytest.raises(ValueError, match="s must lie"):
         check_commutator(lp1d, np.random.default_rng(2), s=5.0)
@@ -95,5 +91,5 @@ def test_commutator_inequality(lp1d):
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_bernstein_ball_holds_for_any_seed(lp1d, seed):
-    rep = check_bernstein(lp1d, np.random.default_rng(seed), trials=5, k=1, support="ball")
-    assert rep.passed, f"seed {seed}: ratio {rep.worst_ratio} > {rep.budget}"
+    (rep,) = check_bernstein(lp1d, np.random.default_rng(seed), trials=5, k=1, support="ball")
+    assert rep.passed, f"seed {seed}: ratio {rep.measured} > {rep.predicted}"

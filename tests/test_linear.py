@@ -13,7 +13,6 @@ from eulerfourier.linear import (
     reduced_symbol,
     saturating_profile,
     semigroup_besov_decay,
-    symbol_eigenvalues,
     symbol_matrix,
 )
 
@@ -55,7 +54,6 @@ def test_full_symbol_reduces_to_longitudinal_block_plus_transverse():
         red = np.linalg.eigvals(reduced_symbol(np.linalg.norm(xi)))
         expected = _sorted(list(red) + [-1.0] * (dim - 1))
         assert np.allclose(full, expected, atol=1e-10), f"dim={dim}"
-        assert np.allclose(_sorted(symbol_eigenvalues(xi)), expected, atol=1e-10)
 
 
 def test_low_frequency_eigenvalue_asymptotics():

@@ -178,7 +178,7 @@ def test_residual_inequality_holds_along_runs(amplitude):
     traj = _small_run(amplitude)
     for regime, j in [("low", 0), ("low", -1), ("high", 2), ("high", 0)]:
         series = lyapunov_residual(traj, j, regime=regime)
-        assert series.passed, (
+        assert series.verdict.passed, (
             f"{regime} shell {j} at amplitude {amplitude}: "
             f"worst ratio {np.max(series.ratio)}"
         )
@@ -199,7 +199,7 @@ def test_residual_is_vacuous_on_spectrally_empty_shells():
                        snapshot_stride=1, epsilon0=None)
     traj = integrate(grid, state, cfg)
     series = lyapunov_residual(traj, 3, regime="high")
-    assert series.passed
+    assert series.verdict.passed
     assert np.all(series.ratio == 0.0), "empty shell must pass vacuously"
 
 
