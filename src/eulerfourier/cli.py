@@ -136,8 +136,8 @@ def _decay_targets(cfg: RunConfig):
 
     opts = cfg.options
     targets = [RateTarget(sigma=float(opts["sigma"]), component="state",
-                          tolerance=float(opts.get("tolerance_state", opts.get("tolerance", 0.05))))]
-    if opts.get("with_u") and int(opts["dim"]) >= 2:
+                          tolerance=float(opts["tolerance_state"]))]
+    if opts.get("with_u"):
         targets.append(RateTarget(sigma=float(opts["sigma_u"]), component="u",
                                   tolerance=float(opts["tolerance_u"])))
     return targets
@@ -247,17 +247,12 @@ def _run_lyapunov(cfg: RunConfig) -> RunnerResult:
     eta = float(opts["eta"])
     shells = [j for j in range(int(opts["j_lo"]), int(opts["j_hi"]) + 1)
               if j in lp.shells]
-    verdicts: list[Verdict] = []
-    curves: dict = {}
-    for regime in ("low", "high"):
-        # each functional is coercive only on its own side of the split
-        for j in lp.split.select(shells, regime):
-            res = lyapunov_residual(traj, j, regime=regime, eta=eta,
-                                    budget=float(opts["budget"]), lp=lp)
-            verdicts.append(res.verdict)
-            curves[f"energy_{regime}_j{j}"] = (
-                res.times, res.energy, {"regime": regime, "shell": j, "eta": eta})
-    return verdicts, curves, []
+    # each functional is coercive only on its own side of the split
+    pairs = [(regime, j) for regime in ("low", "high") for j in lp.split.select(shells, regime)]
+    results = lyapunov_residual(traj, pairs, eta=eta, budget=float(opts["budget"]), lp=lp)
+    curves = {f"energy_{r.regime}_j{r.j}":
+              (r.times, r.energy, {"regime": r.regime, "shell": r.j, "eta": eta}) for r in results}
+    return [r.verdict for r in results], curves, []
 
 
 def _run_damped_mode(cfg: RunConfig) -> RunnerResult:

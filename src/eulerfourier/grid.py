@@ -35,6 +35,9 @@ class PeriodicGrid:
     wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False)
     kmag: np.ndarray = field(init=False, repr=False)
     dealias_mask: np.ndarray = field(init=False, repr=False)
+    # np.ix_ index of this grid's modes in any finer grid's layout: signed
+    # integer frequencies, the negative ones counted from the end of each axis
+    mode_index: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -62,6 +65,8 @@ class PeriodicGrid:
         for m in maxes:
             mask &= m <= mcut
         object.__setattr__(self, "dealias_mask", mask)
+        idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+        object.__setattr__(self, "mode_index", np.ix_(*([idx] * self.dim)))
 
     # ------------------------------------------------------------------
     @property
@@ -97,15 +102,6 @@ class PeriodicGrid:
         if fhat.shape != self.shape:
             raise ValueError(f"field shape {fhat.shape} != grid shape {self.shape}")
         return np.real(np.fft.ifftn(fhat) * self.npts**self.dim)
-
-    def derivative(self, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        """Spectral derivative d^order/dx_axis^order of a real field."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        fhat = self.forward(f)
-        return self.inverse(fhat * (1j * self.wavenumbers[axis]) ** order)
 
     def derivative_hat(self, fhat: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
         return fhat * (1j * self.wavenumbers[axis]) ** order
@@ -155,16 +151,12 @@ class PeriodicGrid:
         if fine.npts < self.npts or fine.dim != self.dim:
             raise ValueError("target grid must refine this one")
         out = np.zeros(fine.shape, dtype=complex)
-        idx = np.fft.fftfreq(self.npts, d=1.0 / self.npts).astype(int)
-        sel = np.ix_(*([idx] * self.dim))
-        out[sel] = fhat
+        out[self.mode_index] = fhat
         return out
 
     def restrict_from(self, fhat_fine: np.ndarray, fine: "PeriodicGrid") -> np.ndarray:
         """Keep only this grid's modes from a finer grid's coefficients."""
-        idx = np.fft.fftfreq(self.npts, d=1.0 / self.npts).astype(int)
-        sel = np.ix_(*([idx] * self.dim))
-        return fhat_fine[sel]
+        return fhat_fine[self.mode_index]
 
 
 def alias_free_product(

@@ -102,20 +102,14 @@ class FrequencySplit:
 
     j0: int = 0
 
-    def low_shells(self, shells: range) -> list[int]:
-        return [j for j in shells if j <= self.j0]
-
-    def high_shells(self, shells: range) -> list[int]:
-        return [j for j in shells if j >= self.j0 - 1]
-
     def select(self, shells, regime: str) -> list[int]:
         """Shells of one regime: ``"all"``, ``"low"`` or ``"high"``."""
         if regime == "all":
             return list(shells)
         if regime == "low":
-            return self.low_shells(shells)
+            return [j for j in shells if j <= self.j0]
         if regime == "high":
-            return self.high_shells(shells)
+            return [j for j in shells if j >= self.j0 - 1]
         raise ValueError(f"regime must be 'all', 'low' or 'high', got {regime!r}")
 
 
@@ -178,6 +172,22 @@ class LittlewoodPaley:
     def block(self, f: np.ndarray, j: int) -> np.ndarray:
         """Physical-space dyadic block of a real field."""
         return self.grid.inverse(self.block_hat(self.grid.forward(f), j))
+
+    def commutators(self, f: np.ndarray, g: np.ndarray, shells) -> list[np.ndarray]:
+        """``[P_j, f] g = P_j(f g) - f P_j(g)`` for every j of ``shells``, both
+        products alias-free on the 2x refined grid.  ``f g`` and ``f`` on that
+        grid are formed once; each shell then costs one product ``f P_j(g)``."""
+        grid = self.grid
+        fine = grid.refine(2)
+        f_fine = fine.inverse(grid.pad_to(grid.forward(f), fine))
+
+        def times_f(h: np.ndarray) -> np.ndarray:
+            h_fine = fine.inverse(grid.pad_to(grid.forward(h), fine))
+            return grid.inverse(grid.restrict_from(fine.forward(f_fine * h_fine), fine))
+
+        fg_hat = grid.forward(times_f(g))
+        return [grid.inverse(self.block_hat(fg_hat, j)) - times_f(self.block(g, j))
+                for j in shells]
 
     # ------------------------------------------------------------------
     def shell_l2_hat(self, fhat: np.ndarray, j: int) -> float:

@@ -19,17 +19,24 @@ check probes the trajectory itself, not the solver internals.  The pass
 rule lives in one place, :attr:`LyapunovResidualSeries.verdict`: the
 worst ratio of the left side to the nonlinear products is at most
 ``budget``.
+
+One pass over the snapshots serves every (regime, shell) pair: the terms
+that do not depend on the shell (transforms, products, the tendency, sup
+norms, commutator factors) are formed once per snapshot, and each shell
+adds only its ``P_j`` work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .grid import PeriodicGrid, StateFields, alias_free_product
+from .grid import PeriodicGrid, StateFields
 from .littlewood import LittlewoodPaley
 from .reporting import Verdict
 from .solver import PositivityViolation, TrajectoryRecord, nonlinear_rhs
@@ -78,44 +85,220 @@ def _vec_sq(grid: PeriodicGrid, vec) -> float:
     return float(sum(_sq(grid, comp) for comp in vec))
 
 
+def _vec_norm(lp: LittlewoodPaley, hats, j: int) -> float:
+    """Shell-j L^2 norm of a vector field given by its components' hats."""
+    return math.sqrt(sum(lp.shell_l2_hat(h, j) ** 2 for h in hats))
+
+
+def _sup(f: np.ndarray) -> float:
+    return float(np.max(np.abs(f)))
+
+
+def _dealiased(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
+    return grid.inverse(grid.dealias(grid.forward(f)))
+
+
 def _check_positive(state: StateFields) -> None:
     if np.min(state.a) <= -1.0 or np.min(state.theta) <= -1.0:
         raise PositivityViolation("density or temperature lost positivity")
 
 
 # ----------------------------------------------------------------------
-# functionals
+# the terms of one snapshot
 
 
-def _shell_functionals(
-    lp: LittlewoodPaley, state: StateFields, j: int, beta: float, weight
-) -> tuple[float, float]:
-    """Energy and dissipation of shell ``j``: mixed weight ``beta`` and
-    density weight ``weight`` (a scalar or a pointwise field)."""
-    grid = lp.grid
-    a_j = lp.block(state.a, j)
-    u_j = [lp.block(comp, j) for comp in state.u]
-    th_j = lp.block(state.theta, j)
-    grad_a = grid.gradient(a_j)
-    grad_th = grid.gradient(th_j)
+class _SnapshotTerms:
+    """The shell-independent terms of one state, each formed once on first use.
 
-    cross_au = sum(_inner(grid, ga, uc) for ga, uc in zip(grad_a, u_j))
-    energy = 0.5 * (
-        _inner(grid, weight, a_j * a_j) + _vec_sq(grid, u_j) + _sq(grid, th_j)
-    )
-    energy += beta * cross_au
+    Per-shell methods apply only ``P_j`` to them; the shell blocks of the
+    state are kept per shell, shared by both regimes' functionals and bounds.
+    """
 
-    div_u = grid.divergence(np.stack(u_j))
-    cross_tha = sum(_inner(grid, gt, ga) for gt, ga in zip(grad_th, grad_a))
-    dissipation = (
-        _vec_sq(grid, u_j)
-        + _vec_sq(grid, grad_th)
-        + beta * _vec_sq(grid, grad_a)
-        - beta * _sq(grid, div_u)
-        + beta * cross_au
-        + beta * cross_tha
-    )
-    return energy, dissipation
+    def __init__(self, lp: LittlewoodPaley, state: StateFields, high_shells=()):
+        self.lp, self.grid, self.state = lp, lp.grid, state
+        self.high_shells = list(high_shells)
+        self._blocks: dict[int, tuple] = {}
+
+    @cached_property
+    def hats(self) -> list[np.ndarray]:
+        """Hats of a, u_1, ..., u_d and theta."""
+        return [self.grid.forward(c) for c in self.state.components()]
+
+    def norms(self, j: int) -> tuple[float, float, float]:
+        """Shell-j L^2 norms of a, u and theta."""
+        lp, hats = self.lp, self.hats
+        return (lp.shell_l2_hat(hats[0], j), _vec_norm(lp, hats[1:-1], j),
+                lp.shell_l2_hat(hats[-1], j))
+
+    def shell(self, j: int) -> tuple:
+        """Blocks a_j, u_j, theta_j with grad a_j, grad theta_j and div u_j."""
+        if j not in self._blocks:
+            grid = self.grid
+            a_j, *u_j, th_j = (grid.inverse(self.lp.block_hat(h, j)) for h in self.hats)
+            self._blocks[j] = (a_j, u_j, th_j, grid.gradient(a_j), grid.gradient(th_j),
+                               grid.divergence(np.stack(u_j)))
+        return self._blocks[j]
+
+    @cached_property
+    def coef(self) -> SimpleNamespace:
+        """grad a, grad u_m, div u, ratio_s = a/(1+a), grad ratio_s, ratio_v = (1+theta)/(1+a)."""
+        grid, a, u, th = self.grid, self.state.a, self.state.u, self.state.theta
+        ratio_s = a / (1.0 + a)
+        return SimpleNamespace(
+            grad_a=grid.gradient(a), grad_u=[grid.gradient(c) for c in u],
+            div_u=grid.divergence(u), ratio_s=ratio_s, grad_s=grid.gradient(ratio_s),
+            ratio_v=(1.0 + th) / (1.0 + a))
+
+    @cached_property
+    def weight(self):
+        """Entropic weight (1+theta)/(1+a)**2 of the unfiltered state."""
+        _check_positive(self.state)
+        return (1.0 + self.state.theta) / (1.0 + self.state.a) ** 2
+
+    @cached_property
+    def products(self):
+        """Hats of dealiased a u, (u.grad) u, ((theta-a)/(1+a)) grad a, u theta; div(a u)."""
+        grid, d, k = self.grid, self.grid.dim, self.coef
+        a, u, th = self.state.a, self.state.u, self.state.theta
+        au = [_dealiased(grid, a * u[m]) for m in range(d)]
+        adv = [_dealiased(grid, sum(u[n] * k.grad_u[m][n] for n in range(d))) for m in range(d)]
+        coef_bad = (th - a) / (1.0 + a)
+        bad = [_dealiased(grid, coef_bad * k.grad_a[m]) for m in range(d)]
+        uth = [_dealiased(grid, u[m] * th) for m in range(d)]
+        hats = [[grid.forward(c) for c in group] for group in (au, adv, bad, uth)]
+        return *hats, grid.forward(grid.divergence(np.stack(au)))
+
+    @cached_property
+    def low_fluxes(self):
+        """Hats of the dealiased (a/(1+a)) grad theta and grad(a/(1+a)) . grad theta."""
+        grid, d, k = self.grid, self.grid.dim, self.coef
+        grad_th = grid.gradient(self.state.theta)
+        sflux = [grid.forward(_dealiased(grid, k.ratio_s * grad_th[m])) for m in range(d)]
+        gcoef = _dealiased(grid, sum(k.grad_s[m] * grad_th[m] for m in range(d)))
+        return sflux, grid.forward(gcoef)
+
+    @cached_property
+    def high_sups(self):
+        """Sup norms of d/dt weight (along the tendency), |grad ratio_v|,
+        div(weight u), div u, |grad ratio_s|, ratio_s and weight."""
+        grid, d, k = self.grid, self.grid.dim, self.coef
+        a, u, th = self.state.a, self.state.u, self.state.theta
+        weight = self.weight
+        tend = nonlinear_rhs(grid, self.state)
+        dt_weight = tend.theta / (1.0 + a) ** 2 - 2.0 * (1.0 + th) / (1.0 + a) ** 3 * tend.a
+        grad_w = grid.gradient(weight)
+        div_wu = weight * k.div_u + sum(grad_w[m] * u[m] for m in range(d))
+        grad_v = grid.gradient(k.ratio_v)
+        return (_sup(dt_weight), _sup(np.sqrt(sum(g * g for g in grad_v))), _sup(div_wu),
+                _sup(k.div_u), _sup(np.sqrt(sum(g * g for g in k.grad_s))), _sup(k.ratio_s),
+                _sup(weight))
+
+    @cached_property
+    def remainders(self) -> dict[int, tuple]:
+        """Commutator remainders (R1, [R2_m], R3) of every shell in ``high_shells``."""
+        _check_positive(self.state)
+        grid, d, k, state = self.grid, self.grid.dim, self.coef, self.state
+        shells = self.high_shells
+
+        def subtract(total, f, g):
+            for r, c in zip(total, self.lp.commutators(f, g, shells)):
+                r -= c
+
+        r1 = [-c for c in self.lp.commutators(state.a, k.div_u, shells)]
+        for m in range(d):
+            subtract(r1, state.u[m], k.grad_a[m])
+        r2 = []
+        for m in range(d):
+            r2.append([-c for c in self.lp.commutators(k.ratio_v, k.grad_a[m], shells)])
+            for n in range(d):
+                subtract(r2[m], state.u[n], k.grad_u[m][n])
+        r3 = self.lp.commutators(k.ratio_s, grid.laplacian(state.theta), shells)
+        return {j: (r1[i], [comp[i] for comp in r2], r3[i]) for i, j in enumerate(shells)}
+
+    # ------------------------------------------------------------------
+    # per-shell work
+
+    def functionals(self, j: int, eta: float, regime: str) -> tuple[float, float]:
+        """Energy and dissipation of shell ``j`` (see the public wrappers)."""
+        grid = self.grid
+        low = regime == "low"
+        if not 0.0 < eta < 1.0:
+            raise ValueError(f"eta{1 if low else 2} must lie in (0, 1)")
+        beta = eta if low else eta * 2.0 ** (-2 * j)
+        weight = 1.0 if low else self.weight
+        a_j, u_j, th_j, grad_a, grad_th, div_u = self.shell(j)
+
+        cross_au = sum(_inner(grid, ga, uc) for ga, uc in zip(grad_a, u_j))
+        energy = 0.5 * (
+            _inner(grid, weight, a_j * a_j) + _vec_sq(grid, u_j) + _sq(grid, th_j)
+        )
+        energy += beta * cross_au
+
+        cross_tha = sum(_inner(grid, gt, ga) for gt, ga in zip(grad_th, grad_a))
+        dissipation = (
+            _vec_sq(grid, u_j)
+            + _vec_sq(grid, grad_th)
+            + beta * _vec_sq(grid, grad_a)
+            - beta * _sq(grid, div_u)
+            + beta * cross_au
+            + beta * cross_tha
+        )
+        return energy, dissipation
+
+    def low_bound(self, j: int, eta: float) -> float:
+        """Right side of the low-shell inequality: the four norm products."""
+        lp = self.lp
+        au, adv, bad, uth, _ = self.products
+        sflux, gcoef = self.low_fluxes
+        _, u_j, th_j = self.norms(j)
+        _, _, _, grad_a, grad_th, _ = self.shell(j)
+        na_j = math.sqrt(_vec_sq(self.grid, grad_a))
+        th_grad_j = math.sqrt(_vec_sq(self.grid, grad_th))
+
+        term1 = (1.0 + 4.0**j * eta) * _vec_norm(lp, au, j) * math.hypot(na_j, u_j)
+        term2 = (
+            (1.0 + eta)
+            * math.hypot(_vec_norm(lp, adv, j), _vec_norm(lp, bad, j))
+            * math.hypot(u_j, na_j)
+        )
+        term3 = math.hypot(_vec_norm(lp, uth, j), _vec_norm(lp, sflux, j)) * th_grad_j
+        term4 = lp.shell_l2_hat(gcoef, j) * th_j
+        return term1 + term2 + term3 + term4
+
+    def high_bound(self, j: int, eta: float) -> float:
+        """Right side of the high-shell inequality, sup-norm coefficients and all."""
+        grid, lp = self.grid, self.lp
+        beta = eta * 2.0 ** (-2 * j)
+        dtw_sup, grad_v_sup, div_wu_sup, div_u_sup, grad_s_sup, ratio_s_sup, weight_sup = (
+            self.high_sups)
+        a_j, u_j, th_j = self.norms(j)
+        _, _, _, grad_a, grad_th, div_u = self.shell(j)
+        th_grad_j = math.sqrt(_vec_sq(grid, grad_th))
+        a_grad_j = math.sqrt(_vec_sq(grid, grad_a))
+        divu_j = grid.l2_norm(div_u)
+        _, adv, bad, uth, div_au = self.products
+
+        r1, r2, r3 = self.remainders[j]
+        r1_n = grid.l2_norm(r1)
+        r2_n = math.sqrt(sum(grid.l2_norm(c) ** 2 for c in r2))
+        r3_n = grid.l2_norm(r3)
+
+        total = 0.5 * dtw_sup * a_j**2
+        total += grad_v_sup * u_j * a_j
+        total += 0.5 * div_wu_sup * a_j**2
+        total += 0.5 * div_u_sup * u_j**2
+        total += _vec_norm(lp, uth, j) * th_grad_j
+        total += grad_s_sup * th_grad_j * th_j
+        total += ratio_s_sup * th_grad_j**2
+        total += r1_n * weight_sup * a_j + r2_n * u_j + r3_n * th_j
+        total += beta * lp.shell_l2_hat(div_au, j) * divu_j
+        total += beta * _vec_norm(lp, adv, j) * a_grad_j
+        total += beta * _vec_norm(lp, bad, j) * a_grad_j
+        return total
+
+
+# ----------------------------------------------------------------------
+# functionals and commutators of a single state
 
 
 def low_freq_functionals(
@@ -130,9 +313,7 @@ def low_freq_functionals(
              - eta1 ||div u_j||^2 + eta1 <u_j, grad a_j>
              + eta1 <grad th_j, grad a_j>
     """
-    if not 0.0 < eta1 < 1.0:
-        raise ValueError("eta1 must lie in (0, 1)")
-    return _shell_functionals(lp, state, j, eta1, 1.0)
+    return _SnapshotTerms(lp, state).functionals(j, eta1, "low")
 
 
 def high_freq_functionals(
@@ -144,15 +325,7 @@ def high_freq_functionals(
     ``(1+theta)/(1+a)**2`` evaluated on the unfiltered state, and every
     mixed/auxiliary term is scaled by ``eta2 * 2**(-2j)``.
     """
-    if not 0.0 < eta2 < 1.0:
-        raise ValueError("eta2 must lie in (0, 1)")
-    _check_positive(state)
-    weight = (1.0 + state.theta) / (1.0 + state.a) ** 2
-    return _shell_functionals(lp, state, j, eta2 * 2.0 ** (-2 * j), weight)
-
-
-# ----------------------------------------------------------------------
-# commutator remainders
+    return _SnapshotTerms(lp, state).functionals(j, eta2, "high")
 
 
 def commutator_remainders(
@@ -162,41 +335,13 @@ def commutator_remainders(
     with multiplication by the solution-dependent coefficients.
 
     With ``[P_j, f] g = P_j(f g) - f P_j(g)`` (both products alias-free on a
-    refined grid):
+    refined grid, :meth:`LittlewoodPaley.commutators`):
 
         R1 = -[P_j, 1+a] div u - sum_m [P_j, u_m] d_m a
         R2_m = -sum_n [P_j, u_n] d_n u_m - [P_j, (1+theta)/(1+a)] d_m a
         R3 = [P_j, a/(1+a)] lap theta
     """
-    _check_positive(state)
-    grid = lp.grid
-    fine = grid.refine(2)
-    d = grid.dim
-
-    def commutator(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        first = lp.block(alias_free_product(grid, fine, f, g), j)
-        second = alias_free_product(grid, fine, f, lp.block(g, j))
-        return first - second
-
-    div_u = grid.divergence(state.u)
-    grad_a = grid.gradient(state.a)
-    ratio_v = (1.0 + state.theta) / (1.0 + state.a)
-    ratio_s = state.a / (1.0 + state.a)
-
-    r1 = -commutator(state.a, div_u)
-    for m in range(d):
-        r1 -= commutator(state.u[m], grad_a[m])
-
-    r2 = []
-    for m in range(d):
-        comp = -commutator(ratio_v, grad_a[m])
-        grad_um = grid.gradient(state.u[m])
-        for n in range(d):
-            comp -= commutator(state.u[n], grad_um[n])
-        r2.append(comp)
-
-    r3 = commutator(ratio_s, grid.laplacian(state.theta))
-    return r1, r2, r3
+    return _SnapshotTerms(lp, state, [j]).remainders[j]
 
 
 # ----------------------------------------------------------------------
@@ -287,133 +432,18 @@ class LyapunovResidualSeries:
         )
 
 
-def _shell_norm(lp: LittlewoodPaley, f: np.ndarray, j: int) -> float:
-    return lp.shell_l2_hat(lp.grid.forward(f), j)
-
-
-def _shell_vec_norm(lp: LittlewoodPaley, vec, j: int) -> float:
-    return math.sqrt(sum(_shell_norm(lp, comp, j) ** 2 for comp in vec))
-
-
-def _shell_grad_norm(lp: LittlewoodPaley, f: np.ndarray, j: int) -> float:
-    return math.sqrt(_vec_sq(lp.grid, lp.grid.gradient(lp.block(f, j))))
-
-
-def _sup(grid: PeriodicGrid, f: np.ndarray) -> float:
-    return float(np.max(np.abs(f)))
-
-
-def _dealiased(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    return grid.inverse(grid.dealias(grid.forward(f)))
-
-
-def _products(grid: PeriodicGrid, state: StateFields):
-    """Dealiased a u, (u . grad) u, ((theta - a)/(1 + a)) grad a and u theta."""
-    d = grid.dim
-    a, u, th = state.a, state.u, state.theta
-    au = [_dealiased(grid, a * u[m]) for m in range(d)]
-    adv = []
-    for m in range(d):
-        grad_um = grid.gradient(u[m])
-        adv.append(_dealiased(grid, sum(u[n] * grad_um[n] for n in range(d))))
-    grad_a = grid.gradient(a)
-    coef_bad = (th - a) / (1.0 + a)
-    bad = [_dealiased(grid, coef_bad * grad_a[m]) for m in range(d)]
-    uth = [_dealiased(grid, u[m] * th) for m in range(d)]
-    return au, adv, bad, uth
-
-
-def _low_nl_bound(lp: LittlewoodPaley, state: StateFields, j: int, eta: float) -> float:
-    """Right side of the low-shell inequality: the four norm products."""
-    grid = lp.grid
-    d = grid.dim
-    a, u, th = state.a, state.u, state.theta
-
-    au, adv, bad, uth = _products(grid, state)
-    ratio_s = a / (1.0 + a)
-    grad_th = grid.gradient(th)
-    sflux = [_dealiased(grid, ratio_s * grad_th[m]) for m in range(d)]
-    grad_s = grid.gradient(ratio_s)
-    gcoef = _dealiased(grid, sum(grad_s[m] * grad_th[m] for m in range(d)))
-
-    na_j = _shell_grad_norm(lp, a, j)
-    u_j = _shell_vec_norm(lp, u, j)
-    th_j = _shell_norm(lp, th, j)
-    th_grad_j = _shell_grad_norm(lp, th, j)
-
-    term1 = (1.0 + 4.0**j * eta) * _shell_vec_norm(lp, au, j) * math.hypot(na_j, u_j)
-    term2 = (
-        (1.0 + eta)
-        * math.hypot(_shell_vec_norm(lp, adv, j), _shell_vec_norm(lp, bad, j))
-        * math.hypot(u_j, na_j)
-    )
-    term3 = math.hypot(_shell_vec_norm(lp, uth, j), _shell_vec_norm(lp, sflux, j)) * th_grad_j
-    term4 = _shell_norm(lp, gcoef, j) * th_j
-    return term1 + term2 + term3 + term4
-
-
-def _high_nl_bound(lp: LittlewoodPaley, state: StateFields, j: int, eta: float) -> float:
-    """Right side of the high-shell inequality, sup-norm coefficients and all."""
-    grid = lp.grid
-    d = grid.dim
-    a, u, th = state.a, state.u, state.theta
-    beta = eta * 2.0 ** (-2 * j)
-
-    weight = (1.0 + th) / (1.0 + a) ** 2
-    ratio_v = (1.0 + th) / (1.0 + a)
-    ratio_s = a / (1.0 + a)
-
-    tend = nonlinear_rhs(grid, state)
-    dt_weight = tend.theta / (1.0 + a) ** 2 - 2.0 * (1.0 + th) / (1.0 + a) ** 3 * tend.a
-
-    grad_w = grid.gradient(weight)
-    div_u = grid.divergence(u)
-    div_wu = weight * div_u + sum(grad_w[m] * u[m] for m in range(d))
-    grad_v = grid.gradient(ratio_v)
-    grad_s = grid.gradient(ratio_s)
-
-    a_j = _shell_norm(lp, a, j)
-    u_j = _shell_vec_norm(lp, u, j)
-    th_j = _shell_norm(lp, th, j)
-    th_grad_j = _shell_grad_norm(lp, th, j)
-    a_grad_j = _shell_grad_norm(lp, a, j)
-    divu_j = grid.l2_norm(grid.divergence(np.stack([lp.block(c, j) for c in u])))
-
-    au, adv, bad, uth = _products(grid, state)
-    div_au = grid.divergence(np.stack(au))
-
-    r1, r2, r3 = commutator_remainders(lp, state, j)
-    r1_n = grid.l2_norm(r1)
-    r2_n = math.sqrt(sum(grid.l2_norm(c) ** 2 for c in r2))
-    r3_n = grid.l2_norm(r3)
-
-    grad_v_sup = _sup(grid, np.sqrt(sum(g * g for g in grad_v)))
-    grad_s_sup = _sup(grid, np.sqrt(sum(g * g for g in grad_s)))
-
-    total = 0.5 * _sup(grid, dt_weight) * a_j**2
-    total += grad_v_sup * u_j * a_j
-    total += 0.5 * _sup(grid, div_wu) * a_j**2
-    total += 0.5 * _sup(grid, div_u) * u_j**2
-    total += _shell_vec_norm(lp, uth, j) * th_grad_j
-    total += grad_s_sup * th_grad_j * th_j
-    total += _sup(grid, ratio_s) * th_grad_j**2
-    total += r1_n * _sup(grid, weight) * a_j + r2_n * u_j + r3_n * th_j
-    total += beta * _shell_norm(lp, div_au, j) * divu_j
-    total += beta * _shell_vec_norm(lp, adv, j) * a_grad_j
-    total += beta * _shell_vec_norm(lp, bad, j) * a_grad_j
-    return total
-
-
 def lyapunov_residual(
     trajectory: TrajectoryRecord,
-    j: int,
-    regime: str = "low",
+    pairs,
     eta: float = DEFAULT_ETA,
     budget: float = RESIDUAL_BUDGET,
     lp: LittlewoodPaley | None = None,
-) -> LyapunovResidualSeries:
+) -> list[LyapunovResidualSeries]:
     """Check ``d/dt E_j + c Q_j <= budget * NL_j`` along stored snapshots.
 
+    ``pairs`` is a sequence of ``(regime, j)``; one series per pair comes
+    back in that order.  The snapshots are walked once for all pairs, and
+    only one snapshot's shell-independent terms are held at a time.
     ``E_j`` is differentiated by centered differences; samples whose
     third-derivative error estimate exceeds a tenth of the dissipation are
     dropped, and if none survive the stride is declared too coarse.  ``c``
@@ -422,14 +452,14 @@ def lyapunov_residual(
     bound passes when the left side is within differencing error of zero
     (covers the zero trajectory, where every term vanishes).
     """
-    if regime not in ("low", "high"):
-        raise ValueError(f"unknown regime {regime!r}")
+    pairs = list(pairs)
+    for regime, _ in pairs:
+        if regime not in ("low", "high"):
+            raise ValueError(f"unknown regime {regime!r}")
     snaps = trajectory.snapshots
     times = np.asarray(trajectory.snapshot_times, dtype=float)
     if len(snaps) < 5:
-        raise StrideTooCoarse(
-            "need at least five snapshots for centered differencing"
-        )
+        raise StrideTooCoarse("need at least five snapshots for centered differencing")
     steps = np.diff(times)
     h = float(steps[0])
     if not np.allclose(steps, h, rtol=1e-8, atol=0.0):
@@ -437,92 +467,68 @@ def lyapunov_residual(
 
     if lp is None:
         lp = LittlewoodPaley(trajectory.grid)
-    margin = coercivity_margin(j, eta, regime)
-    c = 0.5 * margin
+    grid = lp.grid
+    margins = [coercivity_margin(j, eta, regime) for regime, j in pairs]
+    high_shells = sorted({j for regime, j in pairs if regime == "high"})
 
     n = len(snaps)
-    energy = np.empty(n)
-    dissipation = np.empty(n)
-    target = np.empty(n)
-    nl = np.empty(n)
-    low = regime == "low"
-    functionals = low_freq_functionals if low else high_freq_functionals
-    nl_bound = _low_nl_bound if low else _high_nl_bound
+    energy, dissipation, target, nl = (np.empty((len(pairs), n)) for _ in range(4))
+    scales = []
     for i, state in enumerate(snaps):
-        energy[i], dissipation[i] = functionals(lp, state, j, eta)
-        nl[i] = nl_bound(lp, state, j, eta)
-        a_j = _shell_norm(lp, state.a, j)
-        th_j = _shell_norm(lp, state.theta, j)
-        u_j = _shell_vec_norm(lp, state.u, j)
-        if low:
-            target[i] = 4.0**j * (a_j**2 + th_j**2) + u_j**2
-        else:
-            target[i] = a_j**2 + u_j**2 + 4.0**j * th_j**2
-
-    # centered first derivative and a third-derivative error estimate;
-    # both need two neighbours, so the usable window is [2, n-3]
-    idx = np.arange(2, n - 2)
-    dEdt = (energy[idx + 1] - energy[idx - 1]) / (2.0 * h)
-    third = (
-        energy[idx + 2] - 2.0 * energy[idx + 1] + 2.0 * energy[idx - 1] - energy[idx - 2]
-    ) / (2.0 * h**3)
-    fd_err = h * h * np.abs(third) / 6.0
+        terms = _SnapshotTerms(lp, state, high_shells)
+        for k, (regime, j) in enumerate(pairs):
+            low = regime == "low"
+            energy[k, i], dissipation[k, i] = terms.functionals(j, eta, regime)
+            nl[k, i] = terms.low_bound(j, eta) if low else terms.high_bound(j, eta)
+            a_j, u_j, th_j = terms.norms(j)
+            if low:
+                target[k, i] = 4.0**j * (a_j**2 + th_j**2) + u_j**2
+            else:
+                target[k, i] = a_j**2 + u_j**2 + 4.0**j * th_j**2
+        scales.append(
+            grid.l2_norm(state.a) ** 2
+            + sum(grid.l2_norm(c) ** 2 for c in state.u)
+            + grid.l2_norm(state.theta) ** 2
+        )
 
     # samples where the shell holds nothing but the solve's own roundoff are
     # vacuous passes.  The floor must be set by the whole state: a shell that
     # is uniformly noise would always clear a floor taken from its own series,
     # and its energy then fluctuates at scales unrelated to the dynamics.
-    grid = lp.grid
-    state_scale = max(
-        grid.l2_norm(s.a) ** 2
-        + sum(grid.l2_norm(c) ** 2 for c in s.u)
-        + grid.l2_norm(s.theta) ** 2
-        for s in snaps
-    )
-    floor = VACUOUS_SHARE * state_scale
-    vacuous = dissipation[idx] <= floor
-    keep = vacuous | (fd_err <= FD_ERROR_SHARE * dissipation[idx])
-    n_dropped = int(np.sum(~keep))
-    if not np.any(keep):
-        raise StrideTooCoarse(
-            f"differencing error exceeds {FD_ERROR_SHARE:.0%} of the dissipation "
-            "at every snapshot; store snapshots more often"
-        )
-    sel = idx[keep]
-    vacuous = vacuous[keep]
-    dEdt = dEdt[keep]
-    fd_err = fd_err[keep]
+    floor = VACUOUS_SHARE * max(scales)
+    # centered first derivative and a third-derivative error estimate;
+    # both need two neighbours, so the usable window is [2, n-3]
+    idx = np.arange(2, n - 2)
+    series = []
+    for k, (regime, j) in enumerate(pairs):
+        e = energy[k]
+        dEdt = (e[idx + 1] - e[idx - 1]) / (2.0 * h)
+        third = (e[idx + 2] - 2.0 * e[idx + 1] + 2.0 * e[idx - 1] - e[idx - 2]) / (2.0 * h**3)
+        fd_err = h * h * np.abs(third) / 6.0
 
-    lhs = dEdt + c * target[sel]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            nl[sel] > 0.0,
-            lhs / np.where(nl[sel] > 0.0, nl[sel], 1.0),
-            np.where(lhs <= fd_err, 0.0, np.inf),
-        )
-        ratio = np.where(vacuous, 0.0, ratio)
-        diss_ratio = np.where(
-            dissipation[sel] > floor,
-            lhs / np.where(dissipation[sel] > floor, dissipation[sel], 1.0),
-            0.0,
-        )
+        vacuous = dissipation[k, idx] <= floor
+        keep = vacuous | (fd_err <= FD_ERROR_SHARE * dissipation[k, idx])
+        if not np.any(keep):
+            raise StrideTooCoarse(
+                f"differencing error exceeds {FD_ERROR_SHARE:.0%} of the dissipation "
+                "at every snapshot; store snapshots more often"
+            )
+        sel = idx[keep]
+        vacuous, dEdt, fd_err = vacuous[keep], dEdt[keep], fd_err[keep]
+        diss, nl_k = dissipation[k, sel], nl[k, sel]
 
-    return LyapunovResidualSeries(
-        j=j,
-        regime=regime,
-        eta=eta,
-        coercivity_margin=margin,
-        c=c,
-        budget=budget,
-        times=times[sel],
-        energy=energy[sel],
-        dEdt=dEdt,
-        target=target[sel],
-        dissipation=dissipation[sel],
-        nl_bound=nl[sel],
-        lhs=lhs,
-        ratio=ratio,
-        dissipation_ratio=diss_ratio,
-        fd_error=fd_err,
-        n_dropped=n_dropped,
-    )
+        c = 0.5 * margins[k]
+        lhs = dEdt + c * target[k, sel]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(nl_k > 0.0, lhs / np.where(nl_k > 0.0, nl_k, 1.0),
+                             np.where(lhs <= fd_err, 0.0, np.inf))
+            ratio = np.where(vacuous, 0.0, ratio)
+            diss_ratio = np.where(diss > floor, lhs / np.where(diss > floor, diss, 1.0), 0.0)
+
+        series.append(LyapunovResidualSeries(
+            j=j, regime=regime, eta=eta, coercivity_margin=margins[k], c=c, budget=budget,
+            times=times[sel], energy=e[sel], dEdt=dEdt, target=target[k, sel],
+            dissipation=diss, nl_bound=nl_k, lhs=lhs, ratio=ratio,
+            dissipation_ratio=diss_ratio, fd_error=fd_err, n_dropped=int(np.sum(~keep)),
+        ))
+    return series

@@ -185,8 +185,8 @@ def test_shell_series_chemin_lerner_on_constant_series(grid1d, lp1d, rng):
 def test_frequency_split_overlap():
     split = FrequencySplit(j0=0)
     shells = range(-4, 3)
-    low = split.low_shells(shells)
-    high = split.high_shells(shells)
+    low = split.select(shells, "low")
+    high = split.select(shells, "high")
     assert sorted(set(low) | set(high)) == list(shells)
     assert sorted(set(low) & set(high)) == [-1, 0]
 

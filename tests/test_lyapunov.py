@@ -14,7 +14,7 @@ from eulerfourier.lyapunov import (
     lyapunov_residual,
 )
 from eulerfourier.randfields import ball_field
-from eulerfourier.solver import SolverConfig, TrajectoryRecord, integrate
+from eulerfourier.solver import SolverConfig, TrajectoryRecord, integrate, nonlinear_rhs
 
 GRID = PeriodicGrid(dim=1, npts=256, length=8.0 * np.pi)
 LP = LittlewoodPaley(GRID)
@@ -176,8 +176,9 @@ def _small_run(amplitude):
 @pytest.mark.parametrize("amplitude", [1e-4, 0.05])
 def test_residual_inequality_holds_along_runs(amplitude):
     traj = _small_run(amplitude)
-    for regime, j in [("low", 0), ("low", -1), ("high", 2), ("high", 0)]:
-        series = lyapunov_residual(traj, j, regime=regime)
+    pairs = [("low", 0), ("low", -1), ("high", 2), ("high", 0)]
+    for (regime, j), series in zip(pairs, lyapunov_residual(traj, pairs)):
+        assert (series.regime, series.j) == (regime, j)
         assert series.verdict.passed, (
             f"{regime} shell {j} at amplitude {amplitude}: "
             f"worst ratio {np.max(series.ratio)}"
@@ -198,7 +199,7 @@ def test_residual_is_vacuous_on_spectrally_empty_shells():
     cfg = SolverConfig(dt=5e-5, t_end=7.5e-4, sample_stride=1,
                        snapshot_stride=1, epsilon0=None)
     traj = integrate(grid, state, cfg)
-    series = lyapunov_residual(traj, 3, regime="high")
+    (series,) = lyapunov_residual(traj, [("high", 3)])
     assert series.verdict.passed
     assert np.all(series.ratio == 0.0), "empty shell must pass vacuously"
 
@@ -211,7 +212,7 @@ def test_residual_requires_enough_snapshots():
         snapshot_times=traj.snapshot_times[:4], snapshots=traj.snapshots[:4],
     )
     with pytest.raises(StrideTooCoarse, match="five snapshots"):
-        lyapunov_residual(starved, 0, regime="low")
+        lyapunov_residual(starved, [("low", 0)])
 
 
 def test_residual_rejects_coarse_sampling():
@@ -233,4 +234,33 @@ def test_residual_rejects_coarse_sampling():
         snapshot_times=list(times), snapshots=snaps,
     )
     with pytest.raises(StrideTooCoarse, match="differencing error"):
-        lyapunov_residual(traj, 2, regime="high")
+        lyapunov_residual(traj, [("high", 2)])
+
+
+def test_multi_shell_pass_equals_single_pair_calls():
+    # one pass over the snapshots must give exactly what one call per pair gives
+    traj = _small_run(0.05)
+    pairs = [("low", 0), ("low", -1), ("high", 0), ("high", 2)]
+    together = lyapunov_residual(traj, pairs)
+    for pair, joint in zip(pairs, together):
+        (alone,) = lyapunov_residual(traj, [pair])
+        assert (joint.regime, joint.j) == pair
+        for name in ("times", "energy", "dEdt", "target", "dissipation", "nl_bound",
+                     "lhs", "ratio", "dissipation_ratio", "fd_error"):
+            assert np.array_equal(getattr(joint, name), getattr(alone, name)), name
+        assert joint.n_dropped == alone.n_dropped
+
+
+def test_tendency_is_formed_once_per_snapshot(monkeypatch):
+    traj = _small_run(1e-4)
+    calls = []
+
+    def counted(grid, state):
+        calls.append(state)
+        return nonlinear_rhs(grid, state)
+
+    monkeypatch.setattr("eulerfourier.lyapunov.nonlinear_rhs", counted)
+    for high in ([0], [0, 1, 2]):
+        calls.clear()
+        lyapunov_residual(traj, [("low", 0)] + [("high", j) for j in high])
+        assert len(calls) == len(traj.snapshots)
