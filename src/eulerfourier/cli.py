@@ -256,7 +256,7 @@ def _run_lyapunov(cfg: RunConfig) -> RunnerResult:
 
 
 def _run_damped_mode(cfg: RunConfig) -> RunnerResult:
-    from .decay import damped_mode_check
+    from .decay import _default_linear_times, damped_mode_check
 
     opts = cfg.options
     sigma1 = float(opts["sigma1"])
@@ -264,11 +264,10 @@ def _run_damped_mode(cfg: RunConfig) -> RunnerResult:
     if opts["source"] == "linear":
         from .linear import saturating_profile, semigroup_besov_decay
 
-        times = np.concatenate([[0.0], np.geomspace(min(1.0, window[0]),
-                                                    window[1] * 1.0000001, 160)])
         profile = saturating_profile(sigma1, int(opts["dim"]),
                                      scale=float(opts["amplitude"]))
-        run = semigroup_besov_decay(profile, int(opts["dim"]), sigma1, times)
+        run = semigroup_besov_decay(profile, int(opts["dim"]), sigma1,
+                                    _default_linear_times(window))
     else:
         from .solver import SolverConfig, integrate
 

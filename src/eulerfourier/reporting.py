@@ -194,8 +194,9 @@ def validate_verdict_file(path: Path) -> None:
     import jsonschema
 
     schema = json.loads((_SCHEMA_DIR / f"{SCHEMA_VERSION}.json").read_text())
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    validator.check_schema(schema)  # once per file; jsonschema.validate does it per call
     for i, record in enumerate(load_verdicts(path)):
-        try:
-            jsonschema.validate(record, schema)
-        except jsonschema.ValidationError as err:
+        err = jsonschema.exceptions.best_match(validator.iter_errors(record))
+        if err is not None:
             raise ValueError(f"verdict line {i + 1} fails {SCHEMA_VERSION}: {err.message}")

@@ -15,8 +15,10 @@ from eulerfourier.config import (
     parse_config,
     read_config_file,
 )
+from eulerfourier import reporting
 from eulerfourier.cli import main
 from eulerfourier.reporting import (
+    SCHEMA_VERSION,
     Verdict,
     config_hash,
     load_verdicts,
@@ -131,12 +133,21 @@ def test_verdict_json_line_is_stable_and_schema_valid(tmp_path):
 
 
 def test_validate_verdict_file_rejects_corruption(tmp_path):
+    import jsonschema
+
+    schema = json.loads((Path(reporting.__file__).parent / "schemas"
+                         / f"{SCHEMA_VERSION}.json").read_text())
     path = tmp_path / "verdicts.jsonl"
-    write_verdicts(path, [Verdict.from_bound("ok", 1.0, 2.0)])
-    text = path.read_text().replace('"pass":true', '"pass":"yes"')
-    path.write_text(text)
-    with pytest.raises(Exception):
+    write_verdicts(path, [Verdict.from_bound("ok", 1.0, 2.0), Verdict.from_bound("bad", 3.0, 2.0)])
+    first, second = path.read_text().splitlines()
+    # two faults in one line: the message is the one jsonschema.validate picks
+    second = second.replace('"pass":false', '"pass":"no"').replace('"name":"bad"', '"name":7')
+    path.write_text(f"{first}\n{second}\n")
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(json.loads(second), schema)
+    with pytest.raises(ValueError) as got:
         validate_verdict_file(path)
+    assert str(got.value) == f"verdict line 2 fails {SCHEMA_VERSION}: {want.value.message}"
 
 
 def test_write_curve_layout(tmp_path):

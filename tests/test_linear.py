@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from eulerfourier import linear
+from eulerfourier.cli import RUNNERS
+from eulerfourier.config import parse_config
 from eulerfourier.linear import (
     QuadratureError,
     RadialProfile,
@@ -15,6 +18,7 @@ from eulerfourier.linear import (
     semigroup_besov_decay,
     symbol_matrix,
 )
+from eulerfourier.littlewood import build_cutoffs
 
 # similarity u = i w taking reduced_symbol to real_reduced_symbol
 SIM = np.array([1.0, 1j, 1.0])
@@ -211,3 +215,85 @@ def test_quadrature_is_stable_under_node_doubling():
     a = coarse.series.besov(0.5)
     b = fine.series.besov(0.5)
     assert np.max(np.abs(a - b) / b) < 1e-3
+
+
+# a small quadrature whose band, rolled off or sharp, leaves nodes with zero data
+SMALL = dict(times=np.array([0.0, 1.0, 10.0, 100.0]), nodes_per_octave=16,
+             r_range=(5e-3, 8.0))
+
+
+def _log_nodes(doubled: bool) -> np.ndarray:
+    lo, hi = SMALL["r_range"]
+    n_int = int(np.ceil(SMALL["nodes_per_octave"] * np.log2(hi / lo)))
+    return np.linspace(np.log(lo), np.log(hi), (1 + doubled) * n_int + 1)
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("smooth", [True, False])
+def test_quadrature_equals_a_brute_force_over_every_base_node(smooth, check):
+    prof = RadialProfile(band=(1e-2, 1.0), exponent=-0.5, smooth_edges=smooth)
+    dim, times = 2, SMALL["times"]
+    # a sharp band fails the 1e-4 check; with no columns the doubled pass still runs
+    cols = None if smooth else []
+    curve = semigroup_besov_decay(prof, dim, 0.5, check_convergence=check,
+                                  convergence_columns=cols, **SMALL)
+
+    # every base node through expm_stack, zero data or not, one node at a time
+    s = _log_nodes(doubled=False)
+    r = np.exp(s)
+    v0 = prof.amplitudes(r)
+    evolved = np.empty((times.size, r.size, 3))
+    for i in range(r.size):
+        props = expm_stack(times[:, None, None] * real_reduced_symbol(r[i : i + 1]))
+        evolved[:, i] = (props @ v0[i, :, None])[..., 0]
+    w = np.full(r.size, s[1] - s[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    meas = w * r * r ** (dim - 1)
+    phi = build_cutoffs().phi
+    want = np.empty_like(curve.series.norms)
+    for k, j in enumerate(curve.series.shells):
+        kern = 2.0 * np.pi * phi(r * 2.0 ** (-j)) ** 2 * meas
+        for c in range(3):
+            want[k, c] = np.sqrt(evolved[:, :, c] ** 2 @ kern)
+    assert np.array_equal(curve.series.norms, want)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_propagators_are_built_only_at_nodes_with_data(monkeypatch, check):
+    seen = []
+
+    def counting(a):
+        seen.append(np.array(a))
+        return expm_stack(a)
+
+    monkeypatch.setattr(linear, "expm_stack", counting)
+    prof = RadialProfile(band=(1e-2, 1.0), exponent=-0.5)
+    semigroup_besov_decay(prof, 1, 0.5, check_convergence=check, **SMALL)
+
+    r = np.exp(_log_nodes(doubled=check))
+    live = r[np.any(prof.amplitudes(r) != 0.0, axis=1)]
+    assert 0 < live.size < r.size
+    want = (SMALL["times"][:, None, None, None] * real_reduced_symbol(live)).reshape(-1, 9)
+    got = np.concatenate(seen).reshape(-1, 9)
+    assert got.shape == want.shape  # T x (live nodes) matrices
+    # the same matrices: none belongs to a zero-data node
+    for a, b in zip(np.unique(got, axis=0, return_counts=True),
+                    np.unique(want, axis=0, return_counts=True)):
+        assert np.array_equal(a, b)
+
+
+def test_ten_nodes_per_octave_fail_the_benchmark_linear_decay():
+    # the benchmark's linear-decay config passes at 12 nodes per octave
+    cfg = parse_config(kind="linear-decay",
+                       overrides={"nodes_per_octave": "10", "t_end": "1e3"})
+    with pytest.raises(QuadratureError, match="1.14e-04"):
+        RUNNERS["linear-decay"](cfg)
+
+
+def test_convergence_delta_is_recorded():
+    prof = saturating_profile(0.5, 1, band=(1e-2, 1.0))
+    curve = semigroup_besov_decay(prof, 1, 0.5, **SMALL)
+    assert 0.0 < curve.meta["convergence_delta"] < 1e-4
+    unchecked = semigroup_besov_decay(prof, 1, 0.5, check_convergence=False, **SMALL)
+    assert "convergence_delta" not in unchecked.meta

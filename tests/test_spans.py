@@ -1,22 +1,29 @@
-"""Every span target of the benchmark tracer still exists in the package."""
+"""Every span target of the benchmark tracer still exists in the package,
+and the work counters still bind the calls they count."""
 
 import importlib
 import importlib.util
+import inspect
+import math
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from eulerfourier.linear import saturating_profile, semigroup_besov_decay
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _span_targets() -> list[str]:
+def _spans_module():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)  # defines SPANS; installs no tracer
-    return [target for target, *_ in spans.SPANS]
+    return spans
 
 
-@pytest.mark.parametrize("target", _span_targets())
+@pytest.mark.parametrize("target", [target for target, *_ in _spans_module().SPANS])
 def test_span_target_resolves(target):
     # the same lookup the tracer makes: a method must sit in its class's
     # own namespace, any other target must be a module attribute
@@ -28,3 +35,17 @@ def test_span_target_resolves(target):
         assert owner is not None and attr in vars(owner), f"{target} is gone"
     else:
         assert callable(getattr(module, attr, None)), f"{target} is gone"
+
+
+def test_mode_evals_counter_binds_a_quadrature_call():
+    # the counter reads times, nodes_per_octave, r_range and check_convergence
+    # from the bound call: renaming any of them fails here
+    args = (saturating_profile(0.5, 1, band=(1e-2, 1.0)), 1, 0.5, np.array([0.0, 1.0, 10.0]))
+    kwargs = {"nodes_per_octave": 16, "r_range": (5e-3, 8.0)}
+    out = semigroup_besov_decay(*args, **kwargs)
+    counts = Counter()
+    _spans_module()._mode_evals(counts, inspect.signature(semigroup_besov_decay),
+                                args, kwargs, out)
+    octaves = math.log2(8.0 / 5e-3)
+    nodes = sum(math.ceil(npo * octaves) + 1 for npo in (16, 32))
+    assert counts["linear.mode_evals"] == 3 * nodes
