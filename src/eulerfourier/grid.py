@@ -7,6 +7,12 @@ equals the spatial mean of the field; with that convention Parseval reads
     ||f||_{L^2}^2 = L**d * sum_k |fhat_k|^2,
 
 which is how every L^2-type norm in this package is evaluated.
+
+Transforms, derivatives, padding and norms act on the last d axes of any
+``(..., *grid.shape)`` stack of fields in one call; norms give one value per
+row.  The transforms are ``scipy.fft`` complex FFTs over the axes listed last
+first, the order of ``numpy.fft.fftn``, and scaling by a power of two is
+exact, so each one equals ``numpy.fft.fftn(f) / N**d`` bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
+
+
+def _per_row(value: np.ndarray):
+    """A reduction over the grid axes: a float for one field, one value per row of a stack."""
+    return value if value.ndim else float(value)
 
 
 @dataclass(frozen=True)
@@ -90,32 +102,41 @@ class PeriodicGrid:
         x1 = np.arange(self.npts) * self.spacing
         return tuple(np.meshgrid(*([x1] * self.dim), indexing="ij", sparse=True))
 
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """The grid axes of a stacked field, last axis first."""
+        return tuple(range(-1, -self.dim - 1, -1))
+
     # ------------------------------------------------------------------
+    def _complex(self, f) -> np.ndarray:
+        f = np.asarray(f, dtype=complex)
+        if f.shape[-self.dim :] != self.shape:
+            raise ValueError(f"field shape {f.shape} does not end in grid shape {self.shape}")
+        return f
+
     def forward(self, f: np.ndarray) -> np.ndarray:
         """FFT normalised so the zero mode is the mean of ``f``."""
-        if f.shape != self.shape:
-            raise ValueError(f"field shape {f.shape} != grid shape {self.shape}")
-        return np.fft.fftn(f) / self.npts**self.dim
+        # real input is cast (a real-input FFT rounds differently), then transformed in place
+        return scipy.fft.fftn(self._complex(f), axes=self.axes, norm="forward",
+                              overwrite_x=not np.iscomplexobj(f))
 
     def inverse(self, fhat: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`; returns the real part."""
-        if fhat.shape != self.shape:
-            raise ValueError(f"field shape {fhat.shape} != grid shape {self.shape}")
-        return np.real(np.fft.ifftn(fhat) * self.npts**self.dim)
+        # a copy, so that a held result does not keep the complex array alive
+        return scipy.fft.ifftn(self._complex(fhat), axes=self.axes, norm="forward").real.copy()
 
     def derivative_hat(self, fhat: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
         return fhat * (1j * self.wavenumbers[axis]) ** order
 
-    def gradient(self, f: np.ndarray) -> list[np.ndarray]:
+    def gradient(self, f: np.ndarray) -> np.ndarray:
+        """``(dim, *f.shape)`` stack of the partial derivatives of ``f``."""
         fhat = self.forward(f)
-        return [self.inverse(1j * self.wavenumbers[m] * fhat) for m in range(self.dim)]
+        return self.inverse(np.stack([1j * k * fhat for k in self.wavenumbers]))
 
     def divergence(self, vec: np.ndarray) -> np.ndarray:
-        """Divergence of a (dim, N, ..., N) vector field."""
-        out = np.zeros(self.shape)
-        for m in range(self.dim):
-            out += self.inverse(1j * self.wavenumbers[m] * self.forward(vec[m]))
-        return out
+        """Divergence of a ``(dim, ..., N, ..., N)`` vector field."""
+        vhat = self.forward(vec)
+        return sum(self.inverse(np.stack([1j * k * h for k, h in zip(self.wavenumbers, vhat)])))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self.inverse(-(self.kmag**2) * self.forward(f))
@@ -125,18 +146,20 @@ class PeriodicGrid:
         return np.where(self.dealias_mask, fhat, 0.0)
 
     # ------------------------------------------------------------------
-    def l2_norm(self, f: np.ndarray) -> float:
+    def l2_norm(self, f: np.ndarray):
         """Grid L^2 norm, i.e. sqrt of the quadrature of |f|^2."""
-        return float(np.sqrt(np.sum(np.abs(f) ** 2) * self.cell_volume))
+        return _per_row(np.sqrt(np.sum(np.abs(f) ** 2, axis=self.axes) * self.cell_volume))
 
-    def lp_norm(self, f: np.ndarray, p: float) -> float:
+    def lp_norm(self, f: np.ndarray, p: float):
         if p == np.inf:
-            return float(np.max(np.abs(f)))
-        return float((np.sum(np.abs(f) ** p) * self.cell_volume) ** (1.0 / p))
+            return _per_row(np.max(np.abs(f), axis=self.axes))
+        total = np.sum(np.abs(f) ** p, axis=self.axes) * self.cell_volume
+        return _per_row(total ** (1.0 / p))
 
-    def l2_norm_hat(self, fhat: np.ndarray) -> float:
+    def l2_norm_hat(self, fhat: np.ndarray):
         """L^2 norm computed from spectral coefficients (Parseval)."""
-        return float(np.sqrt(np.sum(np.abs(fhat) ** 2)) * self.length ** (self.dim / 2.0))
+        total = np.sqrt(np.sum(np.abs(fhat) ** 2, axis=self.axes))
+        return _per_row(total * self.length ** (self.dim / 2.0))
 
     def mean(self, f: np.ndarray) -> float:
         return float(np.mean(f))
@@ -150,13 +173,13 @@ class PeriodicGrid:
         """Zero-pad spectral coefficients onto a finer grid's layout."""
         if fine.npts < self.npts or fine.dim != self.dim:
             raise ValueError("target grid must refine this one")
-        out = np.zeros(fine.shape, dtype=complex)
-        out[self.mode_index] = fhat
+        out = np.zeros(fhat.shape[: fhat.ndim - self.dim] + fine.shape, dtype=complex)
+        out[(..., *self.mode_index)] = fhat
         return out
 
     def restrict_from(self, fhat_fine: np.ndarray, fine: "PeriodicGrid") -> np.ndarray:
         """Keep only this grid's modes from a finer grid's coefficients."""
-        return fhat_fine[self.mode_index]
+        return fhat_fine[(..., *self.mode_index)]
 
 
 def alias_free_product(

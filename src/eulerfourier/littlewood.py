@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -173,12 +174,16 @@ class LittlewoodPaley:
         """Physical-space dyadic block of a real field."""
         return self.grid.inverse(self.block_hat(self.grid.forward(f), j))
 
+    @cached_property
+    def fine(self) -> PeriodicGrid:
+        """The 2x refined grid on which commutator products are alias-free."""
+        return self.grid.refine(2)
+
     def commutators(self, f: np.ndarray, g: np.ndarray, shells) -> list[np.ndarray]:
         """``[P_j, f] g = P_j(f g) - f P_j(g)`` for every j of ``shells``, both
         products alias-free on the 2x refined grid.  ``f g`` and ``f`` on that
         grid are formed once; each shell then costs one product ``f P_j(g)``."""
-        grid = self.grid
-        fine = grid.refine(2)
+        grid, fine = self.grid, self.fine
         f_fine = fine.inverse(grid.pad_to(grid.forward(f), fine))
 
         def times_f(h: np.ndarray) -> np.ndarray:
@@ -190,8 +195,9 @@ class LittlewoodPaley:
                 for j in shells]
 
     # ------------------------------------------------------------------
-    def shell_l2_hat(self, fhat: np.ndarray, j: int) -> float:
-        """L^2 norm of the shell-j block, evaluated by Parseval."""
+    def shell_l2_hat(self, fhat: np.ndarray, j: int):
+        """L^2 norm of the shell-j block, evaluated by Parseval; one value
+        per row of a stack."""
         return self.grid.l2_norm_hat(self.block_hat(fhat, j))
 
     def shell_lp_hat(self, fhat: np.ndarray, j: int, p: float) -> float:

@@ -20,10 +20,13 @@ rule lives in one place, :attr:`LyapunovResidualSeries.verdict`: the
 worst ratio of the left side to the nonlinear products is at most
 ``budget``.
 
-One pass over the snapshots serves every (regime, shell) pair: the terms
-that do not depend on the shell (transforms, products, the tendency, sup
-norms, commutator factors) are formed once per snapshot, and each shell
-adds only its ``P_j`` work.
+One pass over the snapshots serves every (regime, shell) pair.  The
+snapshots are taken in chunks, stacked row by row so that every transform
+acts on the whole chunk in one call.  The terms that do not depend on the
+shell (transforms, products, the tendency, sup norms, commutator factors)
+are formed once per chunk, and each shell adds only its ``P_j`` work.
+Every value is bit for bit what one snapshot at a time gives, whatever the
+chunk size.
 """
 
 from __future__ import annotations
@@ -64,34 +67,50 @@ FD_ERROR_SHARE = 0.1
 # Such samples pass vacuously instead of dividing noise by noise.
 VACUOUS_SHARE = 1e-24
 
+# grid points per stacked field of a chunk of snapshots, which bounds the
+# audit's working set (about 430 bytes per point).  At 2**14 the 31 snapshots
+# of a 512-point run are one chunk: no faster than two, and about 4 MB more
+# peak resident memory.
+CHUNK_POINTS = 2**13
+
 
 class StrideTooCoarse(RuntimeError):
     """Snapshot spacing too large for trustworthy time differencing."""
 
 
 # ----------------------------------------------------------------------
-# quadrature helpers
+# quadrature helpers: one value per row of a stack
 
 
-def _inner(grid: PeriodicGrid, f: np.ndarray, g: np.ndarray) -> float:
-    return float(np.sum(f * g) * grid.cell_volume)
+def _inner(grid: PeriodicGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.sum(f * g, axis=grid.axes) * grid.cell_volume
 
 
-def _sq(grid: PeriodicGrid, f: np.ndarray) -> float:
-    return float(np.sum(f * f) * grid.cell_volume)
+def _sq(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
+    return np.sum(f * f, axis=grid.axes) * grid.cell_volume
 
 
-def _vec_sq(grid: PeriodicGrid, vec) -> float:
-    return float(sum(_sq(grid, comp) for comp in vec))
+def _vec_sq(grid: PeriodicGrid, vec) -> np.ndarray:
+    return sum(_sq(grid, comp) for comp in vec)
 
 
-def _vec_norm(lp: LittlewoodPaley, hats, j: int) -> float:
+# Python's float ``x ** 2`` and ``math.hypot`` may round unlike numpy's, so they
+# are taken sample by sample: no value depends on being computed in a stack.
+def _square(x: np.ndarray) -> np.ndarray:
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+
+
+def _ell2(norms) -> np.ndarray:
+    return np.sqrt(sum(_square(n) for n in norms))
+
+
+def _vec_norm(lp: LittlewoodPaley, hats, j: int) -> np.ndarray:
     """Shell-j L^2 norm of a vector field given by its components' hats."""
-    return math.sqrt(sum(lp.shell_l2_hat(h, j) ** 2 for h in hats))
-
-
-def _sup(f: np.ndarray) -> float:
-    return float(np.max(np.abs(f)))
+    return _ell2([lp.shell_l2_hat(h, j) for h in hats])
 
 
 def _dealiased(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
@@ -104,27 +123,36 @@ def _check_positive(state: StateFields) -> None:
 
 
 # ----------------------------------------------------------------------
-# the terms of one snapshot
+# the terms of a chunk of snapshots
 
 
-class _SnapshotTerms:
-    """The shell-independent terms of one state, each formed once on first use.
+def _chunk(states) -> StateFields:
+    """Snapshots stacked row by row: a and theta (k, *grid), u (d, k, *grid)."""
+    return StateFields(np.stack([s.a for s in states]), np.stack([s.u for s in states], axis=1),
+                       np.stack([s.theta for s in states]))
 
-    Per-shell methods apply only ``P_j`` to them; the shell blocks of the
-    state are kept per shell, shared by both regimes' functionals and bounds.
+
+class _ChunkTerms:
+    """The terms of a chunk of snapshots, each formed once on first use.
+
+    Every field is a stack with one row per snapshot (see :func:`_chunk`) and
+    every per-shell quantity has one value per snapshot.  The shell-independent
+    products, fluxes and commutator remainders are kept only as their norms on
+    ``shells``, and the blocks only for the last shell asked for, so that a
+    chunk holds few fields at a time.
     """
 
-    def __init__(self, lp: LittlewoodPaley, state: StateFields, high_shells=()):
+    def __init__(self, lp: LittlewoodPaley, state: StateFields, shells=(), high_shells=()):
         self.lp, self.grid, self.state = lp, lp.grid, state
-        self.high_shells = list(high_shells)
-        self._blocks: dict[int, tuple] = {}
+        self.shells, self.high_shells = sorted(shells), sorted(high_shells)
+        self._blocks: tuple = (None, ())
 
     @cached_property
-    def hats(self) -> list[np.ndarray]:
-        """Hats of a, u_1, ..., u_d and theta."""
-        return [self.grid.forward(c) for c in self.state.components()]
+    def hats(self) -> np.ndarray:
+        """Hats of a, u_1, ..., u_d and theta, stacked along the first axis."""
+        return self.grid.forward(np.stack(self.state.components()))
 
-    def norms(self, j: int) -> tuple[float, float, float]:
+    def norms(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shell-j L^2 norms of a, u and theta."""
         lp, hats = self.lp, self.hats
         return (lp.shell_l2_hat(hats[0], j), _vec_norm(lp, hats[1:-1], j),
@@ -132,12 +160,13 @@ class _SnapshotTerms:
 
     def shell(self, j: int) -> tuple:
         """Blocks a_j, u_j, theta_j with grad a_j, grad theta_j and div u_j."""
-        if j not in self._blocks:
+        if self._blocks[0] != j:
             grid = self.grid
-            a_j, *u_j, th_j = (grid.inverse(self.lp.block_hat(h, j)) for h in self.hats)
-            self._blocks[j] = (a_j, u_j, th_j, grid.gradient(a_j), grid.gradient(th_j),
-                               grid.divergence(np.stack(u_j)))
-        return self._blocks[j]
+            blocks = grid.inverse(self.lp.block_hat(self.hats, j))
+            grad_a, grad_th = grid.gradient(blocks[[0, -1]]).swapaxes(0, 1)
+            self._blocks = (j, (blocks[0], blocks[1:-1], blocks[-1], grad_a, grad_th,
+                                grid.divergence(blocks[1:-1])))
+        return self._blocks[1]
 
     @cached_property
     def coef(self) -> SimpleNamespace:
@@ -145,7 +174,7 @@ class _SnapshotTerms:
         grid, a, u, th = self.grid, self.state.a, self.state.u, self.state.theta
         ratio_s = a / (1.0 + a)
         return SimpleNamespace(
-            grad_a=grid.gradient(a), grad_u=[grid.gradient(c) for c in u],
+            grad_a=grid.gradient(a), grad_u=grid.gradient(u).swapaxes(0, 1),
             div_u=grid.divergence(u), ratio_s=ratio_s, grad_s=grid.gradient(ratio_s),
             ratio_v=(1.0 + th) / (1.0 + a))
 
@@ -156,26 +185,34 @@ class _SnapshotTerms:
         return (1.0 + self.state.theta) / (1.0 + self.state.a) ** 2
 
     @cached_property
-    def products(self):
-        """Hats of dealiased a u, (u.grad) u, ((theta-a)/(1+a)) grad a, u theta; div(a u)."""
-        grid, d, k = self.grid, self.grid.dim, self.coef
+    def products(self) -> dict[int, tuple]:
+        """Shell norms of the dealiased a u, (u.grad) u, ((theta-a)/(1+a)) grad a
+        and u theta, and of div(a u), on every shell of ``shells``."""
+        grid, lp, d, k = self.grid, self.lp, self.grid.dim, self.coef
         a, u, th = self.state.a, self.state.u, self.state.theta
-        au = [_dealiased(grid, a * u[m]) for m in range(d)]
-        adv = [_dealiased(grid, sum(u[n] * k.grad_u[m][n] for n in range(d))) for m in range(d)]
         coef_bad = (th - a) / (1.0 + a)
-        bad = [_dealiased(grid, coef_bad * k.grad_a[m]) for m in range(d)]
-        uth = [_dealiased(grid, u[m] * th) for m in range(d)]
-        hats = [[grid.forward(c) for c in group] for group in (au, adv, bad, uth)]
-        return *hats, grid.forward(grid.divergence(np.stack(au)))
+        smooth = _dealiased(grid, np.stack([
+            *(a * u[m] for m in range(d)),
+            *(sum(u[n] * k.grad_u[m][n] for n in range(d)) for m in range(d)),
+            *(coef_bad * k.grad_a[m] for m in range(d)),
+            *(u[m] * th for m in range(d)),
+        ]))
+        groups = np.split(grid.forward(smooth), 4)
+        div_au = grid.forward(grid.divergence(smooth[:d]))
+        return {j: (*(_vec_norm(lp, g, j) for g in groups), lp.shell_l2_hat(div_au, j))
+                for j in self.shells}
 
     @cached_property
-    def low_fluxes(self):
-        """Hats of the dealiased (a/(1+a)) grad theta and grad(a/(1+a)) . grad theta."""
-        grid, d, k = self.grid, self.grid.dim, self.coef
+    def low_fluxes(self) -> dict[int, tuple]:
+        """Shell norms of the dealiased (a/(1+a)) grad theta and
+        grad(a/(1+a)) . grad theta on every shell of ``shells``."""
+        grid, lp, d, k = self.grid, self.lp, self.grid.dim, self.coef
         grad_th = grid.gradient(self.state.theta)
-        sflux = [grid.forward(_dealiased(grid, k.ratio_s * grad_th[m])) for m in range(d)]
-        gcoef = _dealiased(grid, sum(k.grad_s[m] * grad_th[m] for m in range(d)))
-        return sflux, grid.forward(gcoef)
+        hats = grid.forward(_dealiased(grid, np.stack([
+            *(k.ratio_s * grad_th[m] for m in range(d)),
+            sum(k.grad_s[m] * grad_th[m] for m in range(d)),
+        ])))
+        return {j: (_vec_norm(lp, hats[:d], j), lp.shell_l2_hat(hats[d], j)) for j in self.shells}
 
     @cached_property
     def high_sups(self):
@@ -189,16 +226,14 @@ class _SnapshotTerms:
         grad_w = grid.gradient(weight)
         div_wu = weight * k.div_u + sum(grad_w[m] * u[m] for m in range(d))
         grad_v = grid.gradient(k.ratio_v)
-        return (_sup(dt_weight), _sup(np.sqrt(sum(g * g for g in grad_v))), _sup(div_wu),
-                _sup(k.div_u), _sup(np.sqrt(sum(g * g for g in k.grad_s))), _sup(k.ratio_s),
-                _sup(weight))
+        fields = (dt_weight, np.sqrt(sum(g * g for g in grad_v)), div_wu, k.div_u,
+                  np.sqrt(sum(g * g for g in k.grad_s)), k.ratio_s, weight)
+        return tuple(grid.lp_norm(f, np.inf) for f in fields)
 
-    @cached_property
-    def remainders(self) -> dict[int, tuple]:
-        """Commutator remainders (R1, [R2_m], R3) of every shell in ``high_shells``."""
+    def remainder_fields(self, shells) -> dict[int, tuple]:
+        """Commutator remainders (R1, [R2_m], R3) of every shell in ``shells``."""
         _check_positive(self.state)
         grid, d, k, state = self.grid, self.grid.dim, self.coef, self.state
-        shells = self.high_shells
 
         def subtract(total, f, g):
             for r, c in zip(total, self.lp.commutators(f, g, shells)):
@@ -215,10 +250,17 @@ class _SnapshotTerms:
         r3 = self.lp.commutators(k.ratio_s, grid.laplacian(state.theta), shells)
         return {j: (r1[i], [comp[i] for comp in r2], r3[i]) for i, j in enumerate(shells)}
 
+    @cached_property
+    def remainders(self) -> dict[int, tuple]:
+        """L^2 norms of R1, of (R2_m) over m and of R3 on every shell of ``high_shells``."""
+        grid = self.grid
+        return {j: (grid.l2_norm(r1), _ell2([grid.l2_norm(c) for c in r2]), grid.l2_norm(r3))
+                for j, (r1, r2, r3) in self.remainder_fields(self.high_shells).items()}
+
     # ------------------------------------------------------------------
     # per-shell work
 
-    def functionals(self, j: int, eta: float, regime: str) -> tuple[float, float]:
+    def functionals(self, j: int, eta: float, regime: str) -> tuple[np.ndarray, np.ndarray]:
         """Energy and dissipation of shell ``j`` (see the public wrappers)."""
         grid = self.grid
         low = regime == "low"
@@ -245,55 +287,53 @@ class _SnapshotTerms:
         )
         return energy, dissipation
 
-    def low_bound(self, j: int, eta: float) -> float:
+    def target(self, j: int, regime: str) -> np.ndarray:
+        """The regime's target dissipation form Q_j."""
+        a_j, u_j, th_j = (_square(n) for n in self.norms(j))
+        if regime == "low":
+            return 4.0**j * (a_j + th_j) + u_j
+        return a_j + u_j + 4.0**j * th_j
+
+    def low_bound(self, j: int, eta: float) -> np.ndarray:
         """Right side of the low-shell inequality: the four norm products."""
-        lp = self.lp
-        au, adv, bad, uth, _ = self.products
-        sflux, gcoef = self.low_fluxes
+        au, adv, bad, uth, _ = self.products[j]
+        sflux, gcoef = self.low_fluxes[j]
         _, u_j, th_j = self.norms(j)
         _, _, _, grad_a, grad_th, _ = self.shell(j)
-        na_j = math.sqrt(_vec_sq(self.grid, grad_a))
-        th_grad_j = math.sqrt(_vec_sq(self.grid, grad_th))
+        na_j = np.sqrt(_vec_sq(self.grid, grad_a))
+        th_grad_j = np.sqrt(_vec_sq(self.grid, grad_th))
 
-        term1 = (1.0 + 4.0**j * eta) * _vec_norm(lp, au, j) * math.hypot(na_j, u_j)
-        term2 = (
-            (1.0 + eta)
-            * math.hypot(_vec_norm(lp, adv, j), _vec_norm(lp, bad, j))
-            * math.hypot(u_j, na_j)
-        )
-        term3 = math.hypot(_vec_norm(lp, uth, j), _vec_norm(lp, sflux, j)) * th_grad_j
-        term4 = lp.shell_l2_hat(gcoef, j) * th_j
+        term1 = (1.0 + 4.0**j * eta) * au * _hypot(na_j, u_j)
+        term2 = (1.0 + eta) * _hypot(adv, bad) * _hypot(u_j, na_j)
+        term3 = _hypot(uth, sflux) * th_grad_j
+        term4 = gcoef * th_j
         return term1 + term2 + term3 + term4
 
-    def high_bound(self, j: int, eta: float) -> float:
+    def high_bound(self, j: int, eta: float) -> np.ndarray:
         """Right side of the high-shell inequality, sup-norm coefficients and all."""
-        grid, lp = self.grid, self.lp
+        grid = self.grid
         beta = eta * 2.0 ** (-2 * j)
         dtw_sup, grad_v_sup, div_wu_sup, div_u_sup, grad_s_sup, ratio_s_sup, weight_sup = (
             self.high_sups)
         a_j, u_j, th_j = self.norms(j)
         _, _, _, grad_a, grad_th, div_u = self.shell(j)
-        th_grad_j = math.sqrt(_vec_sq(grid, grad_th))
-        a_grad_j = math.sqrt(_vec_sq(grid, grad_a))
+        th_grad_j = np.sqrt(_vec_sq(grid, grad_th))
+        a_grad_j = np.sqrt(_vec_sq(grid, grad_a))
         divu_j = grid.l2_norm(div_u)
-        _, adv, bad, uth, div_au = self.products
+        _, adv, bad, uth, div_au = self.products[j]
+        r1_n, r2_n, r3_n = self.remainders[j]
 
-        r1, r2, r3 = self.remainders[j]
-        r1_n = grid.l2_norm(r1)
-        r2_n = math.sqrt(sum(grid.l2_norm(c) ** 2 for c in r2))
-        r3_n = grid.l2_norm(r3)
-
-        total = 0.5 * dtw_sup * a_j**2
+        total = 0.5 * dtw_sup * _square(a_j)
         total += grad_v_sup * u_j * a_j
-        total += 0.5 * div_wu_sup * a_j**2
-        total += 0.5 * div_u_sup * u_j**2
-        total += _vec_norm(lp, uth, j) * th_grad_j
+        total += 0.5 * div_wu_sup * _square(a_j)
+        total += 0.5 * div_u_sup * _square(u_j)
+        total += uth * th_grad_j
         total += grad_s_sup * th_grad_j * th_j
-        total += ratio_s_sup * th_grad_j**2
+        total += ratio_s_sup * _square(th_grad_j)
         total += r1_n * weight_sup * a_j + r2_n * u_j + r3_n * th_j
-        total += beta * lp.shell_l2_hat(div_au, j) * divu_j
-        total += beta * _vec_norm(lp, adv, j) * a_grad_j
-        total += beta * _vec_norm(lp, bad, j) * a_grad_j
+        total += beta * div_au * divu_j
+        total += beta * adv * a_grad_j
+        total += beta * bad * a_grad_j
         return total
 
 
@@ -313,7 +353,8 @@ def low_freq_functionals(
              - eta1 ||div u_j||^2 + eta1 <u_j, grad a_j>
              + eta1 <grad th_j, grad a_j>
     """
-    return _SnapshotTerms(lp, state).functionals(j, eta1, "low")
+    energy, dissipation = _ChunkTerms(lp, _chunk([state])).functionals(j, eta1, "low")
+    return float(energy[0]), float(dissipation[0])
 
 
 def high_freq_functionals(
@@ -325,7 +366,8 @@ def high_freq_functionals(
     ``(1+theta)/(1+a)**2`` evaluated on the unfiltered state, and every
     mixed/auxiliary term is scaled by ``eta2 * 2**(-2j)``.
     """
-    return _SnapshotTerms(lp, state).functionals(j, eta2, "high")
+    energy, dissipation = _ChunkTerms(lp, _chunk([state])).functionals(j, eta2, "high")
+    return float(energy[0]), float(dissipation[0])
 
 
 def commutator_remainders(
@@ -341,7 +383,8 @@ def commutator_remainders(
         R2_m = -sum_n [P_j, u_n] d_n u_m - [P_j, (1+theta)/(1+a)] d_m a
         R3 = [P_j, a/(1+a)] lap theta
     """
-    return _SnapshotTerms(lp, state, [j]).remainders[j]
+    r1, r2, r3 = _ChunkTerms(lp, _chunk([state])).remainder_fields([j])[j]
+    return r1[0], [c[0] for c in r2], r3[0]
 
 
 # ----------------------------------------------------------------------
@@ -442,8 +485,9 @@ def lyapunov_residual(
     """Check ``d/dt E_j + c Q_j <= budget * NL_j`` along stored snapshots.
 
     ``pairs`` is a sequence of ``(regime, j)``; one series per pair comes
-    back in that order.  The snapshots are walked once for all pairs, and
-    only one snapshot's shell-independent terms are held at a time.
+    back in that order.  The snapshots are walked once for all pairs, in
+    chunks of at most ``CHUNK_POINTS`` grid points per stacked field, and
+    only one chunk's terms are held at a time.
     ``E_j`` is differentiated by centered differences; samples whose
     third-derivative error estimate exceeds a tenth of the dissipation are
     dropped, and if none survive the stride is declared too coarse.  ``c``
@@ -473,23 +517,19 @@ def lyapunov_residual(
 
     n = len(snaps)
     energy, dissipation, target, nl = (np.empty((len(pairs), n)) for _ in range(4))
-    scales = []
-    for i, state in enumerate(snaps):
-        terms = _SnapshotTerms(lp, state, high_shells)
-        for k, (regime, j) in enumerate(pairs):
-            low = regime == "low"
-            energy[k, i], dissipation[k, i] = terms.functionals(j, eta, regime)
-            nl[k, i] = terms.low_bound(j, eta) if low else terms.high_bound(j, eta)
-            a_j, u_j, th_j = terms.norms(j)
-            if low:
-                target[k, i] = 4.0**j * (a_j**2 + th_j**2) + u_j**2
-            else:
-                target[k, i] = a_j**2 + u_j**2 + 4.0**j * th_j**2
-        scales.append(
-            grid.l2_norm(state.a) ** 2
-            + sum(grid.l2_norm(c) ** 2 for c in state.u)
-            + grid.l2_norm(state.theta) ** 2
-        )
+    per_chunk = max(1, CHUNK_POINTS // math.prod(grid.shape))
+    # pairs grouped by shell, as a chunk keeps the blocks of one shell at a time
+    by_shell = sorted(range(len(pairs)), key=lambda k: pairs[k][1])
+    for start in range(0, n, per_chunk):
+        rows = slice(start, start + per_chunk)
+        terms = _ChunkTerms(lp, _chunk(snaps[rows]), {j for _, j in pairs}, high_shells)
+        for k in by_shell:
+            regime, j = pairs[k]
+            energy[k, rows], dissipation[k, rows] = terms.functionals(j, eta, regime)
+            nl[k, rows] = terms.low_bound(j, eta) if regime == "low" else terms.high_bound(j, eta)
+            target[k, rows] = terms.target(j, regime)
+    scales = [grid.l2_norm(state.a) ** 2 + sum(grid.l2_norm(c) ** 2 for c in state.u)
+              + grid.l2_norm(state.theta) ** 2 for state in snaps]
 
     # samples where the shell holds nothing but the solve's own roundoff are
     # vacuous passes.  The floor must be set by the whole state: a shell that

@@ -169,7 +169,7 @@ def _remainder_hat(grid: PeriodicGrid, hats: list[np.ndarray]) -> list[np.ndarra
     s = a / one_a
 
     # continuity: -div(a u), kept in divergence form
-    na = np.zeros(grid.shape, dtype=complex)
+    na = np.zeros(ah.shape, dtype=complex)
     for m in range(d):
         na -= grid.derivative_hat(grid.forward(a * u[m]), m)
 
@@ -178,7 +178,7 @@ def _remainder_hat(grid: PeriodicGrid, hats: list[np.ndarray]) -> list[np.ndarra
         adv = sum(u[n] * grad_u[m][n] for n in range(d))
         nu.append(grid.forward(-adv - q * grad_a[m]))
 
-    transport = np.zeros(grid.shape, dtype=complex)
+    transport = np.zeros(ah.shape, dtype=complex)
     for m in range(d):
         transport -= grid.derivative_hat(grid.forward(theta * u[m]), m)
     nth = transport + grid.forward(-s * lap_th)
@@ -215,10 +215,13 @@ class Stepper:
         upar = sum(self._unit_k[m] * uh[m] for m in range(d))
         uperp = [uh[m] - self._unit_k[m] * upar for m in range(d)]
 
-        t = table[self._idx]  # (*shape, 3, 3)
-        a2 = t[..., 0, 0] * ah + t[..., 0, 1] * upar + t[..., 0, 2] * th
-        p2 = t[..., 1, 0] * ah + t[..., 1, 1] * upar + t[..., 1, 2] * th
-        t2 = t[..., 2, 0] * ah + t[..., 2, 1] * upar + t[..., 2, 2] * th
+        # one gather per entry: a gathered (*shape, 3, 3) block is read with strides
+        def t(i: int, j: int) -> np.ndarray:
+            return table[:, i, j][self._idx]
+
+        a2 = t(0, 0) * ah + t(0, 1) * upar + t(0, 2) * th
+        p2 = t(1, 0) * ah + t(1, 1) * upar + t(1, 2) * th
+        t2 = t(2, 0) * ah + t(2, 1) * upar + t(2, 2) * th
         out_u = [self._unit_k[m] * p2 + scalar * uperp[m] for m in range(d)]
         return [a2, *out_u, t2]
 

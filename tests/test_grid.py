@@ -68,6 +68,51 @@ def test_pad_restrict_roundtrip(grid1d, rng):
     assert np.max(np.abs(back - fhat)) < 1e-14
 
 
+STACK_GRIDS = [(1, 512, 8.0 * np.pi), (2, 64, 8.0 * np.pi), (3, 32, 4.0 * np.pi)]
+
+
+@pytest.mark.parametrize("dim, npts, length", STACK_GRIDS)
+def test_stacked_calls_equal_per_field_calls(dim, npts, length, rng):
+    # a stack of fields goes through one call, bit for bit what one call per
+    # field gives; the Lyapunov audit's chunking relies on it
+    grid = PeriodicGrid(dim=dim, npts=npts, length=length)
+    fine = grid.refine(2)
+    stack = rng.standard_normal((2, 3) + grid.shape)
+    hats = grid.forward(stack)
+    back = grid.inverse(hats)
+    padded = grid.pad_to(hats, fine)
+    restricted = grid.restrict_from(padded, fine)
+    norms, norms_hat = grid.l2_norm(stack), grid.l2_norm_hat(hats)
+    for idx in np.ndindex(2, 3):
+        fhat = grid.forward(stack[idx])
+        assert np.array_equal(hats[idx], fhat)
+        assert np.array_equal(back[idx], grid.inverse(fhat))
+        assert np.array_equal(padded[idx], grid.pad_to(fhat, fine))
+        assert np.array_equal(restricted[idx], grid.restrict_from(padded[idx], fine))
+        assert norms[idx] == grid.l2_norm(stack[idx])
+        assert norms_hat[idx] == grid.l2_norm_hat(fhat)
+
+
+@pytest.mark.parametrize("dim, npts, length", STACK_GRIDS)
+def test_transforms_equal_numpy_fftn_bit_for_bit(dim, npts, length, rng):
+    # the scipy transforms over the last axis first match numpy's fftn exactly;
+    # a numpy or scipy upgrade that breaks this fails here
+    grid = PeriodicGrid(dim=dim, npts=npts, length=length)
+    f = rng.standard_normal(grid.shape)
+    fhat = grid.forward(f)
+    assert np.array_equal(fhat, np.fft.fftn(f) / npts**dim)
+    assert np.array_equal(grid.inverse(fhat), np.real(np.fft.ifftn(fhat) * npts**dim))
+
+
+def test_transforms_reject_a_wrong_trailing_shape(grid2d):
+    n = grid2d.npts
+    for shape in [(n,), (n, 2), (3, n, n + 1), (n, n, 3)]:
+        with pytest.raises(ValueError, match="grid shape"):
+            grid2d.forward(np.zeros(shape))
+        with pytest.raises(ValueError, match="grid shape"):
+            grid2d.inverse(np.zeros(shape, dtype=complex))
+
+
 def test_mean_and_cell_volume(grid2d):
     f = np.full(grid2d.shape, 3.5)
     assert np.isclose(grid2d.mean(f), 3.5, rtol=1e-14)

@@ -1,5 +1,8 @@
 """Per-shell energy functionals, coercivity margins, and the residual check."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,13 @@ from eulerfourier.lyapunov import (
     lyapunov_residual,
 )
 from eulerfourier.randfields import ball_field
-from eulerfourier.solver import SolverConfig, TrajectoryRecord, integrate, nonlinear_rhs
+from eulerfourier.solver import (
+    PositivityViolation,
+    SolverConfig,
+    TrajectoryRecord,
+    integrate,
+    nonlinear_rhs,
+)
 
 GRID = PeriodicGrid(dim=1, npts=256, length=8.0 * np.pi)
 LP = LittlewoodPaley(GRID)
@@ -161,12 +170,13 @@ def test_commutators_are_nonzero_for_varying_coefficients(rng):
     assert GRID.l2_norm(r1) > 1e-8
 
 
-def _small_run(amplitude):
-    grid = PeriodicGrid(dim=1, npts=512, length=8.0 * np.pi)
+def _small_run(amplitude, dim=1, npts=512):
+    grid = PeriodicGrid(dim=dim, npts=npts, length=8.0 * np.pi)
     rng = np.random.default_rng(21)
     state = StateFields.zeros(grid)
     state.a = amplitude * ball_field(grid, rng, scale_j=4)
-    state.u[0] = amplitude * ball_field(grid, rng, scale_j=4)
+    for m in range(dim):
+        state.u[m] = amplitude * ball_field(grid, rng, scale_j=4)
     state.theta = amplitude * ball_field(grid, rng, scale_j=4)
     cfg = SolverConfig(dt=5e-5, t_end=7.5e-4, sample_stride=1,
                        snapshot_stride=1, epsilon0=None)
@@ -263,4 +273,34 @@ def test_tendency_is_formed_once_per_snapshot(monkeypatch):
     for high in ([0], [0, 1, 2]):
         calls.clear()
         lyapunov_residual(traj, [("low", 0)] + [("high", j) for j in high])
-        assert len(calls) == len(traj.snapshots)
+        # one call per chunk of snapshots, whose rows are the snapshots
+        assert sum(len(state.a) for state in calls) == len(traj.snapshots)
+
+
+SERIES_FIELDS = ("times", "energy", "dEdt", "target", "dissipation", "nl_bound",
+                 "lhs", "ratio", "dissipation_ratio", "fd_error")
+
+
+@pytest.mark.parametrize("dim, npts", [(1, 512), (2, 64)])
+def test_chunk_size_does_not_change_the_audit(dim, npts, monkeypatch):
+    traj = _small_run(0.05, dim, npts)
+    pairs = [("low", 0), ("high", 0), ("high", 1)]
+    points = math.prod(traj.grid.shape)
+    runs = []
+    for rows in (1, 3, len(traj.snapshots)):
+        monkeypatch.setattr("eulerfourier.lyapunov.CHUNK_POINTS", rows * points)
+        runs.append(lyapunov_residual(traj, pairs))
+    for run in runs[1:]:
+        for first, other in zip(runs[0], run):
+            for name in SERIES_FIELDS:
+                assert np.array_equal(getattr(first, name), getattr(other, name)), name
+            assert first.n_dropped == other.n_dropped
+
+
+def test_positivity_violation_in_one_snapshot_of_a_chunk_raises(monkeypatch):
+    traj = _small_run(1e-4)
+    snaps = [s.copy() for s in traj.snapshots]
+    snaps[4].a[7] = -1.5  # the middle row of the chunk of snapshots 3 to 5
+    monkeypatch.setattr("eulerfourier.lyapunov.CHUNK_POINTS", 3 * traj.grid.npts)
+    with pytest.raises(PositivityViolation):
+        lyapunov_residual(dataclasses.replace(traj, snapshots=snaps), [("high", 0)])

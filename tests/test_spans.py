@@ -4,7 +4,11 @@ and the work counters still bind the calls they count."""
 import importlib
 import importlib.util
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +17,8 @@ import pytest
 
 from eulerfourier.linear import saturating_profile, semigroup_besov_decay
 
-SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_FILE = ROOT / "perfbench" / "spans.py"
 
 
 def _spans_module():
@@ -49,3 +54,28 @@ def test_mode_evals_counter_binds_a_quadrature_call():
     octaves = math.log2(8.0 / 5e-3)
     nodes = sum(math.ceil(npo * octaves) + 1 for npo in (16, 32))
     assert counts["linear.mode_evals"] == 3 * nodes
+
+
+# runs in a fresh interpreter, since the tracer patches the package in place
+_TRACED_LYAPUNOV = """
+import json, sys
+from spans import LYAP, SPANS, Tracer
+tracer = Tracer()
+tracer.install()
+import eulerfourier.cli as cli
+from eulerfourier import config
+cli.run(config.parse_config(kind="lyapunov", overrides={"t_end": 2.5e-4}, seed=0,
+                            out_dir=sys.argv[1]))
+print(json.dumps([t for t, _, _, must in SPANS if LYAP in must and tracer.spans[t][0] == 0]))
+"""
+
+
+def test_every_lyapunov_audit_span_records_a_call(tmp_path):
+    # the benchmark's traced run fails on a silent span; this catches it first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "perfbench"), str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_LYAPUNOV, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [], "spans recorded no call"
