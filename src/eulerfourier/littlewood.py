@@ -11,9 +11,13 @@ unity sum_j phi(2^-j r) telescopes to one in floating point, independent
 of how accurately the descent profile was tabulated.
 
 The descent is built by integrating the compactly supported bump
-exp(-sharpness/(1-x^2)) on (-1, 1) and interpolating the normalised
-cumulative integral with a monotone cubic (PCHIP), which preserves the
-0 <= chi <= 1 and monotonicity constraints exactly.
+exp(-sharpness/(1-x^2)) on (-1, 1) with the trapezoid rule and
+interpolating the normalised cumulative integral with the monotone cubic
+of Fritsch and Carlson (SIAM J. Numer. Anal. 17, 1980; PCHIP), which
+preserves the 0 <= chi <= 1 and monotonicity constraints exactly.  Both are
+in this module and follow scipy's formulas and operation order
+(``cumulative_trapezoid``, ``PchipInterpolator``), so the tabulated cutoffs
+equal scipy's bit for bit and do not depend on the installed scipy version.
 
 :class:`ShellSeries` holds sampled shell norms of the state and is the one
 place where they are reduced to Besov, Chemin-Lerner, critical and delta0
@@ -27,8 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from .grid import PeriodicGrid
 
@@ -37,13 +39,74 @@ CHI_FLAT = 0.75
 CHI_ZERO = 4.0 / 3.0
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Running trapezoid integral of ``y`` over the 1-D abscissae ``x`` along
+    ``axis``, starting at 0 (scipy's ``cumulative_trapezoid(..., initial=0)``)."""
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, -1)
+    steps = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.moveaxis(np.concatenate([np.zeros(y.shape[:-1] + (1,)), steps], axis=-1), -1, axis)
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point end derivative, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+@dataclass(frozen=True, eq=False)
+class MonotoneCubic:
+    """Piecewise cubic Hermite interpolant with PCHIP derivatives.
+
+    Derivatives, coefficients and evaluation order are scipy's
+    (``PchipInterpolator._find_derivatives``, ``CubicHermiteSpline``, the
+    compiled ``PPoly`` evaluation), so values are equal to scipy's bit for
+    bit.  Intervals are closed on the left, the last one on both sides;
+    outside ``[knots[0], knots[-1]]`` the value is NaN.
+    """
+
+    knots: np.ndarray
+    coef: np.ndarray  # (4, intervals), highest power first
+
+    @classmethod
+    def through(cls, x: np.ndarray, y: np.ndarray) -> MonotoneCubic:
+        """Interpolant of the values ``y`` at increasing knots ``x`` (at least 3)."""
+        h = np.diff(x)
+        m = np.diff(y) / h
+        # interior: weighted harmonic mean of the adjacent slopes, 0 at an
+        # extremum or next to a flat interval
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        dy = np.zeros_like(y)
+        dy[1:-1][~flat] = 1.0 / whmean[~flat]
+        dy[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        dy[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (dy[:-1] + dy[1:] - 2 * m) / h
+        return cls(x, np.stack([t / h, (m - dy[:-1]) / h - t, dy[:-1], y[:-1]]))
+
+    def __call__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        x = self.knots
+        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, len(x) - 2)
+        s = v - x[i]
+        c0, c1, c2, c3 = self.coef[:, i]
+        out = ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s)
+        return np.where((v >= x[0]) & (v <= x[-1]), out, np.nan)
+
+
 @dataclass(frozen=True)
 class DyadicCutoffs:
     """Tabulated smooth radial cutoff pair (chi, phi)."""
 
     sharpness: float
     samples: int
-    _step: PchipInterpolator = field(repr=False)
+    _step: MonotoneCubic = field(repr=False)  # in-package PCHIP: scipy's formula, any scipy version
 
     def chi(self, r) -> np.ndarray:
         """Low-pass profile; accepts scalars or arrays of radii >= 0."""
@@ -77,9 +140,9 @@ def build_cutoffs(sharpness: float = 1.0, samples: int = 4097) -> DyadicCutoffs:
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         bump = np.exp(-sharpness / (1.0 - x**2))
     bump[0] = bump[-1] = 0.0
-    cum = cumulative_trapezoid(bump, x, initial=0.0)
+    cum = cumulative_trapezoid(bump, x)
     cum /= cum[-1]
-    step = PchipInterpolator(x, cum, extrapolate=False)
+    step = MonotoneCubic.through(x, cum)
 
     cuts = DyadicCutoffs(sharpness=sharpness, samples=samples, _step=step)
 
@@ -329,7 +392,7 @@ class ShellSeries:
         if rho == np.inf:
             prefix = np.maximum.accumulate(rows, axis=1)
         else:
-            integral = cumulative_trapezoid(rows**rho, self.times, initial=0.0, axis=1)
+            integral = cumulative_trapezoid(rows**rho, self.times, axis=1)
             prefix = integral ** (1.0 / rho)
         return self._ell(prefix, r)
 

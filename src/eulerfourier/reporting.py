@@ -189,14 +189,42 @@ def write_error_record(path: Path, kind: str, cfg_hash: str, exc: BaseException)
     return path
 
 
+def _is_number(value) -> bool:
+    """A JSON number; ``bool`` is not one, as in JSON Schema."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _conforms(record) -> bool:
+    """Whether one loaded line satisfies the shipped verdict-v1 schema."""
+    return (
+        isinstance(record, dict)
+        and all(key in record for key in
+                ("schema", "name", "predicted", "measured", "tolerance", "pass"))
+        and record["schema"] == SCHEMA_VERSION
+        and isinstance(record["name"], str) and record["name"] != ""
+        and all(_is_number(record[key]) or isinstance(record[key], str)
+                for key in ("predicted", "measured"))
+        # "minimum": NaN is not below 0, so it passes as in JSON Schema
+        and _is_number(record["tolerance"]) and not record["tolerance"] < 0
+        and isinstance(record["pass"], bool)
+    )
+
+
 def validate_verdict_file(path: Path) -> None:
-    """Check every verdict line against the shipped versioned schema."""
+    """Check every verdict line against the shipped versioned schema.
+
+    A plain check decides a conforming file.  jsonschema is imported only
+    when some line fails it, and then decides and words the failure.
+    """
+    records = load_verdicts(path)
+    if all(_conforms(record) for record in records):
+        return
     import jsonschema
 
     schema = json.loads((_SCHEMA_DIR / f"{SCHEMA_VERSION}.json").read_text())
     validator = jsonschema.validators.validator_for(schema)(schema)
     validator.check_schema(schema)  # once per file; jsonschema.validate does it per call
-    for i, record in enumerate(load_verdicts(path)):
+    for i, record in enumerate(records):
         err = jsonschema.exceptions.best_match(validator.iter_errors(record))
         if err is not None:
             raise ValueError(f"verdict line {i + 1} fails {SCHEMA_VERSION}: {err.message}")

@@ -262,12 +262,13 @@ def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
         raise PositivityViolation("1 + a must stay positive to form quotients")
     d = grid.dim
     hats = _to_hat(grid, state)
+    # the remainder first: its transients are freed before the linear fields exist
+    remainder = _remainder_hat(grid, hats)
     ah, th = hats[0], hats[d + 1]
     uh = hats[1 : d + 1]
     div_u = sum(grid.derivative_hat(uh[m], m) for m in range(d))
     du = [-grid.derivative_hat(ah, m) - uh[m] - grid.derivative_hat(th, m) for m in range(d)]
     linear = [-div_u, *du, -div_u - grid.kmag**2 * th]
-    remainder = _remainder_hat(grid, hats)
     return _to_state(grid, [lin + rem for lin, rem in zip(linear, remainder)])
 
 

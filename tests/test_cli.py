@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerfourier.config import (
     KIND_DEFAULTS,
@@ -148,6 +150,124 @@ def test_validate_verdict_file_rejects_corruption(tmp_path):
     with pytest.raises(ValueError) as got:
         validate_verdict_file(path)
     assert str(got.value) == f"verdict line 2 fails {SCHEMA_VERSION}: {want.value.message}"
+
+
+VERDICT_KEYS = ("schema", "name", "predicted", "measured", "tolerance", "pass")
+
+
+def _schema_validator():
+    import jsonschema
+
+    schema = json.loads((Path(reporting.__file__).parent / "schemas"
+                         / f"{SCHEMA_VERSION}.json").read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _assert_plain_check_agrees(validator, record, path):
+    """The plain check and jsonschema accept the same record, and the file
+    check raises exactly when jsonschema rejects it."""
+    record = json.loads(json.dumps(record))  # as loaded from a verdict file
+    valid = validator.is_valid(record)
+    assert reporting._conforms(record) == valid
+    path.write_text(json.dumps(record) + "\n")
+    if valid:
+        validate_verdict_file(path)
+    else:
+        with pytest.raises(ValueError, match="fails verdict-v1"):
+            validate_verdict_file(path)
+
+
+_GOOD = {"schema": "verdict-v1", "name": "n", "predicted": 1.0, "measured": 0.5,
+         "tolerance": 0.0, "pass": True}
+
+
+@pytest.mark.parametrize("record", [
+    _GOOD,
+    _GOOD | {"predicted": 2, "measured": -3, "tolerance": 1},
+    _GOOD | {"predicted": True},
+    _GOOD | {"measured": False},
+    _GOOD | {"tolerance": True},
+    _GOOD | {"pass": 1},
+    _GOOD | {"pass": 0.0},
+    _GOOD | {"predicted": "inf", "measured": "nan"},
+    _GOOD | {"predicted": float("inf"), "measured": float("nan")},
+    _GOOD | {"tolerance": "inf"},
+    _GOOD | {"tolerance": float("inf")},
+    _GOOD | {"tolerance": float("nan")},
+    _GOOD | {"tolerance": float("-inf")},
+    _GOOD | {"tolerance": -1e-300},
+    _GOOD | {"tolerance": -0.0},
+    _GOOD | {"name": ""},
+    _GOOD | {"name": 7},
+    _GOOD | {"schema": "verdict-v2"},
+    _GOOD | {"predicted": None},
+    _GOOD | {"measured": [1.0]},
+    _GOOD | {"extra": None, "window": [1, 2], "note": {"a": 1}},
+    *({k: v for k, v in _GOOD.items() if k != key} for key in VERDICT_KEYS),
+    [], [_GOOD], "verdict-v1", 3, 2.5, True, None,
+])
+def test_plain_verdict_check_agrees_with_jsonschema_on_cases(record, tmp_path):
+    _assert_plain_check_agrees(_schema_validator(), record, tmp_path / "v.jsonl")
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from(["", "inf", "-inf", "nan", "verdict-v1", "n"]), st.text(max_size=3),
+)
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=2),
+                         st.dictionaries(st.text(max_size=2), _JSON_SCALARS, max_size=2))
+
+
+@st.composite
+def _verdict_lines(draw):
+    """Mostly verdict-v1 records with a few fields dropped, replaced or added;
+    sometimes a line that is not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON_VALUES)
+    record = {
+        "schema": "verdict-v1",
+        "name": draw(st.text(min_size=1, max_size=4)),
+        "predicted": draw(st.one_of(st.floats(), st.integers(), st.sampled_from(["inf", "nan"]))),
+        "measured": draw(st.one_of(st.floats(), st.integers(), st.sampled_from(["-inf", "x"]))),
+        "tolerance": draw(st.one_of(st.floats(min_value=0.0), st.integers(min_value=0))),
+        "pass": draw(st.booleans()),
+    }
+    for key in draw(st.lists(st.sampled_from(VERDICT_KEYS), max_size=2)):
+        record[key] = draw(_JSON_VALUES)
+    for key in draw(st.lists(st.sampled_from(VERDICT_KEYS), max_size=1)):
+        record.pop(key, None)
+    record |= draw(st.dictionaries(st.text(max_size=3), _JSON_VALUES, max_size=2))
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_verdict_lines())
+def test_plain_verdict_check_agrees_with_jsonschema(record, tmp_path_factory):
+    _assert_plain_check_agrees(_schema_validator(), record,
+                               tmp_path_factory.getbasetemp() / "agreement.jsonl")
+
+
+def test_a_run_imports_no_unneeded_scipy_module_or_jsonschema(tmp_path):
+    # these modules are fixed start-up cost a run does not need; checking their
+    # presence, not a time, keeps the guard free of timing noise
+    script = f"""
+import sys
+from eulerfourier import cli
+from eulerfourier.config import parse_config
+for kind, overrides in [
+        ("linear-decay", {{"nodes_per_octave": 12, "t_end": 1e3}}),
+        ("lyapunov", {{"t_end": 0.0015, "j_lo": -1, "j_hi": 1}})]:
+    cli.run(parse_config(kind=kind, overrides=overrides, out_dir={str(tmp_path)!r} + "/" + kind))
+print(" ".join(m for m in ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "jsonschema")
+               if m in sys.modules))
+"""
+    src = str(Path(reporting.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+    assert (tmp_path / "lyapunov" / "verdicts.jsonl").exists()
 
 
 def test_write_curve_layout(tmp_path):

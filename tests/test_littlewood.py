@@ -8,8 +8,10 @@ from eulerfourier.littlewood import (
     CHI_ZERO,
     FrequencySplit,
     LittlewoodPaley,
+    MonotoneCubic,
     ShellSeries,
     build_cutoffs,
+    cumulative_trapezoid,
 )
 
 
@@ -32,6 +34,57 @@ def test_cutoff_profile_shape():
     phi = c.phi(r)
     assert np.all(phi[(r < CHI_FLAT) | (r > 2 * CHI_ZERO)] == 0.0)
     assert np.all(phi >= 0.0)
+
+
+# scipy is not on the run path; it stays installed as the independent oracle
+# for the in-package trapezoid rule and PCHIP
+
+
+@pytest.mark.parametrize("sharpness, samples", [(1.0, 4097), (1.0, 33), (0.3, 101), (4.0, 1000)])
+def test_descent_tabulation_equals_scipy_bit_for_bit(sharpness, samples):
+    from scipy.integrate import cumulative_trapezoid as scipy_trapezoid
+    from scipy.interpolate import PchipInterpolator
+
+    x = np.linspace(-1.0, 1.0, samples)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        bump = np.exp(-sharpness / (1.0 - x**2))
+    bump[0] = bump[-1] = 0.0
+    cum = cumulative_trapezoid(bump, x)
+    assert np.array_equal(cum, scipy_trapezoid(bump, x, initial=0.0))
+    cum /= cum[-1]
+    oracle = PchipInterpolator(x, cum, extrapolate=False)
+    rng = np.random.default_rng(samples)
+    v = np.concatenate([rng.uniform(-1.05, 1.05, 4000), x,
+                        np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    step = build_cutoffs(sharpness, samples)._step
+    assert np.array_equal(step(v), oracle(v), equal_nan=True)
+
+
+def test_monotone_cubic_equals_scipy_pchip_on_rough_data():
+    # sign changes, flat intervals and both end-slope corrections
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5, 12, 40):
+        for _ in range(40):
+            x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 1.0
+            y = np.where(rng.uniform(size=n) < 0.3, 1.0, rng.standard_normal(n))
+            v = np.concatenate([rng.uniform(x[0] - 0.1, x[-1] + 0.1, 200), x,
+                                np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+            want = PchipInterpolator(x, y, extrapolate=False)(v)
+            assert np.array_equal(MonotoneCubic.through(x, y)(v), want, equal_nan=True)
+
+
+def test_cumulative_trapezoid_along_an_axis_equals_scipy():
+    from scipy.integrate import cumulative_trapezoid as scipy_trapezoid
+
+    rng = np.random.default_rng(3)
+    times = np.sort(rng.uniform(0.0, 5.0, 40))
+    rows = rng.standard_normal((7, 40))
+    assert np.array_equal(cumulative_trapezoid(rows, times, axis=1),
+                          scipy_trapezoid(rows, times, initial=0.0, axis=1))
+    assert np.array_equal(cumulative_trapezoid(rows.T, times, axis=0),
+                          scipy_trapezoid(rows.T, times, initial=0.0, axis=0))
 
 
 def test_partition_of_unity_telescopes():

@@ -144,6 +144,35 @@ def test_coercivity_margins_by_regime():
         coercivity_margin(0, eta=0.1, regime="middle")
 
 
+def _margin_by_generalized_eigh(j, eta, regime, samples=257):
+    """The margin one generalized ``scipy.linalg.eigh`` per radius at a time."""
+    from scipy.linalg import eigh
+
+    if regime == "low":
+        beta, target = eta, np.array([4.0**j, 1.0, 4.0**j])
+    else:
+        beta, target = eta * 2.0 ** (-2 * j), np.array([1.0, 1.0, 4.0**j])
+    margin = 1.0
+    for r in np.linspace(0.75 * 2.0**j, (8.0 / 3.0) * 2.0**j, samples):
+        f = np.array([[beta * r * r, -beta * r / 2.0, -beta * r * r / 2.0],
+                      [-beta * r / 2.0, 1.0 - beta * r * r, 0.0],
+                      [-beta * r * r / 2.0, 0.0, r * r]])
+        margin = min(margin, float(eigh(f, np.diag(target), eigvals_only=True)[0]))
+    return margin
+
+
+@pytest.mark.parametrize("regime", ["low", "high"])
+def test_coercivity_margin_equals_generalized_eigh_loop(regime):
+    for eta in (0.01, 0.05, 0.1, 0.2, 0.5):
+        for j in range(-6, 8):
+            want = _margin_by_generalized_eigh(j, eta, regime)
+            if want <= 0.0:
+                with pytest.raises(ValueError, match="coercivity"):
+                    coercivity_margin(j, eta, regime)
+            else:
+                assert coercivity_margin(j, eta, regime) == want
+
+
 def test_commutators_vanish_for_constant_coefficients(rng):
     # Uniform a and u make every commutator coefficient constant; a varying
     # temperature keeps the Delta-theta remainder from being trivially zero.
