@@ -258,14 +258,15 @@ def validate_config(cfg: RunConfig) -> None:
         RateTarget(float(opts["sigma"])).validate(dim, float(opts["sigma1"]))
     if cfg.kind == "linear-decay" and opts.get("with_u"):
         RateTarget(float(opts["sigma_u"]), "u").validate(dim, float(opts["sigma1"]))
-    if cfg.kind == "damped-mode":
-        if opts["source"] not in ("linear", "box"):
-            raise ValueError("source must be 'linear' or 'box'")
-        # a box run's fit window ends at the sound-crossing horizon L/2
-        if opts["source"] == "box" and opts["t_start"] >= opts["length"] / 2.0:
-            raise ValueError(
-                f"source = box needs t_start < L/2 = {opts['length'] / 2.0} "
-                f"(the box horizon), got t_start = {opts['t_start']}"
-            )
+    if cfg.kind == "damped-mode" and opts["source"] not in ("linear", "box"):
+        raise ValueError("source must be 'linear' or 'box'")
+    # a box run's fit window ends at the sound-crossing horizon L/2, or at an
+    # earlier decay-fit t_end (0 means L/2), as run_decay_experiment requires
+    if cfg.kind == "decay-fit" or (cfg.kind == "damped-mode" and opts["source"] == "box"):
+        horizon = opts["length"] / 2.0
+        end = (cfg.kind == "decay-fit" and opts["t_end"]) or horizon
+        if not opts["t_start"] < end <= horizon + 1e-9:
+            raise ValueError(f"the fit window needs t_start < t_end <= L/2 = {horizon} "
+                             f"(the box horizon), got ({opts['t_start']}, {end})")
     if cfg.kind == "lyapunov" and opts["j_lo"] > opts["j_hi"]:
         raise ValueError("j_lo must not exceed j_hi")

@@ -325,8 +325,6 @@ class DecayReport:
     """
 
     mode: str
-    dim: int
-    sigma1: float
     delta0: float
     verdicts: list[Verdict]
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
@@ -440,7 +438,7 @@ def run_decay_experiment(
         raise ValueError(f"unknown mode {mode!r}")
 
     series = run.series
-    rtimes, dim, split = series.times, series.dim, FrequencySplit(j0)
+    rtimes, split = series.times, FrequencySplit(j0)
     delta0 = series.delta0(spec.sigma1, split)
     x0 = float(series.critical(split)[0])
 
@@ -464,8 +462,6 @@ def run_decay_experiment(
 
     return DecayReport(
         mode=mode,
-        dim=dim,
-        sigma1=spec.sigma1,
         delta0=delta0,
         verdicts=verdicts,
         curves=curves,
@@ -519,12 +515,9 @@ class DampedModeReport:
     ``duhamel-reconstruction``.
     """
 
-    sigma1: float
-    sigma: float
     out_of_theorem: bool
     note: str
     neg_fit: RateFit
-    sigma_fit: RateFit
     verdicts: list[Verdict]
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -633,12 +626,9 @@ def damped_mode_check(
         verdicts.append(Verdict.from_bound("duhamel-reconstruction", duh_err, duh_tol))
 
     return DampedModeReport(
-        sigma1=float(sigma1),
-        sigma=sigma,
         out_of_theorem=out,
         note=note,
         neg_fit=neg_fit,
-        sigma_fit=sig_fit,
         verdicts=verdicts,
         curves={
             "u_neg_sup": (times, neg_series),

@@ -12,7 +12,8 @@ Transforms, derivatives, padding and norms act on the last d axes of any
 ``(..., *grid.shape)`` stack of fields in one call; norms give one value per
 row.  The transforms are ``scipy.fft`` complex FFTs over the axes listed last
 first, the order of ``numpy.fft.fftn``, and scaling by a power of two is
-exact, so each one equals ``numpy.fft.fftn(f) / N**d`` bit for bit.
+exact, so each one equals ``numpy.fft.fftn(f) / N**d`` bit for bit, in one
+call per stack of small fields or one call per field of at least ``ROW_POINTS``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
+
+#: fields of at least this many points are transformed one at a time: on a 2-vCPU
+#: Xeon that takes 0.65-0.97 of one call per stack from 2**14 points, 1.2-1.9x below
+ROW_POINTS = 2**14
 
 
 def _per_row(value: np.ndarray):
@@ -114,16 +119,29 @@ class PeriodicGrid:
             raise ValueError(f"field shape {f.shape} does not end in grid shape {self.shape}")
         return f
 
+    def _c2c(self, transform, f: np.ndarray, real: bool) -> np.ndarray:
+        """``transform`` over the grid axes, a stack of large fields one field at
+        a time; real input is cast (a real-input FFT rounds differently), then
+        transformed in place."""
+        f = np.asarray(f)
+        if f.ndim > self.dim and self.npts**self.dim >= ROW_POINTS:
+            out = np.empty(f.shape, dtype=float if real else complex)
+            for row in np.ndindex(f.shape[: f.ndim - self.dim]):
+                value = self._c2c(transform, f[row], False)
+                out[row] = value.real if real else value
+            return out
+        out = transform(self._complex(f), axes=self.axes, norm="forward",
+                        overwrite_x=not np.iscomplexobj(f))
+        # a copy, so that a held real part does not keep the complex array alive
+        return out.real.copy() if real else out
+
     def forward(self, f: np.ndarray) -> np.ndarray:
         """FFT normalised so the zero mode is the mean of ``f``."""
-        # real input is cast (a real-input FFT rounds differently), then transformed in place
-        return scipy.fft.fftn(self._complex(f), axes=self.axes, norm="forward",
-                              overwrite_x=not np.iscomplexobj(f))
+        return self._c2c(scipy.fft.fftn, f, real=False)
 
     def inverse(self, fhat: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`; returns the real part."""
-        # a copy, so that a held result does not keep the complex array alive
-        return scipy.fft.ifftn(self._complex(fhat), axes=self.axes, norm="forward").real.copy()
+        return self._c2c(scipy.fft.ifftn, fhat, real=True)
 
     def derivative_hat(self, fhat: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
         return fhat * (1j * self.wavenumbers[axis]) ** order

@@ -39,6 +39,13 @@ CHI_FLAT = 0.75
 CHI_ZERO = 4.0 / 3.0
 
 
+def square(x) -> np.ndarray:
+    """``x ** 2`` value by value in Python floats, whose power may round unlike
+    numpy's: no value depends on being computed in a stack."""
+    x = np.asarray(x)
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Running trapezoid integral of ``y`` over the 1-D abscissae ``x`` along
     ``axis``, starting at 0 (scipy's ``cumulative_trapezoid(..., initial=0)``)."""
@@ -268,15 +275,11 @@ class LittlewoodPaley:
             return self.shell_l2_hat(fhat, j)
         return self.grid.lp_norm(self.grid.inverse(self.block_hat(fhat, j)), p)
 
-    def shell_norms(self, f: np.ndarray, p: float = 2) -> dict[int, float]:
-        """Shell L^p norms over the resolvable range."""
-        fhat = self.grid.forward(np.asarray(f, dtype=float))
-        return {j: self.shell_lp_hat(fhat, j, p) for j in self.shells}
-
-    def vector_shell_norms(self, fields: list[np.ndarray], p: float = 2) -> dict[int, float]:
-        """Shell norms of a multi-component field, ell^2 across components."""
-        per = [self.shell_norms(c, p) for c in fields]
-        return {j: float(np.sqrt(sum(s[j] ** 2 for s in per))) for j in self.shells}
+    def state_l2_hat(self, hats: np.ndarray, j: int) -> tuple:
+        """Shell-j L^2 norms of a, |u| and theta from a spectral stack
+        [a, u_1, ..., u_d, theta]; one value per row of each component."""
+        norms = [self.shell_l2_hat(h, j) for h in hats]
+        return norms[0], np.sqrt(sum(square(n) for n in norms[1:-1])), norms[-1]
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -327,9 +330,8 @@ class ShellSeries:
     @classmethod
     def of_state(cls, lp: LittlewoodPaley, state) -> ShellSeries:
         """Single-time series (at t = 0) of a :class:`~eulerfourier.grid.StateFields`."""
-        per = [lp.shell_norms(state.a), lp.vector_shell_norms(list(state.u)),
-               lp.shell_norms(state.theta)]
-        norms = np.array([[[c[j]] for c in per] for j in lp.shells])
+        hats = lp.grid.forward(np.stack(state.components()))
+        norms = np.array([lp.state_l2_hat(hats, j) for j in lp.shells])[:, :, None]
         return cls(np.zeros(1), tuple(lp.shells), lp.grid.dim, norms)
 
     def composite(self, components: tuple[str, ...] = COMPONENTS) -> np.ndarray:

@@ -39,7 +39,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .grid import PeriodicGrid, StateFields
-from .littlewood import LittlewoodPaley
+from .littlewood import LittlewoodPaley, square
 from .reporting import Verdict
 from .solver import PositivityViolation, TrajectoryRecord, nonlinear_rhs
 
@@ -93,18 +93,14 @@ def _vec_sq(grid: PeriodicGrid, vec) -> np.ndarray:
     return sum(_sq(grid, comp) for comp in vec)
 
 
-# Python's float ``x ** 2`` and ``math.hypot`` may round unlike numpy's, so they
-# are taken sample by sample: no value depends on being computed in a stack.
-def _square(x: np.ndarray) -> np.ndarray:
-    return np.array([v**2 for v in x.tolist()])
-
-
+# Python's ``math.hypot`` may round unlike numpy's, so it is taken sample by
+# sample, as ``square`` takes x ** 2: no value depends on being computed in a stack.
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
 def _ell2(norms) -> np.ndarray:
-    return np.sqrt(sum(_square(n) for n in norms))
+    return np.sqrt(sum(square(n) for n in norms))
 
 
 def _vec_norm(lp: LittlewoodPaley, hats, j: int) -> np.ndarray:
@@ -150,12 +146,6 @@ class _ChunkTerms:
     def hats(self) -> np.ndarray:
         """Hats of a, u_1, ..., u_d and theta, stacked along the first axis."""
         return self.grid.forward(np.stack(self.state.components()))
-
-    def norms(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shell-j L^2 norms of a, u and theta."""
-        lp, hats = self.lp, self.hats
-        return (lp.shell_l2_hat(hats[0], j), _vec_norm(lp, hats[1:-1], j),
-                lp.shell_l2_hat(hats[-1], j))
 
     def shell(self, j: int) -> tuple:
         """Blocks a_j, u_j, theta_j with grad a_j, grad theta_j and div u_j."""
@@ -288,7 +278,7 @@ class _ChunkTerms:
 
     def target(self, j: int, regime: str) -> np.ndarray:
         """The regime's target dissipation form Q_j."""
-        a_j, u_j, th_j = (_square(n) for n in self.norms(j))
+        a_j, u_j, th_j = (square(n) for n in self.lp.state_l2_hat(self.hats, j))
         if regime == "low":
             return 4.0**j * (a_j + th_j) + u_j
         return a_j + u_j + 4.0**j * th_j
@@ -297,7 +287,7 @@ class _ChunkTerms:
         """Right side of the low-shell inequality: the four norm products."""
         au, adv, bad, uth, _ = self.products[j]
         sflux, gcoef = self.low_fluxes[j]
-        _, u_j, th_j = self.norms(j)
+        _, u_j, th_j = self.lp.state_l2_hat(self.hats, j)
         _, _, _, grad_a, grad_th, _ = self.shell(j)
         na_j = np.sqrt(_vec_sq(self.grid, grad_a))
         th_grad_j = np.sqrt(_vec_sq(self.grid, grad_th))
@@ -314,7 +304,7 @@ class _ChunkTerms:
         beta = eta * 2.0 ** (-2 * j)
         dtw_sup, grad_v_sup, div_wu_sup, div_u_sup, grad_s_sup, ratio_s_sup, weight_sup = (
             self.high_sups)
-        a_j, u_j, th_j = self.norms(j)
+        a_j, u_j, th_j = self.lp.state_l2_hat(self.hats, j)
         _, _, _, grad_a, grad_th, div_u = self.shell(j)
         th_grad_j = np.sqrt(_vec_sq(grid, grad_th))
         a_grad_j = np.sqrt(_vec_sq(grid, grad_a))
@@ -322,13 +312,13 @@ class _ChunkTerms:
         _, adv, bad, uth, div_au = self.products[j]
         r1_n, r2_n, r3_n = self.remainders[j]
 
-        total = 0.5 * dtw_sup * _square(a_j)
+        total = 0.5 * dtw_sup * square(a_j)
         total += grad_v_sup * u_j * a_j
-        total += 0.5 * div_wu_sup * _square(a_j)
-        total += 0.5 * div_u_sup * _square(u_j)
+        total += 0.5 * div_wu_sup * square(a_j)
+        total += 0.5 * div_u_sup * square(u_j)
         total += uth * th_grad_j
         total += grad_s_sup * th_grad_j * th_j
-        total += ratio_s_sup * _square(th_grad_j)
+        total += ratio_s_sup * square(th_grad_j)
         total += r1_n * weight_sup * a_j + r2_n * u_j + r3_n * th_j
         total += beta * div_au * divu_j
         total += beta * adv * a_grad_j

@@ -17,6 +17,7 @@ transverse velocity, so the propagator and both phi-function tables are
 built once per distinct radius from a single augmented-block matrix
 exponential (scaling-and-squaring Pade), never by diagonalisation.
 
+The spectral state is one ``(d + 2, *grid.shape)`` stack [a, u, theta].
 The quadratic and quotient terms are formed in one place,
 :func:`_remainder_hat`, always dealiased by the 2/3 rule.  The stepper
 advances it, and :func:`nonlinear_rhs` (the full tendency that the
@@ -56,10 +57,11 @@ class SolverConfig:
     """Time-stepping parameters.
 
     ``dt=None`` selects the largest step allowed by :func:`cfl_check`.
-    ``epsilon0`` bounds the smallness proxy of the initial data (the
-    critical norm whose smallness the decay theory requires); ``None``
-    skips that gate.  ``positivity_floor`` is the least admissible value
-    of 1 + a and 1 + theta.
+    ``epsilon0`` bounds the critical norm of the initial data whose
+    smallness the decay theory requires, :meth:`ShellSeries.critical` at
+    t = 0 (the start of the run's critical curve, for band-limited data);
+    ``None`` skips that gate.  ``positivity_floor`` is the least admissible
+    value of 1 + a and 1 + theta.
     """
 
     dt: float | None = None
@@ -132,21 +134,17 @@ def _phi_tables(mats: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.
     return e0, f1, f2
 
 
-def _to_hat(grid: PeriodicGrid, state: StateFields) -> list[np.ndarray]:
-    """Dealiased spectral components [a, u_1, ..., u_d, theta] of a state."""
-    return [grid.dealias(grid.forward(c)) for c in state.components()]
+def _to_hat(grid: PeriodicGrid, state: StateFields) -> np.ndarray:
+    """Dealiased spectral stack [a, u_1, ..., u_d, theta] of a state."""
+    return grid.dealias(grid.forward(np.stack(state.components())))
 
 
-def _to_state(grid: PeriodicGrid, hats: list[np.ndarray]) -> StateFields:
-    d = grid.dim
-    return StateFields(
-        a=grid.inverse(hats[0]),
-        u=np.stack([grid.inverse(hats[1 + m]) for m in range(d)]),
-        theta=grid.inverse(hats[d + 1]),
-    )
+def _to_state(grid: PeriodicGrid, hats: np.ndarray) -> StateFields:
+    fields = grid.inverse(hats)
+    return StateFields(a=fields[0], u=fields[1:-1], theta=fields[-1])
 
 
-def _remainder_hat(grid: PeriodicGrid, hats: list[np.ndarray]) -> list[np.ndarray]:
+def _remainder_hat(grid: PeriodicGrid, hats: np.ndarray) -> np.ndarray:
     """Spectral nonlinear remainder (full tendency minus linear part).
 
     The one place the quadratic and quotient terms are formed: -div(a u),
@@ -154,36 +152,30 @@ def _remainder_hat(grid: PeriodicGrid, hats: list[np.ndarray]) -> list[np.ndarra
     -div(theta u) - (a/(1 + a)) Lap theta, each dealiased by the 2/3 rule.
     """
     d = grid.dim
-    ah, th = hats[0], hats[d + 1]
-    uh = hats[1 : d + 1]
-
-    a = grid.inverse(ah)
-    theta = grid.inverse(th)
-    u = [grid.inverse(uh[m]) for m in range(d)]
-    grad_a = [grid.inverse(grid.derivative_hat(ah, m)) for m in range(d)]
-    grad_u = [[grid.inverse(grid.derivative_hat(uh[m], n)) for n in range(d)] for m in range(d)]
-    lap_th = grid.inverse(-(grid.kmag**2) * th)
+    fields = grid.inverse(hats)
+    a, u, theta = fields[0], fields[1:-1], fields[-1]
+    # grads[n]: d_n a, then d_n u_1, ..., d_n u_d, each transformed as soon as it
+    # is formed (at 64**3, faster than one stack per axis, which leaves the cache)
+    grads = [[grid.inverse(grid.derivative_hat(h, n)) for h in hats[: d + 1]] for n in range(d)]
+    lap_th = grid.inverse(-(grid.kmag**2) * hats[-1])
 
     one_a = 1.0 + a
     q = (theta - a) / one_a
     s = a / one_a
 
+    out = np.zeros(hats.shape, dtype=complex)
     # continuity: -div(a u), kept in divergence form
-    na = np.zeros(ah.shape, dtype=complex)
     for m in range(d):
-        na -= grid.derivative_hat(grid.forward(a * u[m]), m)
+        out[0] -= grid.derivative_hat(grid.forward(a * u[m]), m)
 
-    nu = []
     for m in range(d):
-        adv = sum(u[n] * grad_u[m][n] for n in range(d))
-        nu.append(grid.forward(-adv - q * grad_a[m]))
+        adv = sum(u[n] * grads[n][1 + m] for n in range(d))
+        out[1 + m] = grid.forward(-adv - q * grads[m][0])
 
-    transport = np.zeros(ah.shape, dtype=complex)
     for m in range(d):
-        transport -= grid.derivative_hat(grid.forward(theta * u[m]), m)
-    nth = transport + grid.forward(-s * lap_th)
-
-    return [grid.dealias(h) for h in (na, *nu, nth)]
+        out[-1] -= grid.derivative_hat(grid.forward(theta * u[m]), m)
+    out[-1] += grid.forward(-s * lap_th)
+    return grid.dealias(out)
 
 
 class Stepper:
@@ -207,38 +199,37 @@ class Stepper:
             self._unit_k = [np.broadcast_to(np.where(kmag > 0, km / kmag, 0.0), grid.shape)
                             for km in grid.wavenumbers]
 
-    def _apply_table(self, table: np.ndarray, hats: list[np.ndarray], scalar: complex) -> list[np.ndarray]:
+    def _apply_table(self, table: np.ndarray, hats: np.ndarray, scalar: complex) -> np.ndarray:
         """Apply a per-radius 3x3 table to (a, u_par, theta); damp u_perp."""
-        d = self.grid.dim
-        ah, th = hats[0], hats[d + 1]
-        uh = hats[1 : d + 1]
-        upar = sum(self._unit_k[m] * uh[m] for m in range(d))
-        uperp = [uh[m] - self._unit_k[m] * upar for m in range(d)]
+        ah, uh, th = hats[0], hats[1:-1], hats[-1]
+        upar = sum(k * um for k, um in zip(self._unit_k, uh))
 
         # one gather per entry: a gathered (*shape, 3, 3) block is read with strides
         def t(i: int, j: int) -> np.ndarray:
             return table[:, i, j][self._idx]
 
-        a2 = t(0, 0) * ah + t(0, 1) * upar + t(0, 2) * th
+        out = np.empty_like(hats)
+        out[0] = t(0, 0) * ah + t(0, 1) * upar + t(0, 2) * th
         p2 = t(1, 0) * ah + t(1, 1) * upar + t(1, 2) * th
-        t2 = t(2, 0) * ah + t(2, 1) * upar + t(2, 2) * th
-        out_u = [self._unit_k[m] * p2 + scalar * uperp[m] for m in range(d)]
-        return [a2, *out_u, t2]
+        out[-1] = t(2, 0) * ah + t(2, 1) * upar + t(2, 2) * th
+        for m, (k, um) in enumerate(zip(self._unit_k, uh)):
+            out[1 + m] = k * p2 + scalar * (um - k * upar)
+        return out
 
-    def step_hat(self, hats: list[np.ndarray]) -> list[np.ndarray]:
-        """One ETDRK2 step on spectral components."""
+    def step_hat(self, hats: np.ndarray) -> np.ndarray:
+        """One ETDRK2 step on a spectral stack."""
         n0 = _remainder_hat(self.grid, hats)
         e0, f1, f2 = self._e0, self._f1, self._f2
         s0, s1, s2 = self._perp
 
-        lin = self._apply_table(e0, hats, s0)
-        kick = self._apply_table(f1, n0, s1)
-        mid = [lin[i] + kick[i] for i in range(len(hats))]
+        mid = self._apply_table(e0, hats, s0)
+        mid += self._apply_table(f1, n0, s1)
 
-        n1 = _remainder_hat(self.grid, mid)
-        dn = [n1[i] - n0[i] for i in range(len(hats))]
-        corr = self._apply_table(f2, dn, s2)
-        return [mid[i] + corr[i] for i in range(len(hats))]
+        dn = _remainder_hat(self.grid, mid)
+        dn -= n0
+        del n0
+        mid += self._apply_table(f2, dn, s2)
+        return mid
 
 
 # ----------------------------------------------------------------------
@@ -262,14 +253,14 @@ def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
         raise PositivityViolation("1 + a must stay positive to form quotients")
     d = grid.dim
     hats = _to_hat(grid, state)
-    # the remainder first: its transients are freed before the linear fields exist
-    remainder = _remainder_hat(grid, hats)
-    ah, th = hats[0], hats[d + 1]
-    uh = hats[1 : d + 1]
+    out = _remainder_hat(grid, hats)
+    ah, uh, th = hats[0], hats[1:-1], hats[-1]
     div_u = sum(grid.derivative_hat(uh[m], m) for m in range(d))
-    du = [-grid.derivative_hat(ah, m) - uh[m] - grid.derivative_hat(th, m) for m in range(d)]
-    linear = [-div_u, *du, -div_u - grid.kmag**2 * th]
-    return _to_state(grid, [lin + rem for lin, rem in zip(linear, remainder)])
+    out[0] -= div_u
+    for m in range(d):
+        out[1 + m] += -grid.derivative_hat(ah, m) - uh[m] - grid.derivative_hat(th, m)
+    out[-1] += -div_u - grid.kmag**2 * th
+    return _to_state(grid, out)
 
 
 # ----------------------------------------------------------------------
@@ -298,30 +289,12 @@ def _check_admissible(
             f"initial density/temperature below positivity floor {floor}"
         )
     if config.epsilon0 is not None:
-        size = critical_norm(lp, state)
+        size = float(ShellSeries.of_state(lp, state).critical(lp.split)[0])
         if size > config.epsilon0:
             raise ValueError(
                 f"initial data critical norm {size:.3e} exceeds epsilon0 "
                 f"{config.epsilon0:.3e}; pass epsilon0=None to bypass"
             )
-
-
-def critical_norm(lp: LittlewoodPaley, state: StateFields) -> float:
-    """Smallness proxy: critical-regularity norm of the data.
-
-    Low frequencies are measured at regularity d/2, high frequencies at
-    d/2 + 1, each summed over the d + 2 scalar fields (a, each u_m, theta).
-    This makes the ``epsilon0`` gate the stricter of the two critical
-    norms of the same shells: :meth:`ShellSeries.critical`, which takes
-    the ell^2 composite over components shell by shell, is at most this
-    value, and this value is at most sqrt(d + 2) times it.
-    """
-    d = lp.grid.dim
-    total = 0.0
-    for fld in (state.a, *list(state.u), state.theta):
-        total += lp.besov_norm(fld, d / 2.0, regime="low")
-        total += lp.besov_norm(fld, d / 2.0 + 1.0, regime="high")
-    return total
 
 
 def integrate(
@@ -361,19 +334,9 @@ def integrate(
     snap_times: list[float] = []
     snaps: list[StateFields] = []
 
-    d = grid.dim
-
-    def sample(i_sample: int, t: float, hats_now: list[np.ndarray]) -> None:
+    def sample(i_sample: int, t: float, hats_now: np.ndarray) -> None:
         times.append(t)
-        rows = []
-        for j in lp.shells:
-            mult = lp.shell_multiplier(j)
-            rows.append((
-                grid.l2_norm_hat(hats_now[0] * mult),
-                float(np.sqrt(sum(grid.l2_norm_hat(hats_now[1 + m] * mult) ** 2 for m in range(d)))),
-                grid.l2_norm_hat(hats_now[d + 1] * mult),
-            ))
-        shell_rows.append(rows)
+        shell_rows.append([lp.state_l2_hat(hats_now, j) for j in lp.shells])
         mean_a.append(float(np.real(hats_now[0].flat[0])))
         state = _to_state(grid, hats_now)
         if np.min(1.0 + state.a) < config.positivity_floor or np.min(
@@ -390,7 +353,7 @@ def integrate(
     for i_step in range(1, n_steps + 1):
         hats = stepper.step_hat(hats)
         # a NaN or inf anywhere in a component makes its sum non-finite
-        if not all(np.isfinite(np.sum(h)) for h in hats):
+        if not np.isfinite(np.sum(hats)):
             raise NonFinite(f"solution lost finiteness at t={i_step * dt:g}")
         if i_step % config.sample_stride == 0 or i_step == n_steps:
             sample(i_sample, i_step * dt, hats)
@@ -409,7 +372,7 @@ def integrate(
         grid=grid,
         config=config,
         dt=dt,
-        series=ShellSeries(np.asarray(times), tuple(lp.shells), d, norms),
+        series=ShellSeries(np.asarray(times), tuple(lp.shells), grid.dim, norms),
         mean_a=np.asarray(mean_a),
         max_speed=np.asarray(max_speed),
         snapshot_times=snap_times,

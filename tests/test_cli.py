@@ -99,6 +99,15 @@ def test_box_damped_mode_needs_t_start_below_half_the_box():
         parse_config(kind="damped-mode", overrides={"source": "box"})
     parse_config(kind="damped-mode", overrides={"source": "box", "t_start": "25"})
     parse_config(kind="damped-mode")  # the quadrature has no box
+    # decay-fit: the window must end by L/2 = 32 pi, and t_end = 0 means L/2
+    with pytest.raises(ValueError, match=r"L/2 = 100\.53"):
+        parse_config(kind="decay-fit", overrides={"npts": "256", "t_end": "200"})
+    with pytest.raises(ValueError, match=r"L/2 = 100\.53"):
+        parse_config(kind="decay-fit", overrides={"t_start": "150"})
+    with pytest.raises(ValueError, match="t_start"):
+        parse_config(kind="decay-fit", overrides={"t_start": "60", "t_end": "50"})
+    parse_config(kind="decay-fit", overrides={"t_end": str(32.0 * np.pi)})
+    parse_config(kind="decay-fit")
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,10 @@ def test_pad_restrict_roundtrip(grid1d, rng):
     assert np.max(np.abs(back - fhat)) < 1e-14
 
 
-STACK_GRIDS = [(1, 512, 8.0 * np.pi), (2, 64, 8.0 * np.pi), (3, 32, 4.0 * np.pi)]
+# 32**3 points lie above ROW_POINTS, so that stack is transformed field by
+# field; the others in one call per stack
+STACK_GRIDS = [(1, 512, 8.0 * np.pi), (2, 64, 8.0 * np.pi), (3, 32, 4.0 * np.pi),
+               (3, 16, 4.0 * np.pi)]
 
 
 @pytest.mark.parametrize("dim, npts, length", STACK_GRIDS)
@@ -91,6 +94,10 @@ def test_stacked_calls_equal_per_field_calls(dim, npts, length, rng):
         assert np.array_equal(restricted[idx], grid.restrict_from(padded[idx], fine))
         assert norms[idx] == grid.l2_norm(stack[idx])
         assert norms_hat[idx] == grid.l2_norm_hat(fhat)
+    # complex input is transformed in a copy
+    copy = hats.copy()
+    grid.forward(hats)
+    assert np.array_equal(hats, copy)
 
 
 @pytest.mark.parametrize("dim, npts, length", STACK_GRIDS)

@@ -132,23 +132,30 @@ def test_single_mode_besov_norm_oracle(grid1d, lp1d):
 
 
 def test_shell_norms_match_blocks(grid1d, lp1d, rng):
-    f = _band_limited_field(grid1d, lp1d, rng)
-    norms = lp1d.shell_norms(f)
+    # the (a, |u|, theta) norms of a spectral state stack against the blocks
+    fields = [_band_limited_field(grid1d, lp1d, rng) for _ in range(3)]
+    hats = grid1d.forward(np.stack(fields))
     for j in lp1d.shells:
-        assert np.isclose(norms[j], grid1d.l2_norm(lp1d.block(f, j)), rtol=1e-12)
+        for got, f in zip(lp1d.state_l2_hat(hats, j), fields):
+            assert np.isclose(got, grid1d.l2_norm(lp1d.block(f, j)), rtol=1e-12)
 
 
-def test_vector_shell_norms_combine_components(grid1d, lp1d, rng):
-    f = _band_limited_field(grid1d, lp1d, rng)
-    single = lp1d.shell_norms(f)
-    double = lp1d.vector_shell_norms([f, f])
-    for j in lp1d.shells:
-        assert np.isclose(double[j], np.sqrt(2.0) * single[j], rtol=1e-12)
+def test_vector_shell_norms_combine_components(grid2d, lp2d, rng):
+    # |u| is ell^2 over the velocity rows; a stack of states gives one value
+    # per state, each bit for bit the value of that state alone
+    f, g = (_band_limited_field(grid2d, lp2d, rng) for _ in range(2))
+    single = grid2d.forward(np.stack([f, f, f, g]))
+    stacked = grid2d.forward(np.stack([np.stack([f, 2.0 * f])] * 3 + [np.stack([g, g])]))
+    for j in lp2d.shells:
+        a, u, theta = lp2d.state_l2_hat(single, j)
+        assert np.isclose(u, np.sqrt(2.0) * a, rtol=1e-12)
+        assert [row[0] for row in lp2d.state_l2_hat(stacked, j)] == [a, u, theta]
 
 
 def _shell_series(lp, f, times):
     """ShellSeries holding f's shell norms in every component, constant in time."""
-    norms = np.array([lp.shell_norms(f)[j] for j in lp.shells])
+    fhat = lp.grid.forward(f)
+    norms = np.array([lp.shell_l2_hat(fhat, j) for j in lp.shells])
     stack = np.broadcast_to(norms[:, None, None], (len(norms), 3, len(times)))
     return ShellSeries(np.asarray(times), tuple(lp.shells), lp.grid.dim, stack.copy())
 

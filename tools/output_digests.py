@@ -1,0 +1,43 @@
+"""Print the sha256 of every artifact of the seven CLI kinds at default configs.
+
+Each kind runs at its default config with seed 0 in a fresh temporary
+directory, and every file it writes is listed as ``kind/path sha256``, in
+sorted order.  ``run_record.json`` holds timestamps and is skipped;
+``summary.txt`` names the output directory in its notes, so it is hashed with
+that directory removed.  Two commits produce the same outputs exactly when
+their listings are equal, which ``diff`` shows:
+
+    python3 tools/output_digests.py > after.txt
+
+The package is imported from the ``src`` directory next to this script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from eulerfourier.cli import run  # noqa: E402
+from eulerfourier.config import KINDS, parse_config  # noqa: E402
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in KINDS:
+            out = Path(tmp) / kind
+            run(parse_config(kind=kind, seed=0, out_dir=out))
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                if path.name == "run_record.json":
+                    continue
+                data = path.read_bytes()
+                if path.name == "summary.txt":
+                    data = data.replace(str(out).encode(), b"")
+                print(f"{kind}/{path.relative_to(out).as_posix()} {hashlib.sha256(data).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
