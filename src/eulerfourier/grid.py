@@ -160,8 +160,9 @@ class PeriodicGrid:
         return self.inverse(-(self.kmag**2) * self.forward(f))
 
     def dealias(self, fhat: np.ndarray) -> np.ndarray:
-        """Zero every mode with any axis frequency above N/3."""
-        return np.where(self.dealias_mask, fhat, 0.0)
+        """Zero, in place, every mode with any axis frequency above N/3; returns ``fhat``."""
+        np.copyto(fhat, 0.0, where=~self.dealias_mask)
+        return fhat
 
     # ------------------------------------------------------------------
     def l2_norm(self, f: np.ndarray):

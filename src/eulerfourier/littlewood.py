@@ -330,7 +330,11 @@ class ShellSeries:
     @classmethod
     def of_state(cls, lp: LittlewoodPaley, state) -> ShellSeries:
         """Single-time series (at t = 0) of a :class:`~eulerfourier.grid.StateFields`."""
-        hats = lp.grid.forward(np.stack(state.components()))
+        return cls.of_hats(lp, lp.grid.forward(np.stack(state.components())))
+
+    @classmethod
+    def of_hats(cls, lp: LittlewoodPaley, hats: np.ndarray) -> ShellSeries:
+        """Single-time series (at t = 0) of a spectral stack [a, u_1, ..., u_d, theta]."""
         norms = np.array([lp.state_l2_hat(hats, j) for j in lp.shells])[:, :, None]
         return cls(np.zeros(1), tuple(lp.shells), lp.grid.dim, norms)
 

@@ -25,6 +25,11 @@ Lyapunov and Duhamel checks read) is the linear symbol plus the same
 remainder.  :func:`linear_rhs` is an independent physical-space oracle
 for the linear part.
 
+A step's working set is three spectral stacks: its input (reused for
+N(mid) - N(input)), N(input) and the midpoint, which it returns.  On top of
+them the remainder holds one physical state and a few single fields, one
+gradient at a time, and the tables add into the midpoint row by row.
+
 The continuity equation is advanced in divergence form, so the mean of
 the density is conserved to rounding.
 """
@@ -135,8 +140,8 @@ def _phi_tables(mats: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _to_hat(grid: PeriodicGrid, state: StateFields) -> np.ndarray:
-    """Dealiased spectral stack [a, u_1, ..., u_d, theta] of a state."""
-    return grid.dealias(grid.forward(np.stack(state.components())))
+    """Spectral stack [a, u_1, ..., u_d, theta] of a state, not yet dealiased."""
+    return grid.forward(np.stack(state.components()))
 
 
 def _to_state(grid: PeriodicGrid, hats: np.ndarray) -> StateFields:
@@ -144,37 +149,36 @@ def _to_state(grid: PeriodicGrid, hats: np.ndarray) -> StateFields:
     return StateFields(a=fields[0], u=fields[1:-1], theta=fields[-1])
 
 
-def _remainder_hat(grid: PeriodicGrid, hats: np.ndarray) -> np.ndarray:
+def _remainder_hat(
+    grid: PeriodicGrid, hats: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Spectral nonlinear remainder (full tendency minus linear part).
 
     The one place the quadratic and quotient terms are formed: -div(a u),
     -(u . grad) u - ((theta - a)/(1 + a)) grad a, and
     -div(theta u) - (a/(1 + a)) Lap theta, each dealiased by the 2/3 rule.
+    It is written into ``out`` when given, any stack of the same shape.
     """
     d = grid.dim
     fields = grid.inverse(hats)
     a, u, theta = fields[0], fields[1:-1], fields[-1]
-    # grads[n]: d_n a, then d_n u_1, ..., d_n u_d, each transformed as soon as it
-    # is formed (at 64**3, faster than one stack per axis, which leaves the cache)
-    grads = [[grid.inverse(grid.derivative_hat(h, n)) for h in hats[: d + 1]] for n in range(d)]
-    lap_th = grid.inverse(-(grid.kmag**2) * hats[-1])
-
     one_a = 1.0 + a
     q = (theta - a) / one_a
-    s = a / one_a
 
-    out = np.zeros(hats.shape, dtype=complex)
+    out = np.empty_like(hats) if out is None else out
+    out[...] = 0.0
     # continuity: -div(a u), kept in divergence form
     for m in range(d):
         out[0] -= grid.derivative_hat(grid.forward(a * u[m]), m)
 
     for m in range(d):
-        adv = sum(u[n] * grads[n][1 + m] for n in range(d))
-        out[1 + m] = grid.forward(-adv - q * grads[m][0])
+        # one gradient field live at a time: d_n u_m for every n, then d_m a
+        adv = sum(u[n] * grid.inverse(grid.derivative_hat(hats[1 + m], n)) for n in range(d))
+        out[1 + m] = grid.forward(-adv - q * grid.inverse(grid.derivative_hat(hats[0], m)))
 
     for m in range(d):
         out[-1] -= grid.derivative_hat(grid.forward(theta * u[m]), m)
-    out[-1] += grid.forward(-s * lap_th)
+    out[-1] += grid.forward(-(a / one_a) * grid.inverse(-(grid.kmag**2) * hats[-1]))
     return grid.dealias(out)
 
 
@@ -199,8 +203,11 @@ class Stepper:
             self._unit_k = [np.broadcast_to(np.where(kmag > 0, km / kmag, 0.0), grid.shape)
                             for km in grid.wavenumbers]
 
-    def _apply_table(self, table: np.ndarray, hats: np.ndarray, scalar: complex) -> np.ndarray:
-        """Apply a per-radius 3x3 table to (a, u_par, theta); damp u_perp."""
+    def _apply_table(self, table: np.ndarray, hats: np.ndarray, scalar: complex,
+                     out: np.ndarray, add: bool = True) -> None:
+        """Apply a per-radius 3x3 table to (a, u_par, theta) and damp u_perp,
+        adding the result into ``out`` (storing it, if not ``add``) one row at a time."""
+        put = (lambda row, value: np.add(out[row], value, out=out[row])) if add else out.__setitem__
         ah, uh, th = hats[0], hats[1:-1], hats[-1]
         upar = sum(k * um for k, um in zip(self._unit_k, uh))
 
@@ -208,27 +215,27 @@ class Stepper:
         def t(i: int, j: int) -> np.ndarray:
             return table[:, i, j][self._idx]
 
-        out = np.empty_like(hats)
-        out[0] = t(0, 0) * ah + t(0, 1) * upar + t(0, 2) * th
+        put(0, t(0, 0) * ah + t(0, 1) * upar + t(0, 2) * th)
         p2 = t(1, 0) * ah + t(1, 1) * upar + t(1, 2) * th
-        out[-1] = t(2, 0) * ah + t(2, 1) * upar + t(2, 2) * th
+        put(-1, t(2, 0) * ah + t(2, 1) * upar + t(2, 2) * th)
         for m, (k, um) in enumerate(zip(self._unit_k, uh)):
-            out[1 + m] = k * p2 + scalar * (um - k * upar)
-        return out
+            put(1 + m, k * p2 + scalar * (um - k * upar))
 
     def step_hat(self, hats: np.ndarray) -> np.ndarray:
-        """One ETDRK2 step on a spectral stack."""
+        """One ETDRK2 step on a spectral stack, which it consumes: its buffer
+        is reused for N(mid) - N(hats)."""
         n0 = _remainder_hat(self.grid, hats)
         e0, f1, f2 = self._e0, self._f1, self._f2
         s0, s1, s2 = self._perp
 
-        mid = self._apply_table(e0, hats, s0)
-        mid += self._apply_table(f1, n0, s1)
+        mid = np.empty_like(hats)
+        self._apply_table(e0, hats, s0, mid, add=False)
+        self._apply_table(f1, n0, s1, mid)
 
-        dn = _remainder_hat(self.grid, mid)
+        dn = _remainder_hat(self.grid, mid, out=hats)
         dn -= n0
         del n0
-        mid += self._apply_table(f2, dn, s2)
+        self._apply_table(f2, dn, s2, mid)
         return mid
 
 
@@ -252,7 +259,7 @@ def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
     if np.min(1.0 + state.a) <= 0:
         raise PositivityViolation("1 + a must stay positive to form quotients")
     d = grid.dim
-    hats = _to_hat(grid, state)
+    hats = grid.dealias(_to_hat(grid, state))
     out = _remainder_hat(grid, hats)
     ah, uh, th = hats[0], hats[1:-1], hats[-1]
     div_u = sum(grid.derivative_hat(uh[m], m) for m in range(d))
@@ -279,7 +286,7 @@ class TrajectoryRecord:
 
 
 def _check_admissible(
-    grid: PeriodicGrid, state: StateFields, config: SolverConfig, lp: LittlewoodPaley
+    state: StateFields, hats: np.ndarray, config: SolverConfig, lp: LittlewoodPaley
 ) -> None:
     if not state.is_finite():
         raise NonFinite("initial data contains non-finite values")
@@ -289,7 +296,7 @@ def _check_admissible(
             f"initial density/temperature below positivity floor {floor}"
         )
     if config.epsilon0 is not None:
-        size = float(ShellSeries.of_state(lp, state).critical(lp.split)[0])
+        size = float(ShellSeries.of_hats(lp, hats).critical(lp.split)[0])
         if size > config.epsilon0:
             raise ValueError(
                 f"initial data critical norm {size:.3e} exceeds epsilon0 "
@@ -315,7 +322,9 @@ def integrate(
     """
     if lp is None:
         lp = LittlewoodPaley(grid)
-    _check_admissible(grid, state0, config, lp)
+    # one forward transform serves the epsilon0 gate and, dealiased in place, the run
+    hats = _to_hat(grid, state0)
+    _check_admissible(state0, hats, config, lp)
 
     bound = cfl_check(grid, state0, config.cfl_safety)
     dt = config.dt if config.dt is not None else bound
@@ -325,7 +334,7 @@ def integrate(
     dt = config.t_end / n_steps
 
     stepper = Stepper(grid, dt)
-    hats = _to_hat(grid, state0)
+    hats = grid.dealias(hats)
 
     times: list[float] = []
     shell_rows: list[list[tuple]] = []  # per sample: (a, u, theta) norms per shell
@@ -334,7 +343,7 @@ def integrate(
     snap_times: list[float] = []
     snaps: list[StateFields] = []
 
-    def sample(i_sample: int, t: float, hats_now: np.ndarray) -> None:
+    def sample(i_sample: int, t: float, hats_now: np.ndarray, final: bool = False) -> None:
         times.append(t)
         shell_rows.append([lp.state_l2_hat(hats_now, j) for j in lp.shells])
         mean_a.append(float(np.real(hats_now[0].flat[0])))
@@ -344,9 +353,11 @@ def integrate(
         ) < config.positivity_floor:
             raise PositivityViolation(f"positivity floor crossed at t={t:g}")
         max_speed.append(float(np.max(np.sqrt(np.abs(1.0 + state.theta)) + np.sqrt(sum(um**2 for um in state.u)))))
-        if config.snapshot_stride is not None and i_sample % config.snapshot_stride == 0:
+        # when snapshots are requested at all, the final state is always kept:
+        # downstream checks (positivity margin, checkpointing, Duhamel) need it
+        if config.snapshot_stride is not None and (final or i_sample % config.snapshot_stride == 0):
             snap_times.append(t)
-            snaps.append(state.copy())
+            snaps.append(state)
 
     sample(0, 0.0, hats)
     i_sample = 1
@@ -356,16 +367,8 @@ def integrate(
         if not np.isfinite(np.sum(hats)):
             raise NonFinite(f"solution lost finiteness at t={i_step * dt:g}")
         if i_step % config.sample_stride == 0 or i_step == n_steps:
-            sample(i_sample, i_step * dt, hats)
+            sample(i_sample, i_step * dt, hats, final=i_step == n_steps)
             i_sample += 1
-
-    # when snapshots are requested at all, the final state is always kept:
-    # downstream checks (positivity margin, checkpointing, Duhamel) need it
-    if config.snapshot_stride is not None and (
-        not snap_times or snap_times[-1] != times[-1]
-    ):
-        snap_times.append(times[-1])
-        snaps.append(_to_state(grid, hats).copy())
 
     norms = np.array(shell_rows).transpose(1, 2, 0).copy()  # (shells, 3, times)
     return TrajectoryRecord(

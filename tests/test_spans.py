@@ -28,7 +28,10 @@ def _spans_module():
     return spans
 
 
-@pytest.mark.parametrize("target", [target for target, *_ in _spans_module().SPANS])
+_SPANS = _spans_module()
+
+
+@pytest.mark.parametrize("target", [target for target, *_ in _SPANS.SPANS])
 def test_span_target_resolves(target):
     # the same lookup the tracer makes: a method must sit in its class's
     # own namespace, any other target must be a module attribute
@@ -49,33 +52,41 @@ def test_mode_evals_counter_binds_a_quadrature_call():
     kwargs = {"nodes_per_octave": 16, "r_range": (5e-3, 8.0)}
     out = semigroup_besov_decay(*args, **kwargs)
     counts = Counter()
-    _spans_module()._mode_evals(counts, inspect.signature(semigroup_besov_decay),
-                                args, kwargs, out)
+    _SPANS._mode_evals(counts, inspect.signature(semigroup_besov_decay), args, kwargs, out)
     octaves = math.log2(8.0 / 5e-3)
     nodes = sum(math.ceil(npo * octaves) + 1 for npo in (16, 32))
     assert counts["linear.mode_evals"] == 3 * nodes
 
 
 # runs in a fresh interpreter, since the tracer patches the package in place
-_TRACED_LYAPUNOV = """
+_TRACED_RUN = """
 import json, sys
-from spans import LYAP, SPANS, Tracer
+from spans import SPANS, Tracer
 tracer = Tracer()
 tracer.install()
 import eulerfourier.cli as cli
 from eulerfourier import config
-cli.run(config.parse_config(kind="lyapunov", overrides={"t_end": 2.5e-4}, seed=0,
-                            out_dir=sys.argv[1]))
-print(json.dumps([t for t, _, _, must in SPANS if LYAP in must and tracer.spans[t][0] == 0]))
+out_dir, workload, kind, overrides = sys.argv[1], sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
+cli.run(config.parse_config(kind=kind, overrides=overrides, seed=0, out_dir=out_dir))
+print(json.dumps([t for t, _, _, must in SPANS if workload in must and tracer.spans[t][0] == 0]))
 """
 
+#: workload -> a small run of its CLI kind that passes through the same spans
+_SMALL_RUNS = {
+    _SPANS.LYAP: ("lyapunov", {"t_end": 2.5e-4}),
+    _SPANS.BOX: ("simulate", {"dim": 3, "npts": 16, "length": 4.0 * math.pi, "t_end": 0.8}),
+}
 
-def test_every_lyapunov_audit_span_records_a_call(tmp_path):
+
+@pytest.mark.parametrize("workload", sorted(_SMALL_RUNS))
+def test_every_workload_span_records_a_call(workload, tmp_path):
     # the benchmark's traced run fails on a silent span; this catches it first
+    kind, overrides = _SMALL_RUNS[workload]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "perfbench"), str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _TRACED_LYAPUNOV, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path), workload, kind,
+                           json.dumps(overrides)], env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [], "spans recorded no call"
