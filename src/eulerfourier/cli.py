@@ -184,8 +184,8 @@ def _run_simulate(cfg: RunConfig) -> RunnerResult:
         dt=float(opts["dt"]) or None,
         t_end=float(opts["t_end"]),
         sample_stride=int(opts["sample_stride"]),
-        # stride 0 means "endpoints only"; integrate always keeps the final state
-        snapshot_stride=int(opts["snapshot_stride"]) or 10**9,
+        # stride 0 keeps the final state only
+        snapshot_stride=int(opts["snapshot_stride"]) or None,
     )
     traj = integrate(grid, state0, sc, lp=lp)
     times = traj.series.times

@@ -72,7 +72,7 @@ KIND_DEFAULTS: dict[str, dict] = {
         "t_end": 10.0,
         "dt": 0.0,  # 0 = automatic CFL choice
         "sample_stride": 4,
-        "snapshot_stride": 0,  # 0 = no snapshots beyond first/last
+        "snapshot_stride": 0,  # 0 = the final state only
         "mass_tol": 1e-10,
         "checkpoint": True,
     },

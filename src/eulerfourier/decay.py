@@ -179,17 +179,15 @@ def generate_initial_data(
             fhat[sel] *= target / measured
         return grid.inverse(fhat)
 
-    a = draw()
-    u = [draw() for _ in range(grid.dim)]
-    theta = draw()
-    state = StateFields(a=a, u=np.stack(u), theta=theta)
+    # a, u_1, ..., u_d, theta in turn
+    state = StateFields(np.stack([draw() for _ in range(grid.dim + 2)]))
 
     series = ShellSeries.of_state(lp, state)
     measured_delta0 = series.delta0(spec.sigma1, FrequencySplit(j0))
     if measured_delta0 <= 0.0:
         raise RuntimeError("drawn data vanished; enlarge the band or grid")
     scale = spec.amplitude / measured_delta0
-    state = StateFields(a=a * scale, u=state.u * scale, theta=theta * scale)
+    state = StateFields(state.data * scale)
 
     comp = dict(zip(series.shells, series.composite()[:, 0]))
     inner = [
@@ -344,14 +342,8 @@ def run_decay_experiment(
     mode: str = "linear-quadrature",
     *,
     window: tuple[float, float] | None = None,
-    times: np.ndarray | None = None,
     j0: int = 0,
     nodes_per_octave: int = 64,
-    r_range: tuple[float, float] | None = None,
-    check_convergence: bool = True,
-    grid: PeriodicGrid | None = None,
-    solver_config=None,
-    lp: LittlewoodPaley | None = None,
     trajectory: TrajectoryRecord | None = None,
     neg_ratio_bound: float = 4.0,
 ) -> DecayReport:
@@ -359,10 +351,9 @@ def run_decay_experiment(
 
     ``linear-quadrature`` evolves a radial whole-space profile with the
     exact semigroup (no box truncation, windows up to 1e4 are cheap);
-    ``nonlinear-box`` integrates the full system on a periodic grid, so
-    the fit window must end before the box sound-crossing horizon
-    ``L/2``.  A precomputed ``trajectory`` may be passed to fit several
-    target sets without re-integrating.  ``neg_ratio_bound`` bounds the
+    ``nonlinear-box`` fits the given box ``trajectory`` of the full system,
+    so the fit window must end before the box sound-crossing horizon
+    ``L/2``.  ``neg_ratio_bound`` bounds the
     growth of the sup-shell norm at regularity ``-sigma1`` over ``delta0``.
     """
     for tgt in targets:
@@ -371,8 +362,6 @@ def run_decay_experiment(
     if mode == "linear-quadrature":
         if window is None:
             window = (1e2, 1e4)
-        if times is None:
-            times = _default_linear_times(window)
         if spec.band is not None:
             band = spec.band
         else:
@@ -397,33 +386,19 @@ def run_decay_experiment(
             scale_u=spec.amplitude,
             scale_theta=spec.amplitude,
         )
-        if r_range is None:
-            r_range = (band[0] * 0.5, max(1e3, band[1] * 4.0))
         curve = semigroup_besov_decay(
             profile,
             spec.dim,
             spec.sigma1,
-            np.asarray(times, dtype=float),
+            _default_linear_times(window),
             nodes_per_octave=nodes_per_octave,
-            r_range=r_range,
-            check_convergence=check_convergence,
+            r_range=(band[0] * 0.5, max(1e3, band[1] * 4.0)),
         )
         run = curve
         meta = dict(curve.meta)
     elif mode == "nonlinear-box":
         if trajectory is None:
-            from .solver import SolverConfig, integrate
-
-            if grid is None:
-                raise ValueError("nonlinear-box mode needs a grid")
-            if lp is None:
-                lp = LittlewoodPaley(grid)
-            state0 = generate_initial_data(spec, grid, lp=lp, j0=j0)
-            if solver_config is None:
-                if window is None:
-                    raise ValueError("nonlinear-box mode needs a window or a config")
-                solver_config = SolverConfig(t_end=window[1])
-            trajectory = integrate(grid, state0, solver_config, lp=lp)
+            raise ValueError("nonlinear-box mode needs a trajectory")
         box = float(trajectory.grid.length)
         if window is None:
             window = (1.0, box / 2.0)

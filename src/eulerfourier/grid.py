@@ -218,29 +218,27 @@ def alias_free_product(
 class StateFields:
     """Density perturbation, velocity and temperature perturbation.
 
-    ``a`` and ``theta`` are scalars relative to the constant equilibrium
-    (unit background density and temperature); ``u`` is stacked as a
-    (dim, N, ..., N) array.
+    ``data`` is one ``(dim + 2, *rows, *grid.shape)`` stack [a, u_1, ...,
+    u_dim, theta]: one state, or with leading ``rows`` a chunk of snapshots.
+    ``a`` and ``theta`` (relative to the unit background density and
+    temperature) and the ``(dim, *rows, *grid.shape)`` velocity ``u`` are
+    views of it, so a write through ``state.a[...]`` lands in ``data``.
     """
 
-    a: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
+    data: np.ndarray
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.data[0]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.data[1:-1]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.data[-1]
 
     @classmethod
     def zeros(cls, grid: PeriodicGrid) -> "StateFields":
-        return cls(
-            a=np.zeros(grid.shape),
-            u=np.zeros((grid.dim,) + grid.shape),
-            theta=np.zeros(grid.shape),
-        )
-
-    def copy(self) -> "StateFields":
-        return StateFields(self.a.copy(), self.u.copy(), self.theta.copy())
-
-    def components(self) -> list[np.ndarray]:
-        """Flat list [a, u_1, ..., u_d, theta]."""
-        return [self.a, *list(self.u), self.theta]
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(c)) for c in self.components())
+        return cls(np.zeros((grid.dim + 2,) + grid.shape))

@@ -330,7 +330,7 @@ class ShellSeries:
     @classmethod
     def of_state(cls, lp: LittlewoodPaley, state) -> ShellSeries:
         """Single-time series (at t = 0) of a :class:`~eulerfourier.grid.StateFields`."""
-        return cls.of_hats(lp, lp.grid.forward(np.stack(state.components())))
+        return cls.of_hats(lp, lp.grid.forward(state.data))
 
     @classmethod
     def of_hats(cls, lp: LittlewoodPaley, hats: np.ndarray) -> ShellSeries:

@@ -121,20 +121,14 @@ def _check_positive(state: StateFields) -> None:
 # the terms of a chunk of snapshots
 
 
-def _chunk(states) -> StateFields:
-    """Snapshots stacked row by row: a and theta (k, *grid), u (d, k, *grid)."""
-    return StateFields(np.stack([s.a for s in states]), np.stack([s.u for s in states], axis=1),
-                       np.stack([s.theta for s in states]))
-
-
 class _ChunkTerms:
     """The terms of a chunk of snapshots, each formed once on first use.
 
-    Every field is a stack with one row per snapshot (see :func:`_chunk`) and
-    every per-shell quantity has one value per snapshot.  The shell-independent
-    products, fluxes and commutator remainders are kept only as their norms on
-    ``shells``, and the blocks only for the last shell asked for, so that a
-    chunk holds few fields at a time.
+    The state is a ``(d + 2, k, *grid)`` chunk: every field is a stack with one
+    row per snapshot and every per-shell quantity has one value per snapshot.
+    The shell-independent products, fluxes and commutator remainders are kept
+    only as their norms on ``shells``, and the blocks only for the last shell
+    asked for, so that a chunk holds few fields at a time.
     """
 
     def __init__(self, lp: LittlewoodPaley, state: StateFields, shells=(), high_shells=()):
@@ -145,7 +139,7 @@ class _ChunkTerms:
     @cached_property
     def hats(self) -> np.ndarray:
         """Hats of a, u_1, ..., u_d and theta, stacked along the first axis."""
-        return self.grid.forward(np.stack(self.state.components()))
+        return self.grid.forward(self.state.data)
 
     def shell(self, j: int) -> tuple:
         """Blocks a_j, u_j, theta_j with grad a_j, grad theta_j and div u_j."""
@@ -342,7 +336,8 @@ def low_freq_functionals(
              - eta1 ||div u_j||^2 + eta1 <u_j, grad a_j>
              + eta1 <grad th_j, grad a_j>
     """
-    energy, dissipation = _ChunkTerms(lp, _chunk([state])).functionals(j, eta1, "low")
+    terms = _ChunkTerms(lp, StateFields(state.data[:, None]))  # a chunk of one
+    energy, dissipation = terms.functionals(j, eta1, "low")
     return float(energy[0]), float(dissipation[0])
 
 
@@ -355,7 +350,8 @@ def high_freq_functionals(
     ``(1+theta)/(1+a)**2`` evaluated on the unfiltered state, and every
     mixed/auxiliary term is scaled by ``eta2 * 2**(-2j)``.
     """
-    energy, dissipation = _ChunkTerms(lp, _chunk([state])).functionals(j, eta2, "high")
+    terms = _ChunkTerms(lp, StateFields(state.data[:, None]))  # a chunk of one
+    energy, dissipation = terms.functionals(j, eta2, "high")
     return float(energy[0]), float(dissipation[0])
 
 
@@ -372,7 +368,7 @@ def commutator_remainders(
         R2_m = -sum_n [P_j, u_n] d_n u_m - [P_j, (1+theta)/(1+a)] d_m a
         R3 = [P_j, a/(1+a)] lap theta
     """
-    r1, r2, r3 = _ChunkTerms(lp, _chunk([state])).remainder_fields([j])[j]
+    r1, r2, r3 = _ChunkTerms(lp, StateFields(state.data[:, None])).remainder_fields([j])[j]
     return r1[0], [c[0] for c in r2], r3[0]
 
 
@@ -508,12 +504,13 @@ def lyapunov_residual(
 
     n = len(snaps)
     energy, dissipation, target, nl = (np.empty((len(pairs), n)) for _ in range(4))
-    per_chunk = max(1, CHUNK_POINTS // math.prod(grid.shape))
+    chunk_size = max(1, CHUNK_POINTS // math.prod(grid.shape))
     # pairs grouped by shell, as a chunk keeps the blocks of one shell at a time
     by_shell = sorted(range(len(pairs)), key=lambda k: pairs[k][1])
-    for start in range(0, n, per_chunk):
-        rows = slice(start, start + per_chunk)
-        terms = _ChunkTerms(lp, _chunk(snaps[rows]), {j for _, j in pairs}, high_shells)
+    for start in range(0, n, chunk_size):
+        rows = slice(start, start + chunk_size)
+        chunk = StateFields(np.stack([s.data for s in snaps[rows]], axis=1))
+        terms = _ChunkTerms(lp, chunk, {j for _, j in pairs}, high_shells)
         for k in by_shell:
             regime, j = pairs[k]
             energy[k, rows], dissipation[k, rows] = terms.functionals(j, eta, regime)

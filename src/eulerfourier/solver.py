@@ -17,13 +17,15 @@ transverse velocity, so the propagator and both phi-function tables are
 built once per distinct radius from a single augmented-block matrix
 exponential (scaling-and-squaring Pade), never by diagonalisation.
 
-The spectral state is one ``(d + 2, *grid.shape)`` stack [a, u, theta].
-The quadratic and quotient terms are formed in one place,
-:func:`_remainder_hat`, always dealiased by the 2/3 rule.  The stepper
-advances it, and :func:`nonlinear_rhs` (the full tendency that the
-Lyapunov and Duhamel checks read) is the linear symbol plus the same
-remainder.  :func:`linear_rhs` is an independent physical-space oracle
-for the linear part.
+A state is one ``(d + 2, *grid.shape)`` stack [a, u_1, ..., u_d, theta]:
+physical in :class:`~eulerfourier.grid.StateFields`, whose a, u and theta
+are views of it, and spectral in the stepper, so one ``forward`` or
+``inverse`` call maps a state across.  The quadratic and quotient terms
+are formed in one place, :func:`_remainder_hat`, always dealiased by the
+2/3 rule.  The stepper advances it, and :func:`nonlinear_rhs` (the full
+tendency that the Lyapunov and Duhamel checks read) is the linear symbol
+plus the same remainder.  :func:`linear_rhs` is an independent
+physical-space oracle for the linear part.
 
 A step's working set is three spectral stacks: its input (reused for
 N(mid) - N(input)), N(input) and the midpoint, which it returns.  On top of
@@ -66,7 +68,8 @@ class SolverConfig:
     smallness the decay theory requires, :meth:`ShellSeries.critical` at
     t = 0 (the start of the run's critical curve, for band-limited data);
     ``None`` skips that gate.  ``positivity_floor`` is the least admissible
-    value of 1 + a and 1 + theta.
+    value of 1 + a and 1 + theta.  ``snapshot_stride=None`` keeps the
+    final state only, as a one-element ``snapshots`` list.
     """
 
     dt: float | None = None
@@ -98,11 +101,14 @@ def cfl_check(grid: PeriodicGrid, state: StateFields, cfl_safety: float = 0.4) -
     """
     if not 0 < cfl_safety <= 1:
         raise ValueError("cfl_safety must lie in (0, 1]")
-    one_theta = 1.0 + state.theta
-    if np.min(one_theta) <= 0:
+    if np.min(1.0 + state.theta) <= 0:
         raise PositivityViolation("temperature must stay positive for a wave speed")
-    speed = np.sqrt(one_theta) + np.sqrt(sum(um**2 for um in state.u))
-    return float(cfl_safety * grid.spacing / np.max(speed))
+    return cfl_safety * grid.spacing / _max_speed(state)
+
+
+def _max_speed(state: StateFields) -> float:
+    """Maximal local signal speed sqrt(1 + theta) + |u|."""
+    return float(np.max(np.sqrt(1.0 + state.theta) + np.sqrt(sum(um**2 for um in state.u))))
 
 
 # ----------------------------------------------------------------------
@@ -137,16 +143,6 @@ def _phi_tables(mats: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.
     f1 = (h * ebig[:, :n, n : 2 * n]).reshape(shape)
     f2 = (h * ebig[:, :n, 2 * n :]).reshape(shape)
     return e0, f1, f2
-
-
-def _to_hat(grid: PeriodicGrid, state: StateFields) -> np.ndarray:
-    """Spectral stack [a, u_1, ..., u_d, theta] of a state, not yet dealiased."""
-    return grid.forward(np.stack(state.components()))
-
-
-def _to_state(grid: PeriodicGrid, hats: np.ndarray) -> StateFields:
-    fields = grid.inverse(hats)
-    return StateFields(a=fields[0], u=fields[1:-1], theta=fields[-1])
 
 
 def _remainder_hat(
@@ -245,8 +241,8 @@ def linear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
     div_u = grid.divergence(state.u)
     grad_a = grid.gradient(state.a)
     grad_th = grid.gradient(state.theta)
-    du = np.stack([-grad_a[m] - state.u[m] - grad_th[m] for m in range(grid.dim)])
-    return StateFields(a=-div_u, u=du, theta=-div_u + grid.laplacian(state.theta))
+    return StateFields(np.stack([-div_u, *(-grad_a - state.u - grad_th),
+                                 -div_u + grid.laplacian(state.theta)]))
 
 
 def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
@@ -259,7 +255,7 @@ def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
     if np.min(1.0 + state.a) <= 0:
         raise PositivityViolation("1 + a must stay positive to form quotients")
     d = grid.dim
-    hats = grid.dealias(_to_hat(grid, state))
+    hats = grid.dealias(grid.forward(state.data))
     out = _remainder_hat(grid, hats)
     ah, uh, th = hats[0], hats[1:-1], hats[-1]
     div_u = sum(grid.derivative_hat(uh[m], m) for m in range(d))
@@ -267,7 +263,7 @@ def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
     for m in range(d):
         out[1 + m] += -grid.derivative_hat(ah, m) - uh[m] - grid.derivative_hat(th, m)
     out[-1] += -div_u - grid.kmag**2 * th
-    return _to_state(grid, out)
+    return StateFields(grid.inverse(out))
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +284,7 @@ class TrajectoryRecord:
 def _check_admissible(
     state: StateFields, hats: np.ndarray, config: SolverConfig, lp: LittlewoodPaley
 ) -> None:
-    if not state.is_finite():
+    if not np.all(np.isfinite(state.data)):
         raise NonFinite("initial data contains non-finite values")
     floor = config.positivity_floor
     if np.min(1.0 + state.a) < floor or np.min(1.0 + state.theta) < floor:
@@ -317,13 +313,13 @@ def integrate(
     every ``sample_stride`` steps: per-shell L^2
     norms of each component (the raw material of every Besov-type
     functional downstream), the density mean and the maximum signal
-    speed.  Full snapshots are kept every ``snapshot_stride`` samples
-    when requested.
+    speed.  Full snapshots are kept every ``snapshot_stride`` samples,
+    and the final state always.
     """
     if lp is None:
         lp = LittlewoodPaley(grid)
     # one forward transform serves the epsilon0 gate and, dealiased in place, the run
-    hats = _to_hat(grid, state0)
+    hats = grid.forward(state0.data)
     _check_admissible(state0, hats, config, lp)
 
     bound = cfl_check(grid, state0, config.cfl_safety)
@@ -347,15 +343,16 @@ def integrate(
         times.append(t)
         shell_rows.append([lp.state_l2_hat(hats_now, j) for j in lp.shells])
         mean_a.append(float(np.real(hats_now[0].flat[0])))
-        state = _to_state(grid, hats_now)
+        state = StateFields(grid.inverse(hats_now))
         if np.min(1.0 + state.a) < config.positivity_floor or np.min(
             1.0 + state.theta
         ) < config.positivity_floor:
             raise PositivityViolation(f"positivity floor crossed at t={t:g}")
-        max_speed.append(float(np.max(np.sqrt(np.abs(1.0 + state.theta)) + np.sqrt(sum(um**2 for um in state.u)))))
-        # when snapshots are requested at all, the final state is always kept:
-        # downstream checks (positivity margin, checkpointing, Duhamel) need it
-        if config.snapshot_stride is not None and (final or i_sample % config.snapshot_stride == 0):
+        max_speed.append(_max_speed(state))
+        # the final state is always kept: downstream checks (positivity
+        # margin, checkpointing, Duhamel) need it
+        stride = config.snapshot_stride
+        if final or (stride is not None and i_sample % stride == 0):
             snap_times.append(t)
             snaps.append(state)
 
@@ -415,5 +412,5 @@ def load_checkpoint(path: str | Path) -> tuple[PeriodicGrid, StateFields, float,
             meta[k.strip()] = v.strip()
     grid = PeriodicGrid(int(meta["dim"]), int(meta["npts"]), float(meta["length"]))
     with np.load(path.with_suffix(".npz")) as data:
-        state = StateFields(a=data["a"], u=data["u"], theta=data["theta"])
+        state = StateFields(np.concatenate([data["a"][None], data["u"], data["theta"][None]]))
     return grid, state, float(meta["time"]), meta

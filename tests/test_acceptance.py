@@ -206,15 +206,12 @@ def _shell_localized_states(j: int, n: int, seed: int, scale: float = 0.25):
     ring = (0.75 * 2.0 ** j, (8.0 / 3.0) * 2.0 ** j)
     states = []
     for _ in range(n):
-        st = StateFields.zeros(GRID)
         fields = []
         for _c in range(3):
             f = random_field(GRID, rng, band=ring, annulus_shell=j, cutoffs=LP.cutoffs)
             m = float(np.max(np.abs(f)))
             fields.append(f * (scale / m) if m > 0 else f)
-        st.a, st.theta = fields[0], fields[2]
-        st.u[0] = fields[1]
-        states.append(st)
+        states.append(StateFields(np.stack(fields)))  # a, u_1, theta
     return states
 
 

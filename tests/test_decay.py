@@ -124,7 +124,7 @@ def test_generated_data_is_normalized_and_uniform():
 def test_generated_data_zero_amplitude_and_bad_band():
     grid = PeriodicGrid(dim=1, npts=256, length=16.0 * np.pi)
     zero = generate_initial_data(InitialDataSpec(sigma1=0.5, dim=1, amplitude=0.0), grid)
-    assert np.max(np.abs(zero.components())) == 0.0
+    assert np.max(np.abs(zero.data)) == 0.0
 
     with pytest.raises(ValueError, match="band"):
         generate_initial_data(
@@ -191,12 +191,15 @@ def test_linear_decay_exponent_stable_under_node_doubling():
 def test_box_experiment_rejects_window_beyond_horizon():
     grid = PeriodicGrid(dim=1, npts=256, length=16.0 * np.pi)
     spec = InitialDataSpec(sigma1=0.5, dim=1, amplitude=1e-3)
+    traj = integrate(grid, generate_initial_data(spec, grid), SolverConfig(t_end=0.5))
     with pytest.raises(ValueError, match="horizon"):
         run_decay_experiment(
             spec, [RateTarget(sigma=0.5)], mode="nonlinear-box",
-            window=(1.0, 100.0), grid=grid,
-            solver_config=SolverConfig(t_end=100.0),
+            window=(1.0, 100.0), trajectory=traj,
         )
+    with pytest.raises(ValueError, match="trajectory"):
+        run_decay_experiment(spec, [RateTarget(sigma=0.5)], mode="nonlinear-box",
+                             window=(1.0, 10.0))
 
 
 # ----------------------------------------------------------------------

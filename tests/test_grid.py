@@ -137,21 +137,29 @@ def test_l2_norm_is_homogeneous(scale):
     )
 
 
-def test_state_fields_container(grid1d):
-    ones = np.ones(grid1d.shape)
-    s = StateFields(a=0.5 * ones, u=np.stack([2.0 * ones]), theta=3.0 * ones)
-    assert len(s.components()) == 3
-    assert np.isclose(np.max(np.abs(s.components())), 3.0)
-    assert s.is_finite()
+def test_state_fields_container():
+    # a, u and theta are views of one (d+2, *grid.shape) stack
+    for dim in (1, 2, 3):
+        grid = PeriodicGrid(dim=dim, npts=8, length=2.0 * np.pi)
+        z = StateFields.zeros(grid)
+        assert z.data.shape == (dim + 2,) + grid.shape
+        assert z.a.shape == z.theta.shape == grid.shape
+        assert z.u.shape == (dim,) + grid.shape
+        assert np.max(np.abs(z.data)) == 0.0
+        for view in (z.a, z.u, z.theta):
+            assert np.shares_memory(view, z.data)
 
-    z = StateFields.zeros(grid1d)
-    assert z.u.shape == (1,) + grid1d.shape
-    assert np.max(np.abs(z.components())) == 0.0
+        z.a[...] = 1.0
+        z.u[-1] = 2.0
+        z.theta[...] += 3.0
+        assert np.all(z.data[0] == 1.0) and np.all(z.data[dim] == 2.0)
+        assert np.all(z.data[-1] == 3.0) and np.all(z.data[1:dim] == 0.0)
 
-    bad = s.copy()
-    bad.theta[3] = np.nan
-    assert not bad.is_finite()
-    assert s.is_finite()  # copy() must not share buffers
+        # the same type holds a chunk of k snapshots, one row per snapshot
+        chunk = StateFields(np.stack([z.data] * 4, axis=1))
+        assert chunk.a.shape == (4,) + grid.shape
+        assert chunk.u.shape == (dim, 4) + grid.shape
+        assert np.all(chunk.theta == 3.0)
 
 
 def test_kmax_dealiased_is_two_thirds_rule(grid1d):

@@ -34,11 +34,11 @@ def _mode_state(component, k, amp=1e-2):
     state = StateFields.zeros(GRID)
     f = amp * np.cos(k * x)
     if component == "a":
-        state.a = f
+        state.a[...] = f
     elif component == "u":
         state.u[0] = f
     else:
-        state.theta = f
+        state.theta[...] = f
     return state
 
 
@@ -117,11 +117,11 @@ def test_low_energy_equivalence_on_far_low_shells(rng):
         slack = eta * (8.0 / 3.0) * 2.0**j
         for _ in range(25):
             state = StateFields.zeros(grid)
-            state.a = ball_field(grid, rng, scale_j=j, cutoffs=lp.cutoffs)
+            state.a[...] = ball_field(grid, rng, scale_j=j, cutoffs=lp.cutoffs)
             state.u[0] = ball_field(grid, rng, scale_j=j, cutoffs=lp.cutoffs)
-            state.theta = ball_field(grid, rng, scale_j=j, cutoffs=lp.cutoffs)
+            state.theta[...] = ball_field(grid, rng, scale_j=j, cutoffs=lp.cutoffs)
             q = 0.5 * sum(
-                grid.l2_norm(lp.block(f, j)) ** 2 for f in state.components()
+                grid.l2_norm(lp.block(f, j)) ** 2 for f in state.data
             )
             if q == 0.0:
                 continue
@@ -177,11 +177,11 @@ def test_commutators_vanish_for_constant_coefficients(rng):
     # Uniform a and u make every commutator coefficient constant; a varying
     # temperature keeps the Delta-theta remainder from being trivially zero.
     state = StateFields.zeros(GRID)
-    state.a = np.full(GRID.shape, 0.05)
+    state.a[...] = np.full(GRID.shape, 0.05)
     state.u[0] = np.full(GRID.shape, 0.1)
     fhat = GRID.forward(rng.standard_normal(GRID.shape))
     fhat[GRID.kmag > 4.0] = 0.0
-    state.theta = 0.1 * GRID.inverse(fhat)
+    state.theta[...] = 0.1 * GRID.inverse(fhat)
     r1, r2, r3 = commutator_remainders(LP, state, j=0)
     assert GRID.l2_norm(r1) < 1e-13
     assert max(GRID.l2_norm(c) for c in r2) < 1e-13
@@ -192,9 +192,9 @@ def test_commutators_are_nonzero_for_varying_coefficients(rng):
     state = StateFields.zeros(GRID)
     fhat = GRID.forward(rng.standard_normal(GRID.shape))
     fhat[GRID.kmag > 4.0] = 0.0
-    state.a = 0.1 * GRID.inverse(fhat)
+    state.a[...] = 0.1 * GRID.inverse(fhat)
     state.u[0] = 0.1 * GRID.inverse(fhat * np.exp(0.5j))
-    state.theta = 0.1 * GRID.inverse(fhat * np.exp(1.0j))
+    state.theta[...] = 0.1 * GRID.inverse(fhat * np.exp(1.0j))
     r1, _, _ = commutator_remainders(LP, state, j=0)
     assert GRID.l2_norm(r1) > 1e-8
 
@@ -203,10 +203,10 @@ def _small_run(amplitude, dim=1, npts=512):
     grid = PeriodicGrid(dim=dim, npts=npts, length=8.0 * np.pi)
     rng = np.random.default_rng(21)
     state = StateFields.zeros(grid)
-    state.a = amplitude * ball_field(grid, rng, scale_j=4)
+    state.a[...] = amplitude * ball_field(grid, rng, scale_j=4)
     for m in range(dim):
         state.u[m] = amplitude * ball_field(grid, rng, scale_j=4)
-    state.theta = amplitude * ball_field(grid, rng, scale_j=4)
+    state.theta[...] = amplitude * ball_field(grid, rng, scale_j=4)
     cfg = SolverConfig(dt=5e-5, t_end=7.5e-4, sample_stride=1,
                        snapshot_stride=1, epsilon0=None)
     return integrate(grid, state, cfg)
@@ -232,9 +232,9 @@ def test_residual_is_vacuous_on_spectrally_empty_shells():
     grid = PeriodicGrid(dim=1, npts=512, length=8.0 * np.pi)
     rng = np.random.default_rng(33)
     state = StateFields.zeros(grid)
-    state.a = 1e-3 * ball_field(grid, rng, scale_j=0)
+    state.a[...] = 1e-3 * ball_field(grid, rng, scale_j=0)
     state.u[0] = 1e-3 * ball_field(grid, rng, scale_j=0)
-    state.theta = 1e-3 * ball_field(grid, rng, scale_j=0)
+    state.theta[...] = 1e-3 * ball_field(grid, rng, scale_j=0)
     cfg = SolverConfig(dt=5e-5, t_end=7.5e-4, sample_stride=1,
                        snapshot_stride=1, epsilon0=None)
     traj = integrate(grid, state, cfg)
@@ -263,7 +263,7 @@ def test_residual_rejects_coarse_sampling():
     snaps = []
     for t in times:
         s = StateFields.zeros(grid)
-        s.a = 0.1 * (1.0 + 0.5 * np.sin(20.0 * t)) * np.cos(5.0 * x)
+        s.a[...] = 0.1 * (1.0 + 0.5 * np.sin(20.0 * t)) * np.cos(5.0 * x)
         snaps.append(s)
     shells = tuple(LittlewoodPaley(grid).shells)
     traj = TrajectoryRecord(
@@ -328,7 +328,7 @@ def test_chunk_size_does_not_change_the_audit(dim, npts, monkeypatch):
 
 def test_positivity_violation_in_one_snapshot_of_a_chunk_raises(monkeypatch):
     traj = _small_run(1e-4)
-    snaps = [s.copy() for s in traj.snapshots]
+    snaps = [StateFields(s.data.copy()) for s in traj.snapshots]
     snaps[4].a[7] = -1.5  # the middle row of the chunk of snapshots 3 to 5
     monkeypatch.setattr("eulerfourier.lyapunov.CHUNK_POINTS", 3 * traj.grid.npts)
     with pytest.raises(PositivityViolation):

@@ -46,7 +46,7 @@ def _exact_linear_mode(grid, eps, k, t, velocity):
     for sign in (+1.0, -1.0):
         amp = mode_propagator(sign * k, t) @ (sign * coeff)
         fields += np.real(amp[(slice(None),) + (None,) * d] * np.exp(1j * sign * phase))
-    return StateFields(a=fields[0], u=fields[1 : d + 1], theta=fields[d + 1])
+    return StateFields(fields)
 
 
 def _augmented(mats, h):
@@ -97,7 +97,7 @@ def test_linear_rhs_of_density_mode():
     (x,) = GRID.coordinates()
     state = StateFields.zeros(GRID)
     k = 2.0
-    state.a = 0.01 * np.cos(k * x)
+    state.a[...] = 0.01 * np.cos(k * x)
     rhs = linear_rhs(GRID, state)
     assert np.max(np.abs(rhs.a)) < 1e-14  # no velocity yet
     assert np.max(np.abs(rhs.u[0] - 0.01 * k * np.sin(k * x))) < 1e-12
@@ -107,7 +107,7 @@ def test_linear_rhs_of_density_mode():
 def test_nonlinear_rhs_reduces_to_linear_at_zero_amplitude():
     state = StateFields.zeros(GRID)
     rhs = nonlinear_rhs(GRID, state)
-    assert np.max(np.abs(rhs.components())) == 0.0
+    assert np.max(np.abs(rhs.data)) == 0.0
 
 
 @pytest.mark.parametrize("npts", [8, 64])
@@ -119,7 +119,7 @@ def test_nonlinear_rhs_closed_form(npts):
     eps = 0.3
     state = StateFields.zeros(grid)
     state.u[0] = eps * np.sin(x)
-    state.theta = eps * np.cos(x)
+    state.theta[...] = eps * np.cos(x)
     rhs = nonlinear_rhs(grid, state)
     assert np.max(np.abs(rhs.a + eps * np.cos(x))) < 1e-13
     assert np.max(np.abs(rhs.u[0] + 0.5 * eps**2 * np.sin(2.0 * x))) < 1e-13
@@ -134,14 +134,12 @@ def test_nonlinear_rhs_linearises_to_linear_rhs(dim, npts):
     rng = np.random.default_rng(40 + dim)
     fields = [grid.inverse(grid.dealias(grid.forward(rng.standard_normal(grid.shape))))
               for _ in range(dim + 2)]
-    state = StateFields(a=fields[0], u=np.stack(fields[1 : dim + 1]), theta=fields[dim + 1])
+    state = StateFields(np.stack(fields))
     lin = linear_rhs(grid, state)
 
     def gap(eps):
-        small = StateFields(eps * state.a, eps * state.u, eps * state.theta)
-        rhs = nonlinear_rhs(grid, small)
-        return max(np.max(np.abs(f - eps * g))
-                   for f, g in zip(rhs.components(), lin.components()))
+        rhs = nonlinear_rhs(grid, StateFields(eps * state.data))
+        return max(np.max(np.abs(f - eps * g)) for f, g in zip(rhs.data, lin.data))
 
     ratio = gap(1e-2) / gap(1e-3)
     assert 90.0 < ratio < 110.0, f"gap ratio {ratio}"
@@ -171,8 +169,8 @@ def test_small_amplitude_run_tracks_exact_linear_solution(dim):
     final = traj.snapshots[-1]
     assert np.isclose(traj.snapshot_times[-1], t_end)
     exact = _exact_linear_mode(grid, eps, k, t_end, velocity)
-    err = max(np.max(np.abs(g - w)) for g, w in zip(final.components(), exact.components()))
-    scale = max(np.max(np.abs(w)) for w in exact.components())
+    err = max(np.max(np.abs(g - w)) for g, w in zip(final.data, exact.data))
+    scale = max(np.max(np.abs(w)) for w in exact.data)
     # the quadratic terms contribute O(eps) relative (measured 3e-5, 6e-6, 2e-6);
     # a slip in the u_par/u_perp split would be an O(1) error
     assert err < 2e-4 * scale, f"relative error {err / scale:.3g}"
@@ -185,13 +183,13 @@ def test_run_is_equivariant_under_axis_reversal(dim):
     state0 = _varying_state(grid, 1e-2)
 
     def reversed_state(s):
-        return StateFields(a=s.a.T, u=np.stack([c.T for c in s.u[::-1]]), theta=s.theta.T)
+        return StateFields(np.stack([s.a.T, *(c.T for c in s.u[::-1]), s.theta.T]))
 
     cfg = SolverConfig(dt=2e-3, t_end=0.05, epsilon0=None, sample_stride=10**9, snapshot_stride=1)
     straight = integrate(grid, state0, cfg).snapshots[-1]
     mirrored = reversed_state(integrate(grid, reversed_state(state0), cfg).snapshots[-1])
-    scale = max(np.max(np.abs(f)) for f in straight.components())
-    for f, g in zip(straight.components(), mirrored.components()):
+    scale = max(np.max(np.abs(f)) for f in straight.data)
+    for f, g in zip(straight.data, mirrored.data):
         assert np.max(np.abs(f - g)) <= 1e-12 * scale  # measured 8e-16 (d = 2), 6e-16 (d = 3)
 
 
@@ -200,8 +198,8 @@ def test_mass_is_conserved():
     state0 = StateFields.zeros(GRID)
     fhat = GRID.forward(rng.standard_normal(GRID.shape))
     fhat[GRID.kmag > 8.0] = 0.0
-    state0.a = 1e-2 * GRID.inverse(fhat)
-    state0.a -= GRID.mean(state0.a)
+    state0.a[...] = 1e-2 * GRID.inverse(fhat)
+    state0.a[...] -= GRID.mean(state0.a)
     state0.u[0] = 1e-2 * GRID.inverse(fhat * np.exp(1j))
     traj = integrate(GRID, state0, SolverConfig(dt=2e-3, t_end=0.2))
     assert np.max(np.abs(traj.mean_a - traj.mean_a[0])) < 1e-13
@@ -212,10 +210,10 @@ def _varying_state(grid, eps):
     x = grid.coordinates()
     d = grid.dim
     state = StateFields.zeros(grid)
-    state.a = eps * math.prod(np.cos(xm) for xm in x)
+    state.a[...] = eps * math.prod(np.cos(xm) for xm in x)
     for m in range(d):
         state.u[m] = eps * np.sin(2.0 * x[m]) * np.cos(x[(m + 1) % d])
-    state.theta = eps * np.sin(sum(x))
+    state.theta[...] = eps * np.sin(sum(x))
     return state
 
 
@@ -233,7 +231,7 @@ def test_second_order_in_time(dim):
     for dt in (4e-3, 2e-3):
         err[dt] = max(
             np.max(np.abs(g - r))
-            for g, r in zip(runs[dt].components(), runs[1e-3].components())
+            for g, r in zip(runs[dt].data, runs[1e-3].data)
         )
     ratio = err[4e-3] / err[2e-3]
     # reference itself has error, so the ideal 4 is slightly biased upward
@@ -247,7 +245,7 @@ def test_dealiased_run_stays_band_limited():
         SolverConfig(dt=2e-3, t_end=0.3, sample_stride=10**9, snapshot_stride=1),
     )
     final = traj.snapshots[-1]
-    for f in final.components():
+    for f in final.data:
         fhat = GRID.forward(f)
         assert np.max(np.abs(fhat[~GRID.dealias_mask])) < 1e-16
 
@@ -261,11 +259,14 @@ def test_sampling_and_time_grid_contract():
     assert np.allclose(steps[:-1], 5e-3)  # every 5th step, last interval may be shorter
     assert traj.dt == pytest.approx(1e-3)
     assert set(traj.series.shells) == set(LittlewoodPaley(GRID).shells)
+    # no snapshot_stride: the final state is the one snapshot
+    assert traj.snapshot_times == [traj.series.times[-1]] == [pytest.approx(0.05)]
+    assert len(traj.snapshots) == 1
 
 
 def test_admissibility_gates():
     state = StateFields.zeros(GRID)
-    state.a = np.full(GRID.shape, -0.95)
+    state.a[...] = -0.95
     with pytest.raises(PositivityViolation):
         integrate(GRID, state, SolverConfig(dt=1e-3, t_end=0.01))
 
@@ -333,7 +334,7 @@ def test_critical_norm_gate_bounds_the_composite_critical_norm(dim):
     for _ in range(4):
         fields = rng.standard_normal((dim + 2,) + grid.shape) * rng.uniform(1e-4, 1.0, dim + 2)[
             (slice(None),) + (None,) * dim]
-        state = StateFields(a=fields[0], u=fields[1 : dim + 1], theta=fields[dim + 1])
+        state = StateFields(fields)
         per_field = sum(lp.besov_norm(f, dim / 2.0, regime="low")
                         + lp.besov_norm(f, dim / 2.0 + 1.0, regime="high") for f in fields)
         composite = _critical(lp, state)
@@ -410,7 +411,7 @@ def test_step_peak_memory_and_integrate_leaves_state0_intact():
     # stage and gradient was a fresh array
     grid = PeriodicGrid(dim=3, npts=16, length=2.0 * np.pi)
     state0 = _varying_state(grid, 1e-2)
-    hats = grid.dealias(grid.forward(np.stack(state0.components())))
+    hats = grid.dealias(grid.forward(state0.data))
     stepper = Stepper(grid, 1e-3)
     tracemalloc.start()
     try:
@@ -422,9 +423,9 @@ def test_step_peak_memory_and_integrate_leaves_state0_intact():
         tracemalloc.stop()
     assert peak <= 4 * hats.nbytes, f"{peak / hats.nbytes:.2f} stacks"
 
-    before = [c.tobytes() for c in state0.components()]
+    before = state0.data.tobytes()
     integrate(grid, state0, SolverConfig(dt=1e-3, t_end=3e-3, epsilon0=None, snapshot_stride=1))
-    assert [c.tobytes() for c in state0.components()] == before
+    assert state0.data.tobytes() == before
 
 
 def test_integrate_transforms_the_initial_and_final_states_once(monkeypatch):
@@ -455,5 +456,4 @@ def test_checkpoint_roundtrip(tmp_path):
     assert (grid2.dim, grid2.npts, grid2.length) == (GRID.dim, GRID.npts, GRID.length)
     assert t2 == 1.25
     assert meta["label"] == "unit"
-    for f, g in zip(state.components(), state2.components()):
-        assert np.array_equal(f, g)
+    assert np.array_equal(state.data, state2.data)

@@ -1,8 +1,11 @@
 """Print the sha256 of every artifact of the seven CLI kinds at default configs.
 
 Each kind runs at its default config with seed 0 in a fresh temporary
-directory, and every file it writes is listed as ``kind/path sha256``, in
-sorted order.  ``run_record.json`` holds timestamps and is skipped;
+directory, and every file it writes is listed as ``label/path sha256``, in
+sorted order.  The label is the kind, and one more run is listed under
+``damped-mode-box``: a ``damped-mode`` run from a box trajectory
+(``source=box, t_start=2``), the one path from stored snapshots through
+``nonlinear_rhs`` to the Duhamel reconstruction, which no default reaches.  ``run_record.json`` holds timestamps and is skipped;
 ``summary.txt`` names the output directory in its notes, so it is hashed with
 that directory removed.  Two commits produce the same outputs exactly when
 their listings are equal, which ``diff`` shows:
@@ -25,18 +28,24 @@ from eulerfourier.cli import run  # noqa: E402
 from eulerfourier.config import KINDS, parse_config  # noqa: E402
 
 
+#: (label, kind, overrides) of every listed run
+RUNS = [(kind, kind, {}) for kind in KINDS] + [
+    ("damped-mode-box", "damped-mode", {"source": "box", "t_start": 2.0}),
+]
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in KINDS:
-            out = Path(tmp) / kind
-            run(parse_config(kind=kind, seed=0, out_dir=out))
+        for label, kind, overrides in RUNS:
+            out = Path(tmp) / label
+            run(parse_config(kind=kind, overrides=overrides, seed=0, out_dir=out))
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
                 if path.name == "run_record.json":
                     continue
                 data = path.read_bytes()
                 if path.name == "summary.txt":
                     data = data.replace(str(out).encode(), b"")
-                print(f"{kind}/{path.relative_to(out).as_posix()} {hashlib.sha256(data).hexdigest()}")
+                print(f"{label}/{path.relative_to(out).as_posix()} {hashlib.sha256(data).hexdigest()}")
 
 
 if __name__ == "__main__":
