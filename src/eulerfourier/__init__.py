@@ -35,9 +35,8 @@ from .linear import (
 from .littlewood import DyadicCutoffs, FrequencySplit, LittlewoodPaley, ShellSeries, build_cutoffs
 from .lyapunov import (
     coercivity_margin,
-    high_freq_functionals,
-    low_freq_functionals,
     lyapunov_residual,
+    shell_functionals,
 )
 from .solver import SolverConfig, TrajectoryRecord, integrate
 
@@ -75,8 +74,7 @@ __all__ = [
     "check_interpolation",
     "check_product",
     "coercivity_margin",
-    "low_freq_functionals",
-    "high_freq_functionals",
+    "shell_functionals",
     "lyapunov_residual",
     "__version__",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import KINDS, RunConfig, parse_config
 from .grid import PeriodicGrid
-from .littlewood import LittlewoodPaley
+from .littlewood import FrequencySplit, LittlewoodPaley
 from .reporting import (
     RunRecord,
     Verdict,
@@ -176,7 +176,7 @@ def _box_pieces(cfg: RunConfig):
 
 
 def _run_simulate(cfg: RunConfig) -> RunnerResult:
-    from .solver import SolverConfig, integrate, save_checkpoint
+    from .solver import POSITIVITY_FLOOR, SolverConfig, integrate, save_checkpoint
 
     opts = cfg.options
     grid, lp, spec, state0 = _box_pieces(cfg)
@@ -196,9 +196,9 @@ def _run_simulate(cfg: RunConfig) -> RunnerResult:
     verdicts = [
         Verdict.from_bound("mass-drift", drift, float(opts["mass_tol"])),
         Verdict.from_bound("nonfinite-samples", 0.0 if finite else 1.0, 0.0),
-        Verdict.from_floor("final-positivity-margin", floor, sc.positivity_floor),
+        Verdict.from_floor("final-positivity-margin", floor, POSITIVITY_FLOOR),
     ]
-    crit = traj.series.critical(lp.split)
+    crit = traj.series.critical()
     curves = {
         "critical_norm": (times, crit, {"what": "hybrid critical norm"}),
         "max_speed": (times, np.asarray(traj.max_speed), {}),
@@ -248,7 +248,8 @@ def _run_lyapunov(cfg: RunConfig) -> RunnerResult:
     shells = [j for j in range(int(opts["j_lo"]), int(opts["j_hi"]) + 1)
               if j in lp.shells]
     # each functional is coercive only on its own side of the split
-    pairs = [(regime, j) for regime in ("low", "high") for j in lp.split.select(shells, regime)]
+    pairs = [(regime, j) for regime in ("low", "high")
+             for j in FrequencySplit().select(shells, regime)]
     results = lyapunov_residual(traj, pairs, eta=eta, budget=float(opts["budget"]), lp=lp)
     curves = {f"energy_{r.regime}_j{r.j}":
               (r.times, r.energy, {"regime": r.regime, "shell": r.j, "eta": eta}) for r in results}
@@ -266,8 +267,7 @@ def _run_damped_mode(cfg: RunConfig) -> RunnerResult:
 
         profile = saturating_profile(sigma1, int(opts["dim"]),
                                      scale=float(opts["amplitude"]))
-        run = semigroup_besov_decay(profile, int(opts["dim"]), sigma1,
-                                    _default_linear_times(window))
+        run = semigroup_besov_decay(profile, int(opts["dim"]), _default_linear_times(window))
     else:
         from .solver import SolverConfig, integrate
 

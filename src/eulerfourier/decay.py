@@ -6,9 +6,7 @@ data saturating a prescribed negative-regularity shell profile, fits
 algebraic decay exponents against ``log(1+t)``, reconstructs the damped
 velocity through its exponential Duhamel formula, and accumulates the
 time-weighted norm budgets whose boundedness/growth encodes the optimal
-rates.  :func:`run_decay_experiment` and :func:`damped_mode_check` decide
-their own pass rules: their reports carry
-:class:`~eulerfourier.reporting.Verdict` records, ready to be written.
+rates.
 
 Conventions
 -----------
@@ -17,8 +15,13 @@ Conventions
   one of its reductions, so both inputs are treated identically.
 * "state" norms are the ell^2 composite over the three components
   ``sqrt(|a|^2 + |u|^2 + |theta|^2)`` per shell.
-* the low/high frequency split is ``FrequencySplit(j0)`` with ``j0 = 0``
-  by default: shells ``j <= j0`` and ``j >= j0 - 1``.
+* the low/high frequency split is the default
+  :class:`~eulerfourier.littlewood.FrequencySplit`, the one every
+  ``ShellSeries`` reduction takes: low shells ``j <= 0``, high shells
+  ``j >= -1``.
+* :func:`run_decay_experiment`, :func:`damped_mode_check` and
+  :func:`time_weighted_functionals` each decide their own pass rules:
+  their reports carry :class:`~eulerfourier.reporting.Verdict` records.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import PeriodicGrid, StateFields
-from .linear import RadialProfile, semigroup_besov_decay
+from .linear import saturating_profile, semigroup_besov_decay
 from .littlewood import COMPONENTS, FrequencySplit, LittlewoodPaley, ShellSeries
 from .reporting import Verdict
 from .solver import TrajectoryRecord, nonlinear_rhs
@@ -61,6 +64,11 @@ CONFIDENCE_Z = 1.96
 #: Bound on the Duhamel convolution constant; the measured value is ~1.1.
 CONVOLUTION_BOUND = 3.0
 
+#: Tolerance on the fitted growth of the time-weighted budget, and the bound
+#: on its unweighted companion relative to delta0.
+GROWTH_TOLERANCE = 0.1
+LOW_BOUND_RATIO = 4.0
+
 
 def velocity_enhancement_in_range(dim: int, sigma1: float) -> bool:
     """Whether the theorem covers the extra -1/2 velocity rate.
@@ -87,7 +95,6 @@ class InitialDataSpec:
     sigma1: float
     dim: int
     amplitude: float = 1e-2
-    envelope_exponent: float | None = None
     band: tuple[float, float] | None = None
     seed: int = 0
 
@@ -107,9 +114,7 @@ class InitialDataSpec:
 
     @property
     def beta(self) -> float:
-        """Spectral amplitude envelope exponent; default flattens shells."""
-        if self.envelope_exponent is not None:
-            return self.envelope_exponent
+        """Spectral amplitude envelope exponent, which flattens the shells."""
         return self.sigma1 - self.dim / 2.0
 
 
@@ -123,7 +128,6 @@ def generate_initial_data(
     spec: InitialDataSpec,
     grid: PeriodicGrid,
     lp: LittlewoodPaley | None = None,
-    j0: int = 0,
 ) -> StateFields:
     """Random-phase data whose shell profile saturates ``B^{-sigma1}_{2,inf}``.
 
@@ -183,7 +187,7 @@ def generate_initial_data(
     state = StateFields(np.stack([draw() for _ in range(grid.dim + 2)]))
 
     series = ShellSeries.of_state(lp, state)
-    measured_delta0 = series.delta0(spec.sigma1, FrequencySplit(j0))
+    measured_delta0 = series.delta0(spec.sigma1)
     if measured_delta0 <= 0.0:
         raise RuntimeError("drawn data vanished; enlarge the band or grid")
     scale = spec.amplitude / measured_delta0
@@ -192,9 +196,8 @@ def generate_initial_data(
     comp = dict(zip(series.shells, series.composite()[:, 0]))
     inner = [
         j
-        for j in lp.shells
-        if j <= j0
-        and 0.75 * 2.0**j >= max(band[0], kmin)
+        for j in FrequencySplit().select(lp.shells, "low")
+        if 0.75 * 2.0**j >= max(band[0], kmin)
         and (8.0 / 3.0) * 2.0**j <= band[1]
     ]
     if inner:
@@ -217,7 +220,6 @@ class RateFit:
 
     exponent: float
     ci: float
-    intercept: float
     window: tuple[float, float]
     n_samples: int
 
@@ -226,11 +228,10 @@ def fit_rate(
     times: np.ndarray,
     values: np.ndarray,
     window: tuple[float, float] | None = None,
-    min_samples: int = MIN_FIT_SAMPLES,
 ) -> RateFit:
     """Fit ``value ~ C (1+t)^p`` on the window; returns p with a 95% CI.
 
-    Raises ``ValueError`` when fewer than ``min_samples`` curve samples
+    Raises ``ValueError`` when fewer than ``MIN_FIT_SAMPLES`` curve samples
     fall inside the window or when any windowed value is nonpositive
     (algebraic-decay fits are meaningless there).
     """
@@ -242,9 +243,9 @@ def fit_rate(
         window = (float(times[0]), float(times[-1]))
     mask = (times >= window[0]) & (times <= window[1])
     n = int(np.sum(mask))
-    if n < min_samples:
+    if n < MIN_FIT_SAMPLES:
         raise ValueError(
-            f"fit window {window} holds {n} samples; need at least {min_samples}"
+            f"fit window {window} holds {n} samples; need at least {MIN_FIT_SAMPLES}"
         )
     vals = values[mask]
     if np.any(vals <= 0.0):
@@ -258,7 +259,6 @@ def fit_rate(
     return RateFit(
         exponent=float(coeffs[0]),
         ci=CONFIDENCE_Z * stderr,
-        intercept=float(coeffs[1]),
         window=(float(window[0]), float(window[1])),
         n_samples=n,
     )
@@ -278,7 +278,6 @@ class RateTarget:
     sigma: float
     component: str = "state"
     tolerance: float = 0.05
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.component not in ("state", "u"):
@@ -308,8 +307,6 @@ class RateTarget:
             )
 
     def name(self, sigma1: float) -> str:
-        if self.label:
-            return self.label
         return f"{self.component}_s{self.sigma:g}_sigma1_{sigma1:g}"
 
 
@@ -342,7 +339,6 @@ def run_decay_experiment(
     mode: str = "linear-quadrature",
     *,
     window: tuple[float, float] | None = None,
-    j0: int = 0,
     nodes_per_octave: int = 64,
     trajectory: TrajectoryRecord | None = None,
     neg_ratio_bound: float = 4.0,
@@ -379,17 +375,10 @@ def run_decay_experiment(
                 lo = min(lo, 0.03 ** (1.0 / min(gammas)) / math.sqrt(window[1]))
                 lo = max(lo, 1e-10)
             band = (lo, 1.0)
-        profile = RadialProfile(
-            band=band,
-            exponent=spec.beta,
-            scale_a=spec.amplitude,
-            scale_u=spec.amplitude,
-            scale_theta=spec.amplitude,
-        )
+        profile = saturating_profile(spec.sigma1, spec.dim, band, spec.amplitude)
         curve = semigroup_besov_decay(
             profile,
             spec.dim,
-            spec.sigma1,
             _default_linear_times(window),
             nodes_per_octave=nodes_per_octave,
             r_range=(band[0] * 0.5, max(1e3, band[1] * 4.0)),
@@ -413,11 +402,11 @@ def run_decay_experiment(
         raise ValueError(f"unknown mode {mode!r}")
 
     series = run.series
-    rtimes, split = series.times, FrequencySplit(j0)
-    delta0 = series.delta0(spec.sigma1, split)
-    x0 = float(series.critical(split)[0])
+    rtimes = series.times
+    delta0 = series.delta0(spec.sigma1)
+    x0 = float(series.critical()[0])
 
-    neg_sup = series.besov(-spec.sigma1, np.inf, regime="low", split=split)
+    neg_sup = series.besov(-spec.sigma1, np.inf, regime="low")
     neg_norm_ratio = float(np.max(neg_sup) / delta0) if delta0 > 0 else 0.0
 
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {"neg_sup": (rtimes, neg_sup)}
@@ -440,7 +429,7 @@ def run_decay_experiment(
         delta0=delta0,
         verdicts=verdicts,
         curves=curves,
-        meta=meta | {"j0": j0, "seed": spec.seed, "amplitude": spec.amplitude},
+        meta=meta | {"seed": spec.seed, "amplitude": spec.amplitude},
     )
 
 
@@ -459,18 +448,16 @@ def _exp_trapezoid_weights(h: float) -> tuple[float, float]:
     return a, b
 
 
-def convolution_bound_constant(
-    t_max: float = 1e4, n_t: int = 60, n_tau: int = 8000
-) -> float:
-    """Max over t <= t_max of (1+t)^{1/2} int_0^t e^{-(t-s)} (1+s)^{-1/2} ds.
+def convolution_bound_constant() -> float:
+    """Max over 60 times t in [1e-2, 1e4] of (1+t)^{1/2} int_0^t e^{-(t-s)} (1+s)^{-1/2} ds.
 
     The damped-mode Duhamel bound hinges on this convolution retaining
     the (1+t)^{-1/2} decay of its source; the constant stays small (the
     ratio tends to 1 as t grows and is below 1 for short times).
     """
     best = 0.0
-    for t in np.geomspace(1e-2, t_max, n_t):
-        tau = np.linspace(0.0, t, n_tau)
+    for t in np.geomspace(1e-2, 1e4, 60):
+        tau = np.linspace(0.0, t, 8000)
         f = (1.0 + tau) ** -0.5
         h = tau[1] - tau[0]
         a_w, b_w = _exp_trapezoid_weights(h)
@@ -540,14 +527,11 @@ def duhamel_reconstruction(traj: TrajectoryRecord) -> tuple[float, float]:
 
 def damped_mode_check(
     run,
-    sigma1: float | None = None,
+    sigma1: float,
     *,
     sigma: float = 0.0,
     window: tuple[float, float] | None = None,
     tolerance: float = 0.10,
-    j0: int = 0,
-    duhamel_rtol: float | None = None,
-    convolution_t_max: float = 1e4,
 ) -> DampedModeReport:
     """Check the damped velocity mode against its Duhamel description.
 
@@ -563,11 +547,6 @@ def damped_mode_check(
     """
     series = run.series
     times, dim = series.times, series.dim
-    if sigma1 is None:
-        sigma1 = getattr(run, "sigma1", None)
-        if sigma1 is None:
-            raise ValueError("sigma1 must be given for trajectory input")
-
     out = not velocity_enhancement_in_range(dim, sigma1)
     note = (
         "d=1 or sigma1 outside (-d/2+1, d/2]: enhanced velocity decay is "
@@ -582,7 +561,7 @@ def damped_mode_check(
             raise ValueError("too few positive-time samples to fit")
         window = (float(positive[0]), float(times[-1]))
 
-    neg_series = series.besov(-sigma1, np.inf, ("u",), "low", FrequencySplit(j0))
+    neg_series = series.besov(-sigma1, np.inf, ("u",), "low")
     neg_fit = fit_rate(times, neg_series, window)
     sig_series = series.besov(sigma, 1, ("u",))
     sig_fit = fit_rate(times, sig_series, window)
@@ -592,13 +571,13 @@ def damped_mode_check(
         Verdict.from_comparison("u-enhanced-exponent", -(1.0 + sigma + sigma1) / 2.0,
                                 sig_fit.exponent, tolerance, ci=sig_fit.ci, sigma=sigma),
         Verdict.from_bound("duhamel-convolution-constant",
-                           convolution_bound_constant(t_max=convolution_t_max),
+                           convolution_bound_constant(),
                            CONVOLUTION_BOUND),
     ]
     if isinstance(run, TrajectoryRecord):
         duh_err, h_max = duhamel_reconstruction(run)
-        duh_tol = duhamel_rtol if duhamel_rtol is not None else max(25.0 * h_max**2, 1e-12)
-        verdicts.append(Verdict.from_bound("duhamel-reconstruction", duh_err, duh_tol))
+        verdicts.append(Verdict.from_bound("duhamel-reconstruction", duh_err,
+                                           max(25.0 * h_max**2, 1e-12)))
 
     return DampedModeReport(
         out_of_theorem=out,
@@ -617,7 +596,13 @@ def damped_mode_check(
 # ----------------------------------------------------------------------
 @dataclass
 class TimeWeightedReport:
-    """Growth of the (1+t)^M weighted budget and the unweighted bounds."""
+    """The (1+t)^M weighted budget, its unweighted companion and their verdicts.
+
+    ``verdicts`` holds ``time-weighted-growth`` (the fitted growth exponent
+    of ``x_m`` within ``GROWTH_TOLERANCE`` of ``M - (d/2 + sigma1)/2``; it
+    fails when the fit window spans less than a decade) and
+    ``time-weighted-low-bound`` (``x_l(T) / delta0 <= LOW_BOUND_RATIO``).
+    """
 
     m_exp: float
     sigma1: float
@@ -626,25 +611,15 @@ class TimeWeightedReport:
     x_m: np.ndarray
     x_l: np.ndarray
     delta0: float
-    x0: float
-    predicted_growth: float
     growth_fit: RateFit | None
-    window_too_short: bool
-    bound_ratio: float
-
-    @property
-    def growth_matches(self) -> bool:
-        if self.growth_fit is None or self.window_too_short:
-            return False
-        return abs(self.growth_fit.exponent - self.predicted_growth) <= 0.1
+    verdicts: list[Verdict]
 
 
 def time_weighted_functionals(
     run,
     m_exp: float,
-    sigma1: float | None = None,
+    sigma1: float,
     *,
-    j0: int = 0,
     fit_window: tuple[float, float] | None = None,
 ) -> TimeWeightedReport:
     """Accumulate the (1+t)^M weighted budget and fit its growth.
@@ -656,15 +631,10 @@ def time_weighted_functionals(
     enough for the tail integrals to concentrate at the endpoint, which
     is the admissibility rule ``M > 1 + (d/2 + sigma1)/2`` enforced here.
     The unweighted companion ``x_l`` (sup-shell norms at regularity
-    -sigma1) must stay bounded by a moderate multiple of delta0;
-    ``bound_ratio`` reports that multiple.
+    -sigma1) must stay bounded by a moderate multiple of delta0.
     """
     series = run.series
     times, dim = series.times, series.dim
-    if sigma1 is None:
-        sigma1 = getattr(run, "sigma1", None)
-        if sigma1 is None:
-            raise ValueError("sigma1 must be given for trajectory input")
     m_min = 1.0 + (dim / 2.0 + sigma1) / 2.0
     if m_exp <= m_min:
         raise ValueError(
@@ -672,15 +642,14 @@ def time_weighted_functionals(
             f"= {m_min}; smaller weights leave the tail integrals divergent"
         )
 
-    split = FrequencySplit(j0)
     half = dim / 2.0
     w_m = (1.0 + times) ** m_exp
 
     def x_m_piece(components, s, rho, regime):
-        return series.chemin_lerner(s, rho, 1, components, regime, split, w_m)
+        return series.chemin_lerner(s, rho, 1, components, regime, weight=w_m)
 
     def x_l_piece(components, s, rho):
-        return series.chemin_lerner(s, rho, np.inf, components, "low", split)
+        return series.chemin_lerner(s, rho, np.inf, components, "low")
 
     x_m = (
         x_m_piece(COMPONENTS, half, np.inf, "low")
@@ -697,20 +666,26 @@ def time_weighted_functionals(
         + x_l_piece(("theta",), -sigma1 + 1.0, 2)
     )
 
-    delta0 = series.delta0(sigma1, split)
-    x0 = float(series.critical(split)[0])
+    delta0 = series.delta0(sigma1)
     bound_ratio = float(x_l[-1] / delta0) if delta0 > 0 else 0.0
 
     predicted = m_exp - (dim / 2.0 + sigma1) / 2.0
     growth_fit = None
-    window_too_short = False
+    exponent, decades = math.nan, 0.0
     if float(np.max(x_m)) > 0.0:
         if fit_window is None:
             positive = times[times > 0]
             fit_window = (float(positive[0]), float(times[-1]))
-        span = math.log10((1.0 + fit_window[1]) / (1.0 + fit_window[0]))
-        window_too_short = span < 1.0
+        decades = math.log10((1.0 + fit_window[1]) / (1.0 + fit_window[0]))
         growth_fit = fit_rate(times, x_m, fit_window)
+        exponent = growth_fit.exponent
+    verdicts = [
+        Verdict("time-weighted-growth", predicted, exponent, GROWTH_TOLERANCE,
+                abs(exponent - predicted) <= GROWTH_TOLERANCE and decades >= 1.0,
+                {"window_decades": decades}),
+        Verdict.from_bound("time-weighted-low-bound", bound_ratio, LOW_BOUND_RATIO,
+                           delta0=delta0),
+    ]
 
     return TimeWeightedReport(
         m_exp=m_exp,
@@ -720,9 +695,6 @@ def time_weighted_functionals(
         x_m=x_m,
         x_l=x_l,
         delta0=delta0,
-        x0=x0,
-        predicted_growth=predicted,
         growth_fit=growth_fit,
-        window_too_short=window_too_short,
-        bound_ratio=bound_ratio,
+        verdicts=verdicts,
     )

@@ -71,14 +71,13 @@ def check_bernstein(
     a_exp: float = 2.0,
     b_exp: float = 2.0,
     support: str = "ball",
-    budget: float | None = None,
-    scale_j: int | None = None,
 ) -> list[Verdict]:
     """Derivative growth on ball- or annulus-supported fields.
 
     Measures ``|D^k f|_{L^b} / (lam^(k + d(1/a - 1/b)) |f|_{L^a})`` with
     ``D^k`` the radial multiplier ``|xi|^k`` and ``lam = 2^j`` the support
-    scale, against ``budget``.  For annulus support the derivative is
+    scale, against ``BALL_BERNSTEIN_BUDGET`` (ball) or ``RING_OUTER**k``
+    (annulus).  For annulus support the derivative is
     invertible on the support and the bound is two-sided: the verdicts are
     ``-upper`` (the worst ratio) and ``-lower`` (the least
     ``|D^k f|_{L^a} / (lam^k |f|_{L^a})`` against the floor
@@ -88,8 +87,7 @@ def check_bernstein(
         raise ValueError("need 1 <= a_exp <= b_exp (use math.inf for sup norms)")
     if support not in ("ball", "annulus"):
         raise ValueError(f"unknown support {support!r}")
-    if budget is None:
-        budget = BALL_BERNSTEIN_BUDGET if support == "ball" else RING_OUTER**k
+    budget = BALL_BERNSTEIN_BUDGET if support == "ball" else RING_OUTER**k
 
     grid = lp.grid
     exponent = k + grid.dim * (1.0 / a_exp - 1.0 / b_exp)
@@ -97,7 +95,7 @@ def check_bernstein(
     least = math.inf
     js = list(lp.shells)
     for trial in range(trials):
-        j = js[int(rng.integers(len(js)))] if scale_j is None else scale_j
+        j = js[int(rng.integers(len(js)))]
         lam = 2.0**j
 
         def draw():
@@ -131,7 +129,6 @@ def check_interpolation(
     s1: float = 0.0,
     s2: float = 1.0,
     theta_mix: float = 0.5,
-    p: float = 2.0,
     budget: float = DEFAULT_BUDGET,
 ) -> list[Verdict]:
     """Intermediate summed norm against the product of sup-norm endpoints.
@@ -154,9 +151,9 @@ def check_interpolation(
         f = _nonzero(
             lambda: _band_field(lp, rng, exponent), lambda g: grid.l2_norm(g), "spectrum"
         )
-        lhs = lp.besov_norm(f, s_mid, p=p, r=1)
-        rhs = lp.besov_norm(f, s1, p=p, r=math.inf) ** theta_mix
-        rhs *= lp.besov_norm(f, s2, p=p, r=math.inf) ** (1.0 - theta_mix)
+        lhs = lp.besov_norm(f, s_mid, r=1)
+        rhs = lp.besov_norm(f, s1, r=math.inf) ** theta_mix
+        rhs *= lp.besov_norm(f, s2, r=math.inf) ** (1.0 - theta_mix)
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)
 

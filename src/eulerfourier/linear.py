@@ -233,9 +233,7 @@ class RadialProfile:
 
     band: tuple[float, float]
     exponent: float
-    scale_a: float = 1.0
-    scale_u: float = 1.0
-    scale_theta: float = 1.0
+    scale: float = 1.0
     smooth_edges: bool = True
 
     def __post_init__(self) -> None:
@@ -260,7 +258,7 @@ class RadialProfile:
     def amplitudes(self, r: np.ndarray, cutoffs: DyadicCutoffs | None = None) -> np.ndarray:
         """Initial (a, w, theta) with u = i w, shape (len(r), 3), real."""
         env = self.envelope(r, cutoffs)
-        return env[..., None] * np.array([self.scale_a, self.scale_u, self.scale_theta])
+        return env[..., None] * np.full(3, self.scale)
 
 
 def saturating_profile(
@@ -272,8 +270,7 @@ def saturating_profile(
     carry the same weighted norm, i.e. the data saturates the
     sup-over-shells norm of extra regularity sigma1.
     """
-    return RadialProfile(band=band, exponent=sigma1 - dim / 2.0, scale_a=scale,
-                         scale_u=scale, scale_theta=scale)
+    return RadialProfile(band=band, exponent=sigma1 - dim / 2.0, scale=scale)
 
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -287,7 +284,6 @@ class QuadratureError(RuntimeError):
 class SemigroupCurve:
     """Shell norms of the evolved profile over time."""
 
-    sigma1: float
     series: ShellSeries
     meta: dict = field(default_factory=dict)
 
@@ -311,11 +307,9 @@ DEFAULT_CONVERGENCE_COLUMNS: list[tuple[tuple[str, ...], float, float]] = [
 def semigroup_besov_decay(
     profile: RadialProfile,
     dim: int,
-    sigma1: float,
     times: np.ndarray,
     nodes_per_octave: int = 64,
     r_range: tuple[float, float] = (1e-4, 1e3),
-    cutoffs: DyadicCutoffs | None = None,
     check_convergence: bool = True,
     convergence_columns: list[tuple[tuple[str, ...], float, float]] | None = None,
 ) -> SemigroupCurve:
@@ -341,8 +335,7 @@ def semigroup_besov_decay(
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or times.size == 0:
         raise ValueError("times must be nonnegative and nonempty")
-    if cutoffs is None:
-        cutoffs = build_cutoffs()
+    cutoffs = build_cutoffs()
 
     # np.linspace makes the doubled set's even nodes the base set bit for bit
     n_int = int(np.ceil(nodes_per_octave * np.log2(r_range[1] / r_range[0])))
@@ -378,7 +371,7 @@ def semigroup_besov_decay(
 
     meta = {"nodes_per_octave": nodes_per_octave, "r_range": r_range,
             "band": profile.band, "exponent": profile.exponent}
-    curve = SemigroupCurve(sigma1, series(1 + check_convergence), meta)
+    curve = SemigroupCurve(series(1 + check_convergence), meta)
     if check_convergence:
         fine = series(1)
         cols = convergence_columns if convergence_columns is not None else DEFAULT_CONVERGENCE_COLUMNS

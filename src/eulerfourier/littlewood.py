@@ -187,22 +187,13 @@ class FrequencySplit:
 class LittlewoodPaley:
     """Dyadic shell calculus bound to one grid.
 
-    Parameters
-    ----------
-    grid : the periodic grid carrying the fields.
-    cutoffs : optional prebuilt :class:`DyadicCutoffs`.
-    split : optional :class:`FrequencySplit`; defaults to threshold 0.
+    Norms are L^2 on each shell (the critical L^2 framework); the low and
+    high regimes are those of the default :class:`FrequencySplit`.
     """
 
-    def __init__(
-        self,
-        grid: PeriodicGrid,
-        cutoffs: DyadicCutoffs | None = None,
-        split: FrequencySplit | None = None,
-    ):
+    def __init__(self, grid: PeriodicGrid):
         self.grid = grid
-        self.cutoffs = cutoffs if cutoffs is not None else build_cutoffs()
-        self.split = split if split is not None else FrequencySplit()
+        self.cutoffs = build_cutoffs()
         self._phi_cache: dict[int, np.ndarray] = {}
 
         # shells whose annulus is fully resolved by the dealiased grid
@@ -270,11 +261,6 @@ class LittlewoodPaley:
         per row of a stack."""
         return self.grid.l2_norm_hat(self.block_hat(fhat, j))
 
-    def shell_lp_hat(self, fhat: np.ndarray, j: int, p: float) -> float:
-        if p == 2:
-            return self.shell_l2_hat(fhat, j)
-        return self.grid.lp_norm(self.grid.inverse(self.block_hat(fhat, j)), p)
-
     def state_l2_hat(self, hats: np.ndarray, j: int) -> tuple:
         """Shell-j L^2 norms of a, |u| and theta from a spectral stack
         [a, u_1, ..., u_d, theta]; one value per row of each component."""
@@ -294,14 +280,13 @@ class LittlewoodPaley:
         self,
         f: np.ndarray,
         s: float,
-        p: float = 2,
         r: float = 1,
         regime: str = "all",
     ) -> float:
-        """Homogeneous Besov norm, truncated to the resolvable shells."""
+        """Homogeneous Besov norm B^s_{2,r}, truncated to the resolvable shells."""
         fhat = self.grid.forward(np.asarray(f, dtype=float))
-        shells = self.split.select(self.shells, regime)
-        vals = [2.0 ** (j * s) * self.shell_lp_hat(fhat, j, p) for j in shells]
+        shells = FrequencySplit().select(self.shells, regime)
+        vals = [2.0 ** (j * s) * self.shell_l2_hat(fhat, j) for j in shells]
         return self._accumulate(vals, r)
 
 

@@ -46,8 +46,7 @@ from .solver import PositivityViolation, TrajectoryRecord, nonlinear_rhs
 __all__ = [
     "StrideTooCoarse",
     "LyapunovResidualSeries",
-    "low_freq_functionals",
-    "high_freq_functionals",
+    "shell_functionals",
     "commutator_remainders",
     "coercivity_margin",
     "lyapunov_residual",
@@ -71,6 +70,9 @@ VACUOUS_SHARE = 1e-24
 # of a 512-point run are one chunk: no faster than two, and about 4 MB more
 # peak resident memory.
 CHUNK_POINTS = 2**13
+
+# radii per shell at which the coercivity margin is sampled
+MARGIN_SAMPLES = 257
 
 
 class StrideTooCoarse(RuntimeError):
@@ -124,8 +126,9 @@ def _check_positive(state: StateFields) -> None:
 class _ChunkTerms:
     """The terms of a chunk of snapshots, each formed once on first use.
 
-    The state is a ``(d + 2, k, *grid)`` chunk: every field is a stack with one
-    row per snapshot and every per-shell quantity has one value per snapshot.
+    The state is one state or a ``(d + 2, k, *grid)`` chunk: every field is a
+    stack with one row per snapshot and every per-shell quantity has one value
+    per snapshot (a float for one state).
     The shell-independent products, fluxes and commutator remainders are kept
     only as their norms on ``shells``, and the blocks only for the last shell
     asked for, so that a chunk holds few fields at a time.
@@ -244,8 +247,10 @@ class _ChunkTerms:
     # per-shell work
 
     def functionals(self, j: int, eta: float, regime: str) -> tuple[np.ndarray, np.ndarray]:
-        """Energy and dissipation of shell ``j`` (see the public wrappers)."""
+        """Energy and dissipation of shell ``j`` (see :func:`shell_functionals`)."""
         grid = self.grid
+        if regime not in ("low", "high"):
+            raise ValueError(f"unknown regime {regime!r}")
         low = regime == "low"
         if not 0.0 < eta < 1.0:
             raise ValueError(f"eta{1 if low else 2} must lie in (0, 1)")
@@ -321,38 +326,27 @@ class _ChunkTerms:
 
 
 # ----------------------------------------------------------------------
-# functionals and commutators of a single state
+# functionals and commutators of a state or a stack of states
 
 
-def low_freq_functionals(
-    lp: LittlewoodPaley, state: StateFields, j: int, eta1: float = DEFAULT_ETA
-) -> tuple[float, float]:
-    """Energy and dissipation of shell ``j`` with the fixed mixed weight.
+def shell_functionals(lp: LittlewoodPaley, state: StateFields, j: int, eta: float, regime: str):
+    """Energy and dissipation ``(E_j, D_j)`` of shell ``j`` in the ``"low"`` or
+    ``"high"`` regime.
 
-    Returns ``(E1, D1)`` where
+    ``state`` is one state or a ``(d + 2, *rows, *grid)`` stack of states;
+    each value is then a float or one value per state, the same bit for bit.
+    The low regime carries the fixed mixed weight ``eta``:
 
-        E1 = 1/2 ||(a_j, u_j, th_j)||^2 + eta1 <grad a_j, u_j>
-        D1 = ||u_j||^2 + ||grad th_j||^2 + eta1 ||grad a_j||^2
-             - eta1 ||div u_j||^2 + eta1 <u_j, grad a_j>
-             + eta1 <grad th_j, grad a_j>
+        E1 = 1/2 ||(a_j, u_j, th_j)||^2 + eta <grad a_j, u_j>
+        D1 = ||u_j||^2 + ||grad th_j||^2 + eta ||grad a_j||^2
+             - eta ||div u_j||^2 + eta <u_j, grad a_j>
+             + eta <grad th_j, grad a_j>
+
+    The high regime weights the density term of the energy by the pointwise
+    entropic weight ``(1+theta)/(1+a)**2`` of the unfiltered state, and every
+    mixed/auxiliary term by ``eta * 2**(-2j)`` in place of ``eta``.
     """
-    terms = _ChunkTerms(lp, StateFields(state.data[:, None]))  # a chunk of one
-    energy, dissipation = terms.functionals(j, eta1, "low")
-    return float(energy[0]), float(dissipation[0])
-
-
-def high_freq_functionals(
-    lp: LittlewoodPaley, state: StateFields, j: int, eta2: float = DEFAULT_ETA
-) -> tuple[float, float]:
-    """Energy and dissipation of shell ``j`` with the entropic weight.
-
-    The density term of the energy carries the pointwise weight
-    ``(1+theta)/(1+a)**2`` evaluated on the unfiltered state, and every
-    mixed/auxiliary term is scaled by ``eta2 * 2**(-2j)``.
-    """
-    terms = _ChunkTerms(lp, StateFields(state.data[:, None]))  # a chunk of one
-    energy, dissipation = terms.functionals(j, eta2, "high")
-    return float(energy[0]), float(dissipation[0])
+    return _ChunkTerms(lp, state).functionals(j, eta, regime)
 
 
 def commutator_remainders(
@@ -367,16 +361,18 @@ def commutator_remainders(
         R1 = -[P_j, 1+a] div u - sum_m [P_j, u_m] d_m a
         R2_m = -sum_n [P_j, u_n] d_n u_m - [P_j, (1+theta)/(1+a)] d_m a
         R3 = [P_j, a/(1+a)] lap theta
+
+    ``state`` is one state or a stack of states, as for
+    :func:`shell_functionals`.
     """
-    r1, r2, r3 = _ChunkTerms(lp, StateFields(state.data[:, None])).remainder_fields([j])[j]
-    return r1[0], [c[0] for c in r2], r3[0]
+    return _ChunkTerms(lp, state).remainder_fields([j])[j]
 
 
 # ----------------------------------------------------------------------
 # coercivity margins
 
 
-def coercivity_margin(j: int, eta: float = DEFAULT_ETA, regime: str = "low", samples: int = 257) -> float:
+def coercivity_margin(j: int, eta: float = DEFAULT_ETA, regime: str = "low") -> float:
     """Worst-phase lower bound of D_j against the regime's target form.
 
     For a single wavevector of radius ``r`` the dissipation, minimised
@@ -397,8 +393,8 @@ def coercivity_margin(j: int, eta: float = DEFAULT_ETA, regime: str = "low", sam
 
     ``G`` is diagonal, so the generalized eigenvalues are the ordinary ones
     of ``G^-1/2 F G^-1/2``; its entries are powers of four, so that scaling
-    is by powers of two and exact.  All ``samples`` scaled forms are solved
-    as one ``(samples, 3, 3)`` stack.
+    is by powers of two and exact.  The ``MARGIN_SAMPLES`` scaled forms are
+    solved as one ``(MARGIN_SAMPLES, 3, 3)`` stack.
     """
     if regime == "low":
         beta = eta
@@ -409,8 +405,8 @@ def coercivity_margin(j: int, eta: float = DEFAULT_ETA, regime: str = "low", sam
     else:
         raise ValueError(f"unknown regime {regime!r}")
 
-    r = np.linspace(0.75 * 2.0**j, (8.0 / 3.0) * 2.0**j, samples)
-    f = np.zeros((samples, 3, 3))
+    r = np.linspace(0.75 * 2.0**j, (8.0 / 3.0) * 2.0**j, MARGIN_SAMPLES)
+    f = np.zeros((MARGIN_SAMPLES, 3, 3))
     f[:, 0, 0] = beta * r * r
     f[:, 0, 1] = f[:, 1, 0] = -beta * r / 2.0
     f[:, 0, 2] = f[:, 2, 0] = -beta * r * r / 2.0

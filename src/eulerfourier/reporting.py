@@ -115,8 +115,7 @@ def load_verdicts(path: Path) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
 
-def write_curve(path: Path, times, values, meta: dict | None = None,
-                columns: tuple[str, str] = ("t", "value")) -> Path:
+def write_curve(path: Path, times, values, meta: dict | None = None) -> Path:
     """CSV curve with a '#'-prefixed metadata header, fully deterministic."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -127,7 +126,7 @@ def write_curve(path: Path, times, values, meta: dict | None = None,
     lines = []
     for key in sorted(meta or {}):
         lines.append(f"# {key} = {_plain((meta or {})[key])}")
-    lines.append(",".join(columns))
+    lines.append("t,value")
     # float() strips the numpy scalar wrapper; repr keeps all 17 digits
     lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(times, values))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -51,8 +51,15 @@ from .littlewood import LittlewoodPaley, ShellSeries
 from .reporting import config_hash
 
 
+#: fraction of the advective bound that :func:`cfl_check` admits as a step
+CFL_SAFETY = 0.4
+
+#: least admissible value of 1 + a and 1 + theta
+POSITIVITY_FLOOR = 0.1
+
+
 class PositivityViolation(RuntimeError):
-    """Density or temperature dipped below the configured floor."""
+    """Density or temperature dipped below ``POSITIVITY_FLOOR``."""
 
 
 class NonFinite(RuntimeError):
@@ -67,15 +74,12 @@ class SolverConfig:
     ``epsilon0`` bounds the critical norm of the initial data whose
     smallness the decay theory requires, :meth:`ShellSeries.critical` at
     t = 0 (the start of the run's critical curve, for band-limited data);
-    ``None`` skips that gate.  ``positivity_floor`` is the least admissible
-    value of 1 + a and 1 + theta.  ``snapshot_stride=None`` keeps the
-    final state only, as a one-element ``snapshots`` list.
+    ``None`` skips that gate.  ``snapshot_stride=None`` keeps the final
+    state only, as a one-element ``snapshots`` list.
     """
 
     dt: float | None = None
     t_end: float = 1.0
-    cfl_safety: float = 0.4
-    positivity_floor: float = 0.1
     epsilon0: float | None = 0.5
     sample_stride: int = 1
     snapshot_stride: int | None = None
@@ -85,25 +89,23 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not 0 < self.positivity_floor < 1:
-            raise ValueError("positivity_floor must lie in (0, 1)")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        if self.snapshot_stride is not None and self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be >= 1, or None for the final state only")
 
 
-def cfl_check(grid: PeriodicGrid, state: StateFields, cfl_safety: float = 0.4) -> float:
+def cfl_check(grid: PeriodicGrid, state: StateFields) -> float:
     """Largest admissible explicit step for the advective/acoustic part.
 
     The exactly-integrated linear part contributes no restriction; the
     bound is grid spacing over the maximal local signal speed, the sound
     speed sqrt(1 + theta) plus the flow speed |u|.  At the zero state
-    this reduces to cfl_safety * dx (unit sound speed).
+    this reduces to ``CFL_SAFETY * dx`` (unit sound speed).
     """
-    if not 0 < cfl_safety <= 1:
-        raise ValueError("cfl_safety must lie in (0, 1]")
     if np.min(1.0 + state.theta) <= 0:
         raise PositivityViolation("temperature must stay positive for a wave speed")
-    return cfl_safety * grid.spacing / _max_speed(state)
+    return CFL_SAFETY * grid.spacing / _max_speed(state)
 
 
 def _max_speed(state: StateFields) -> float:
@@ -286,13 +288,12 @@ def _check_admissible(
 ) -> None:
     if not np.all(np.isfinite(state.data)):
         raise NonFinite("initial data contains non-finite values")
-    floor = config.positivity_floor
-    if np.min(1.0 + state.a) < floor or np.min(1.0 + state.theta) < floor:
+    if np.min(1.0 + state.a) < POSITIVITY_FLOOR or np.min(1.0 + state.theta) < POSITIVITY_FLOOR:
         raise PositivityViolation(
-            f"initial density/temperature below positivity floor {floor}"
+            f"initial density/temperature below positivity floor {POSITIVITY_FLOOR}"
         )
     if config.epsilon0 is not None:
-        size = float(ShellSeries.of_hats(lp, hats).critical(lp.split)[0])
+        size = float(ShellSeries.of_hats(lp, hats).critical()[0])
         if size > config.epsilon0:
             raise ValueError(
                 f"initial data critical norm {size:.3e} exceeds epsilon0 "
@@ -322,7 +323,7 @@ def integrate(
     hats = grid.forward(state0.data)
     _check_admissible(state0, hats, config, lp)
 
-    bound = cfl_check(grid, state0, config.cfl_safety)
+    bound = cfl_check(grid, state0)
     dt = config.dt if config.dt is not None else bound
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:g} exceeds the advective bound {bound:g}")
@@ -344,9 +345,8 @@ def integrate(
         shell_rows.append([lp.state_l2_hat(hats_now, j) for j in lp.shells])
         mean_a.append(float(np.real(hats_now[0].flat[0])))
         state = StateFields(grid.inverse(hats_now))
-        if np.min(1.0 + state.a) < config.positivity_floor or np.min(
-            1.0 + state.theta
-        ) < config.positivity_floor:
+        if (np.min(1.0 + state.a) < POSITIVITY_FLOOR
+                or np.min(1.0 + state.theta) < POSITIVITY_FLOOR):
             raise PositivityViolation(f"positivity floor crossed at t={t:g}")
         max_speed.append(_max_speed(state))
         # the final state is always kept: downstream checks (positivity

@@ -281,10 +281,10 @@ print(" ".join(m for m in ("scipy.integrate", "scipy.interpolate", "scipy.optimi
 
 def test_write_curve_layout(tmp_path):
     path = write_curve(tmp_path / "c.csv", [0.0, 1.0], [2.0, 3.0],
-                       meta={"kind": "demo"}, columns=("t", "norm"))
+                       meta={"kind": "demo"})
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#") and "kind = demo" in lines[0]
-    assert lines[1] == "t,norm"
+    assert lines[1] == "t,value"
     assert lines[2].startswith("0.0,")
 
 

@@ -27,7 +27,7 @@ def _linear_curve(sigma1, dim, t_end, n_times=120, nodes=24, band=(1e-4, 1.0)):
     """Saturating-profile semigroup curve, the small-scale workhorse here."""
     times = np.concatenate([[0.0], np.geomspace(1.0, t_end * 1.0000001, n_times)])
     prof = saturating_profile(sigma1, dim, band=band)
-    return semigroup_besov_decay(prof, dim, sigma1, times, nodes_per_octave=nodes)
+    return semigroup_besov_decay(prof, dim, times, nodes_per_octave=nodes)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_convolution_bound_constant_is_small():
 
 def test_damped_mode_check_on_linear_curve():
     curve = _linear_curve(sigma1=1.0, dim=2, t_end=1e4, nodes=32)
-    out = damped_mode_check(curve, window=(1e2, 1e4), tolerance=0.10)
+    out = damped_mode_check(curve, 1.0, window=(1e2, 1e4), tolerance=0.10)
     assert not out.out_of_theorem
     verdicts = {v.name: v for v in out.verdicts}
     assert verdicts["u-neg-sup-exponent"].passed and out.neg_fit.exponent <= -0.45
@@ -279,7 +279,7 @@ def test_damped_mode_check_on_linear_curve():
 
 def test_damped_mode_check_flags_out_of_theorem_range():
     curve = _linear_curve(sigma1=-0.4, dim=2, t_end=1e3)
-    out = damped_mode_check(curve, window=(1e1, 1e3))
+    out = damped_mode_check(curve, -0.4, window=(1e1, 1e3))
     assert out.out_of_theorem
     assert "sigma1" in out.note
 
@@ -290,17 +290,20 @@ def test_damped_mode_check_flags_out_of_theorem_range():
 
 def test_time_weighted_functional_growth_matches_prediction():
     curve = _linear_curve(sigma1=0.5, dim=1, t_end=1e4)
-    report = time_weighted_functionals(curve, m_exp=2.0, fit_window=(1e2, 1e4))
-    assert np.isclose(report.predicted_growth, 2.0 - 0.5, atol=1e-12)
-    assert report.growth_fit is not None
-    assert abs(report.growth_fit.exponent - report.predicted_growth) < 0.1
-    assert report.growth_matches
-    assert not report.window_too_short
-    assert report.bound_ratio < 4.0
+    report = time_weighted_functionals(curve, m_exp=2.0, sigma1=0.5, fit_window=(1e2, 1e4))
+    growth, low_bound = report.verdicts
+    assert growth.name == "time-weighted-growth"
+    assert np.isclose(growth.predicted, 2.0 - 0.5, atol=1e-12)
+    assert report.growth_fit is not None and growth.measured == report.growth_fit.exponent
+    assert abs(growth.measured - growth.predicted) < 0.1
+    assert growth.passed
+    assert growth.extras["window_decades"] >= 1.0
+    assert low_bound.name == "time-weighted-low-bound"
+    assert low_bound.passed and low_bound.measured < 4.0
     assert np.all(np.diff(report.x_m) >= -1e-12)  # running sups/integrals grow
 
 
 def test_time_weighted_functional_rejects_small_m():
     curve = _linear_curve(sigma1=0.5, dim=1, t_end=1e2, n_times=40)
     with pytest.raises(ValueError, match="admissibility"):
-        time_weighted_functionals(curve, m_exp=1.2)
+        time_weighted_functionals(curve, m_exp=1.2, sigma1=0.5)

@@ -169,7 +169,7 @@ def test_saturating_profile_gives_flat_weighted_shells():
     sigma1, dim = 1.0, 2
     prof = saturating_profile(sigma1, dim, band=(1e-3, 1.0))
     curve = semigroup_besov_decay(
-        prof, dim, sigma1, times=np.array([0.0]), nodes_per_octave=48,
+        prof, dim, times=np.array([0.0]), nodes_per_octave=48,
         r_range=(5e-4, 8.0),
     )
     weighted = []
@@ -185,7 +185,7 @@ def test_saturating_profile_gives_flat_weighted_shells():
 def test_semigroup_curve_delta0_and_series_shapes():
     prof = saturating_profile(0.5, 1, band=(1e-2, 1.0))
     times = np.array([0.0, 1.0, 10.0])
-    curve = semigroup_besov_decay(prof, 1, 0.5, times=times, nodes_per_octave=32,
+    curve = semigroup_besov_decay(prof, 1, times=times, nodes_per_octave=32,
                                   r_range=(5e-3, 8.0))
     assert curve.series.norms.shape == (len(curve.series.shells), 3, times.size)
     assert curve.series.delta0(0.5) > 0.0
@@ -201,7 +201,7 @@ def test_sharp_band_edges_fail_the_quadrature_check():
     prof = RadialProfile(band=(1e-2, 1.0), exponent=-0.5, smooth_edges=False)
     with pytest.raises(QuadratureError):
         semigroup_besov_decay(
-            prof, 1, 0.5, times=np.array([0.0, 10.0]), nodes_per_octave=8,
+            prof, 1, times=np.array([0.0, 10.0]), nodes_per_octave=8,
             r_range=(5e-3, 8.0),
         )
 
@@ -210,8 +210,8 @@ def test_quadrature_is_stable_under_node_doubling():
     prof = saturating_profile(0.5, 1, band=(1e-2, 1.0))
     times = np.array([0.0, 5.0, 50.0])
     kw = dict(times=times, r_range=(5e-3, 8.0), check_convergence=False)
-    coarse = semigroup_besov_decay(prof, 1, 0.5, nodes_per_octave=32, **kw)
-    fine = semigroup_besov_decay(prof, 1, 0.5, nodes_per_octave=64, **kw)
+    coarse = semigroup_besov_decay(prof, 1, nodes_per_octave=32, **kw)
+    fine = semigroup_besov_decay(prof, 1, nodes_per_octave=64, **kw)
     a = coarse.series.besov(0.5)
     b = fine.series.besov(0.5)
     assert np.max(np.abs(a - b) / b) < 1e-3
@@ -235,7 +235,7 @@ def test_quadrature_equals_a_brute_force_over_every_base_node(smooth, check):
     dim, times = 2, SMALL["times"]
     # a sharp band fails the 1e-4 check; with no columns the doubled pass still runs
     cols = None if smooth else []
-    curve = semigroup_besov_decay(prof, dim, 0.5, check_convergence=check,
+    curve = semigroup_besov_decay(prof, dim, check_convergence=check,
                                   convergence_columns=cols, **SMALL)
 
     # every base node through expm_stack, zero data or not, one node at a time
@@ -269,7 +269,7 @@ def test_propagators_are_built_only_at_nodes_with_data(monkeypatch, check):
 
     monkeypatch.setattr(linear, "expm_stack", counting)
     prof = RadialProfile(band=(1e-2, 1.0), exponent=-0.5)
-    semigroup_besov_decay(prof, 1, 0.5, check_convergence=check, **SMALL)
+    semigroup_besov_decay(prof, 1, check_convergence=check, **SMALL)
 
     r = np.exp(_log_nodes(doubled=check))
     live = r[np.any(prof.amplitudes(r) != 0.0, axis=1)]
@@ -293,7 +293,7 @@ def test_ten_nodes_per_octave_fail_the_benchmark_linear_decay():
 
 def test_convergence_delta_is_recorded():
     prof = saturating_profile(0.5, 1, band=(1e-2, 1.0))
-    curve = semigroup_besov_decay(prof, 1, 0.5, **SMALL)
+    curve = semigroup_besov_decay(prof, 1, **SMALL)
     assert 0.0 < curve.meta["convergence_delta"] < 1e-4
-    unchecked = semigroup_besov_decay(prof, 1, 0.5, check_convergence=False, **SMALL)
+    unchecked = semigroup_besov_decay(prof, 1, check_convergence=False, **SMALL)
     assert "convergence_delta" not in unchecked.meta

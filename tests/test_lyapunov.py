@@ -9,12 +9,12 @@ import pytest
 from eulerfourier.grid import PeriodicGrid, StateFields
 from eulerfourier.littlewood import LittlewoodPaley, ShellSeries
 from eulerfourier.lyapunov import (
+    DEFAULT_ETA,
     StrideTooCoarse,
     coercivity_margin,
     commutator_remainders,
-    high_freq_functionals,
-    low_freq_functionals,
     lyapunov_residual,
+    shell_functionals,
 )
 from eulerfourier.randfields import ball_field
 from eulerfourier.solver import (
@@ -45,8 +45,8 @@ def _mode_state(component, k, amp=1e-2):
 def test_functionals_vanish_on_zero_state():
     zero = StateFields.zeros(GRID)
     for j in (-1, 0, 2):
-        assert low_freq_functionals(LP, zero, j) == (0.0, 0.0)
-        assert high_freq_functionals(LP, zero, j) == (0.0, 0.0)
+        assert shell_functionals(LP, zero, j, DEFAULT_ETA, "low") == (0.0, 0.0)
+        assert shell_functionals(LP, zero, j, DEFAULT_ETA, "high") == (0.0, 0.0)
 
 
 def test_low_functionals_on_single_component_modes():
@@ -54,19 +54,19 @@ def test_low_functionals_on_single_component_modes():
     eta = 0.1
     a_state = _mode_state("a", k)
     a_j = GRID.l2_norm(LP.block(a_state.a, j))
-    e1, d1 = low_freq_functionals(LP, a_state, j, eta1=eta)
+    e1, d1 = shell_functionals(LP, a_state, j, eta, "low")
     assert np.isclose(e1, 0.5 * a_j**2, rtol=1e-12)
     assert np.isclose(d1, eta * k**2 * a_j**2, rtol=1e-12)
 
     th_state = _mode_state("theta", k)
     th_j = GRID.l2_norm(LP.block(th_state.theta, j))
-    e1, d1 = low_freq_functionals(LP, th_state, j, eta1=eta)
+    e1, d1 = shell_functionals(LP, th_state, j, eta, "low")
     assert np.isclose(e1, 0.5 * th_j**2, rtol=1e-12)
     assert np.isclose(d1, k**2 * th_j**2, rtol=1e-12)
 
     u_state = _mode_state("u", k)
     u_j = GRID.l2_norm(LP.block(u_state.u[0], j))
-    e1, d1 = low_freq_functionals(LP, u_state, j, eta1=eta)
+    e1, d1 = shell_functionals(LP, u_state, j, eta, "low")
     assert np.isclose(e1, 0.5 * u_j**2, rtol=1e-12)
     # 1d velocity is all divergence: D1 = (1 - eta k^2) |u_j|^2
     assert np.isclose(d1, (1.0 - eta * k**2) * u_j**2, rtol=1e-12)
@@ -77,13 +77,13 @@ def test_high_functionals_on_single_component_modes():
     beta = eta * 2.0 ** (-2 * j)
     u_state = _mode_state("u", k)
     u_j = GRID.l2_norm(LP.block(u_state.u[0], j))
-    e2, d2 = high_freq_functionals(LP, u_state, j, eta2=eta)
+    e2, d2 = shell_functionals(LP, u_state, j, eta, "high")
     assert np.isclose(e2, 0.5 * u_j**2, rtol=1e-12)
     assert np.isclose(d2, (1.0 - beta * k**2) * u_j**2, rtol=1e-12)
 
     th_state = _mode_state("theta", k)
     th_j = GRID.l2_norm(LP.block(th_state.theta, j))
-    e2, d2 = high_freq_functionals(LP, th_state, j, eta2=eta)
+    e2, d2 = shell_functionals(LP, th_state, j, eta, "high")
     assert np.isclose(e2, 0.5 * th_j**2, rtol=1e-12)
     assert np.isclose(d2, k**2 * th_j**2, rtol=1e-12)
 
@@ -95,16 +95,39 @@ def test_energy_weight_uses_unfiltered_state():
     weight = (1.0 + state.theta) / (1.0 + state.a) ** 2
     a_j = LP.block(state.a, j)
     expected = 0.5 * GRID.cell_volume * np.sum(weight * a_j * a_j)
-    e2, _ = high_freq_functionals(LP, state, j)
+    e2, _ = shell_functionals(LP, state, j, DEFAULT_ETA, "high")
     assert np.isclose(e2, expected, rtol=1e-12)
 
 
 def test_eta_range_is_validated():
     state = _mode_state("a", 1.0)
     with pytest.raises(ValueError, match="eta1"):
-        low_freq_functionals(LP, state, 0, eta1=1.5)
+        shell_functionals(LP, state, 0, 1.5, "low")
     with pytest.raises(ValueError, match="eta2"):
-        high_freq_functionals(LP, state, 0, eta2=0.0)
+        shell_functionals(LP, state, 0, 0.0, "high")
+    with pytest.raises(ValueError, match="regime"):
+        shell_functionals(LP, state, 0, DEFAULT_ETA, "middle")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("regime", ["low", "high"])
+def test_a_stack_of_states_gives_each_states_values_bit_for_bit(dim, regime, rng):
+    grid = PeriodicGrid(dim=dim, npts=64 if dim == 1 else 32, length=8.0 * np.pi)
+    lp = LittlewoodPaley(grid)
+    states = [StateFields(0.05 * np.stack([ball_field(grid, rng, scale_j=1)
+                                           for _ in range(dim + 2)])) for _ in range(3)]
+    stack = StateFields(np.stack([s.data for s in states], axis=1))  # (d + 2, 3, *grid)
+    for j in lp.shells:
+        energy, dissipation = shell_functionals(lp, stack, j, DEFAULT_ETA, regime)
+        assert energy.shape == dissipation.shape == (len(states),)
+        for k, state in enumerate(states):
+            one = shell_functionals(lp, state, j, DEFAULT_ETA, regime)
+            assert (energy[k], dissipation[k]) == one
+    r1, r2, r3 = commutator_remainders(lp, stack, 0)
+    for k, state in enumerate(states):
+        one = commutator_remainders(lp, state, 0)
+        assert np.array_equal(r1[k], one[0]) and np.array_equal(r3[k], one[2])
+        assert all(np.array_equal(c[k], c1) for c, c1 in zip(r2, one[1]))
 
 
 def test_low_energy_equivalence_on_far_low_shells(rng):
@@ -125,7 +148,7 @@ def test_low_energy_equivalence_on_far_low_shells(rng):
             )
             if q == 0.0:
                 continue
-            e1, _ = low_freq_functionals(lp, state, j, eta1=eta)
+            e1, _ = shell_functionals(lp, state, j, eta, "low")
             assert (1.0 - slack) * q - 1e-12 <= e1 <= (1.0 + slack) * q + 1e-12
 
 

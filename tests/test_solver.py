@@ -262,6 +262,10 @@ def test_sampling_and_time_grid_contract():
     # no snapshot_stride: the final state is the one snapshot
     assert traj.snapshot_times == [traj.series.times[-1]] == [pytest.approx(0.05)]
     assert len(traj.snapshots) == 1
+    # a stride below 1 fails at construction, not at the first sample
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            SolverConfig(snapshot_stride=stride)
 
 
 def test_admissibility_gates():
@@ -313,7 +317,7 @@ def test_dt_above_cfl_bound_is_rejected():
 
 
 def _critical(lp, state):
-    return ShellSeries.of_state(lp, state).critical(lp.split)[0]
+    return ShellSeries.of_state(lp, state).critical()[0]
 
 
 def test_critical_norm_zero_state():
@@ -347,7 +351,7 @@ def test_epsilon0_gate_is_the_critical_curve_at_t0():
     lp = LittlewoodPaley(grid)
     state0 = _varying_state(grid, 1e-3)
     cfg = lambda eps0: SolverConfig(dt=1e-3, t_end=2e-3, epsilon0=eps0)
-    critical = integrate(grid, state0, cfg(None), lp=lp).series.critical(lp.split)[0]
+    critical = integrate(grid, state0, cfg(None), lp=lp).series.critical()[0]
     assert critical > 0.0
     integrate(grid, state0, cfg(critical * (1.0 + 1e-12)), lp=lp)
     with pytest.raises(ValueError, match="epsilon0"):

@@ -48,7 +48,7 @@ def test_span_target_resolves(target):
 def test_mode_evals_counter_binds_a_quadrature_call():
     # the counter reads times, nodes_per_octave, r_range and check_convergence
     # from the bound call: renaming any of them fails here
-    args = (saturating_profile(0.5, 1, band=(1e-2, 1.0)), 1, 0.5, np.array([0.0, 1.0, 10.0]))
+    args = (saturating_profile(0.5, 1, band=(1e-2, 1.0)), 1, np.array([0.0, 1.0, 10.0]))
     kwargs = {"nodes_per_octave": 16, "r_range": (5e-3, 8.0)}
     out = semigroup_besov_decay(*args, **kwargs)
     counts = Counter()

@@ -2,10 +2,14 @@
 
 Each kind runs at its default config with seed 0 in a fresh temporary
 directory, and every file it writes is listed as ``label/path sha256``, in
-sorted order.  The label is the kind, and one more run is listed under
+sorted order.  The label is the kind.  One more run is listed under
 ``damped-mode-box``: a ``damped-mode`` run from a box trajectory
 (``source=box, t_start=2``), the one path from stored snapshots through
-``nonlinear_rhs`` to the Duhamel reconstruction, which no default reaches.  ``run_record.json`` holds timestamps and is skipped;
+``nonlinear_rhs`` to the Duhamel reconstruction, which no default reaches.
+The four workloads of ``perfbench/run.py`` (its ``WORKLOADS``, read from that
+file) run at seed 0 under the labels ``bench-<workload>``, so the listing also
+shows whether a change moves an output the benchmark's gate compares.
+``run_record.json`` holds timestamps and is skipped;
 ``summary.txt`` names the output directory in its notes, so it is hashed with
 that directory removed.  Two commits produce the same outputs exactly when
 their listings are equal, which ``diff`` shows:
@@ -22,16 +26,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from eulerfourier.cli import run  # noqa: E402
 from eulerfourier.config import KINDS, parse_config  # noqa: E402
+from run import WORKLOADS  # noqa: E402  (perfbench/run.py)
 
 
 #: (label, kind, overrides) of every listed run
 RUNS = [(kind, kind, {}) for kind in KINDS] + [
     ("damped-mode-box", "damped-mode", {"source": "box", "t_start": 2.0}),
-]
+] + [(f"bench-{name}", kind, overrides) for name, (kind, overrides) in WORKLOADS.items()]
 
 
 def main() -> None:
