@@ -409,7 +409,7 @@ def _guarded_run(out_dir: Path, strict: bool, label: str, **parse_kw) -> tuple:
     """
     try:
         cfg = parse_config(out_dir=out_dir, **parse_kw)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         write_error_record(out_dir / "error.json", label, "unparsed", exc)
         return None, label, "unparsed"

@@ -10,6 +10,7 @@ norm computation.  The ranges themselves are stated once, in
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,6 +118,20 @@ KIND_DEFAULTS: dict[str, dict] = {
     },
 }
 
+#: the scipy modules each kind's numerics call: ``scipy.fft`` for the grid
+#: transforms, ``scipy.linalg`` for the solver's phi-tables.  parse_config
+#: imports them, so a run pays their import in set-up, a missing one fails at
+#: parse time, and linear-decay (numpy only) never loads scipy.
+KIND_SCIPY: dict[str, tuple[str, ...]] = {
+    "lp-inspect": ("scipy.fft",),
+    "validate": ("scipy.fft",),
+    "linear-decay": (),
+    "simulate": ("scipy.fft", "scipy.linalg"),
+    "decay-fit": ("scipy.fft", "scipy.linalg"),
+    "lyapunov": ("scipy.fft", "scipy.linalg"),
+    "damped-mode": ("scipy.fft", "scipy.linalg"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -180,7 +195,8 @@ def parse_config(
     seed: int | None = None,
     out_dir: str | Path | None = None,
 ) -> RunConfig:
-    """Merge defaults <- config file <- explicit overrides, then validate."""
+    """Merge defaults <- config file <- explicit overrides, validate, then
+    import the kind's scipy modules (:data:`KIND_SCIPY`)."""
     data: dict = {}
     if path is not None:
         data.update(read_config_file(path))
@@ -217,6 +233,8 @@ def parse_config(
 
     cfg = RunConfig(kind=kind, seed=int(seed), out_dir=Path(out_dir), options=options)
     validate_config(cfg)
+    for module in KIND_SCIPY[kind]:
+        importlib.import_module(module)
     return cfg
 
 
@@ -239,6 +257,13 @@ def validate_config(cfg: RunConfig) -> None:
         if n < 8 or n & (n - 1):
             raise ValueError(f"npts must be a power of two >= 8, got {n}")
     _positive(cfg, "length", "trials", "budget", "radii", "nodes_per_octave")
+    if "sample_stride" in opts and not opts["sample_stride"] >= 1:
+        raise ValueError(f"sample_stride must be >= 1, got {opts['sample_stride']}")
+    # simulate reads snapshot_stride 0 as "the final state only"; a damped-mode
+    # box run reads its snapshots
+    least = 0 if cfg.kind == "simulate" else 1
+    if "snapshot_stride" in opts and not opts["snapshot_stride"] >= least:
+        raise ValueError(f"snapshot_stride must be >= {least}, got {opts['snapshot_stride']}")
     if "eta" in opts and not (0.0 < opts["eta"] < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {opts['eta']}")
     if "t_start" in opts and "t_end" in opts and opts["t_end"] > 0:

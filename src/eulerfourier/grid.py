@@ -14,6 +14,9 @@ row.  The transforms are ``scipy.fft`` complex FFTs over the axes listed last
 first, the order of ``numpy.fft.fftn``, and scaling by a power of two is
 exact, so each one equals ``numpy.fft.fftn(f) / N**d`` bit for bit, in one
 call per stack of small fields or one call per field of at least ``ROW_POINTS``.
+``scipy.fft`` is imported where a transform calls it, so importing this module
+loads numpy only; :func:`~eulerfourier.config.parse_config` imports it up front
+for the kinds that transform.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 #: fields of at least this many points are transformed one at a time: on a 2-vCPU
 #: Xeon that takes 0.65-0.97 of one call per stack from 2**14 points, 1.2-1.9x below
@@ -137,10 +139,14 @@ class PeriodicGrid:
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """FFT normalised so the zero mode is the mean of ``f``."""
+        import scipy.fft
+
         return self._c2c(scipy.fft.fftn, f, real=False)
 
     def inverse(self, fhat: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`; returns the real part."""
+        import scipy.fft
+
         return self._c2c(scipy.fft.ifftn, fhat, real=True)
 
     def derivative_hat(self, fhat: np.ndarray, axis: int, order: int = 1) -> np.ndarray:

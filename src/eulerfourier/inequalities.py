@@ -36,8 +36,6 @@ BALL_BERNSTEIN_BUDGET = 4.0
 RING_INNER = 0.75
 RING_OUTER = 8.0 / 3.0
 
-_MAX_REGENERATE = 100
-
 
 # ----------------------------------------------------------------------
 # field generation
@@ -48,15 +46,6 @@ def _band_field(lp: LittlewoodPaley, rng: np.random.Generator, exponent: float) 
     lo = RING_INNER * 2.0**lp.j_min
     hi = RING_OUTER * 2.0**lp.j_max
     return random_field(lp.grid, rng, band=(lo, hi), exponent=exponent)
-
-
-def _nonzero(draw, norm, what: str):
-    """Redraw degenerate samples; random data makes this a formality."""
-    for _ in range(_MAX_REGENERATE):
-        f = draw()
-        if norm(f) > 0.0:
-            return f
-    raise RuntimeError(f"could not draw a nonzero {what} sample")
 
 
 # ----------------------------------------------------------------------
@@ -97,14 +86,11 @@ def check_bernstein(
     for trial in range(trials):
         j = js[int(rng.integers(len(js)))]
         lam = 2.0**j
-
-        def draw():
-            if support == "ball":
-                return ball_field(grid, rng, scale_j=j, cutoffs=lp.cutoffs)
+        if support == "ball":
+            f = ball_field(grid, rng, scale_j=j, cutoffs=lp.cutoffs)
+        else:
             band = (RING_INNER * lam, RING_OUTER * lam)
-            return random_field(grid, rng, band=band, annulus_shell=j, cutoffs=lp.cutoffs)
-
-        f = _nonzero(draw, lambda g: grid.lp_norm(g, a_exp), "band-limited")
+            f = random_field(grid, rng, band=band, annulus_shell=j, lp=lp)
         dkf = grid.inverse(grid.forward(f) * grid.kmag**k)
         ratio = grid.lp_norm(dkf, b_exp) / (lam**exponent * grid.lp_norm(f, a_exp))
         worst = max(worst, ratio)
@@ -148,9 +134,7 @@ def check_interpolation(
     worst = 0.0
     for _ in range(trials):
         exponent = rng.uniform(-(grid.dim / 2.0 + 1.5), 1.5)
-        f = _nonzero(
-            lambda: _band_field(lp, rng, exponent), lambda g: grid.l2_norm(g), "spectrum"
-        )
+        f = _band_field(lp, rng, exponent)
         lhs = lp.besov_norm(f, s_mid, r=1)
         rhs = lp.besov_norm(f, s1, r=math.inf) ** theta_mix
         rhs *= lp.besov_norm(f, s2, r=math.inf) ** (1.0 - theta_mix)
@@ -212,8 +196,8 @@ def check_product(
     for _ in range(trials):
         ef = rng.uniform(-(half_d + 1.5), 1.0)
         eg = rng.uniform(-(half_d + 1.5), 1.0)
-        f = _nonzero(lambda: _band_field(lp, rng, ef), grid.l2_norm, "factor")
-        g = _nonzero(lambda: _band_field(lp, rng, eg), grid.l2_norm, "factor")
+        f = _band_field(lp, rng, ef)
+        g = _band_field(lp, rng, eg)
         fg = alias_free_product(grid, fine, f, g)
 
         if variant == "algebra":
@@ -263,14 +247,8 @@ def check_commutator(
     worst_shell = 0.0
     for _ in range(trials):
         # smooth factor: steep spectral slope; rough factor: shallow one
-        f = _nonzero(
-            lambda: _band_field(lp, rng, rng.uniform(-(half_d + 2.5), -(half_d + 1.0))),
-            grid.l2_norm,
-            "smooth factor",
-        )
-        g = _nonzero(
-            lambda: _band_field(lp, rng, rng.uniform(-0.5, 1.0)), grid.l2_norm, "rough factor"
-        )
+        f = _band_field(lp, rng, rng.uniform(-(half_d + 2.5), -(half_d + 1.0)))
+        g = _band_field(lp, rng, rng.uniform(-0.5, 1.0))
         denom = lp.besov_norm(f, half_d + 1.0, r=1) * lp.besov_norm(g, s, r=1)
         if denom == 0.0:
             continue

@@ -31,26 +31,23 @@ def random_field(
     band: tuple[float, float],
     exponent: float = 0.0,
     annulus_shell: int | None = None,
-    cutoffs=None,
+    lp=None,
 ) -> np.ndarray:
     """One real scalar field with the requested spectral envelope.
 
-    If ``annulus_shell`` is given the band argument is ignored and the
-    envelope is the indicator of shell j's annulus support
-    [3/4 * 2^j, 8/3 * 2^j] (optionally shaped by the shell profile when
-    ``cutoffs`` is supplied).
+    If ``annulus_shell`` is given the band and exponent are ignored and the
+    envelope is shell j's profile phi(|k| / 2^j), supported on
+    [3/4 * 2^j, 8/3 * 2^j]: the table ``lp.shell_multiplier(j)`` of the
+    :class:`~eulerfourier.littlewood.LittlewoodPaley` ``lp`` on ``grid``,
+    built once per shell.
     """
     white = rng.standard_normal(grid.shape)
     what = grid.forward(white)
-    if annulus_shell is not None:
-        lam = 2.0**annulus_shell
-        if cutoffs is not None:
-            env = cutoffs.phi(grid.kmag / lam)
-        else:
-            env = ((grid.kmag >= 0.75 * lam) & (grid.kmag <= 8.0 / 3.0 * lam)).astype(float)
-    else:
+    if annulus_shell is None:
         env = band_envelope(grid.kmag, band, exponent)
-    env.flat[0] = 0.0  # mean-free
+        env.flat[0] = 0.0  # mean-free
+    else:
+        env = lp.shell_multiplier(annulus_shell)  # its mean mode is zero
     f = grid.inverse(what * env)
     scale = grid.l2_norm(f)
     if scale == 0.0:

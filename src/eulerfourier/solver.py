@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .grid import PeriodicGrid, StateFields
 from .linear import reduced_symbol
@@ -130,7 +129,11 @@ def _phi_tables(mats: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.
     residuals of ``perfbench``'s lyapunov-audit workload move by more
     than its 1e-6 drift gate when these tables change by one ulp, so
     the switch waits for references recorded with the new kernel.
+    ``scipy.linalg`` is imported here, so importing this module loads
+    numpy only.
     """
+    from scipy.linalg import expm
+
     n = mats.shape[-1]
     stack = mats.reshape(-1, n, n)
     m = stack.shape[0]

@@ -204,7 +204,7 @@ def _shell_localized_states(j: int, n: int, seed: int, scale: float = 0.25):
     for _ in range(n):
         fields = []
         for _c in range(3):
-            f = random_field(GRID, rng, band=ring, annulus_shell=j, cutoffs=LP.cutoffs)
+            f = random_field(GRID, rng, band=ring, annulus_shell=j, lp=LP)
             m = float(np.max(np.abs(f)))
             fields.append(f * (scale / m) if m > 0 else f)
         states.append(StateFields(np.stack(fields)))  # a, u_1, theta

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from eulerfourier.config import (
     KIND_DEFAULTS,
+    KIND_SCIPY,
     KINDS,
     parse_config,
     read_config_file,
@@ -91,6 +92,15 @@ def test_domain_validation_messages_name_the_interval():
         parse_config(kind="lyapunov", overrides={"eta": "1.5"})
     with pytest.raises(ValueError, match="t_start"):
         parse_config(kind="linear-decay", overrides={"t_start": "100", "t_end": "10"})
+    with pytest.raises(ValueError, match="sample_stride"):
+        parse_config(kind="simulate", overrides={"sample_stride": "0"})
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        parse_config(kind="simulate", overrides={"snapshot_stride": "-1"})
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        parse_config(kind="damped-mode", overrides={"source": "box", "t_start": "2",
+                                                    "snapshot_stride": "0"})
+    # simulate reads snapshot_stride 0 as "the final state only"
+    parse_config(kind="simulate", overrides={"snapshot_stride": "0"})
 
 
 def test_box_damped_mode_needs_t_start_below_half_the_box():
@@ -256,27 +266,68 @@ def test_plain_verdict_check_agrees_with_jsonschema(record, tmp_path_factory):
                                tmp_path_factory.getbasetemp() / "agreement.jsonl")
 
 
-def test_a_run_imports_no_unneeded_scipy_module_or_jsonschema(tmp_path):
-    # these modules are fixed start-up cost a run does not need; checking their
-    # presence, not a time, keeps the guard free of timing noise
-    script = f"""
-import sys
-from eulerfourier import cli
-from eulerfourier.config import parse_config
-for kind, overrides in [
-        ("linear-decay", {{"nodes_per_octave": 12, "t_end": 1e3}}),
-        ("lyapunov", {{"t_end": 0.0015, "j_lo": -1, "j_hi": 1}})]:
-    cli.run(parse_config(kind=kind, overrides=overrides, out_dir={str(tmp_path)!r} + "/" + kind))
-print(" ".join(m for m in ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "jsonschema")
-               if m in sys.modules))
-"""
+#: a small config of every kind for the import budget
+_SMALL_RUNS = {
+    "lp-inspect": {"trials": 2, "radii": 100},
+    "validate": {"npts": 32, "trials": 2},
+    "linear-decay": {"nodes_per_octave": 12, "t_end": 1e3},
+    "simulate": {"npts": 128, "t_end": 0.1},
+    "decay-fit": {"npts": 256, "t_end": 20.0},
+    "lyapunov": {"t_end": 0.0015, "j_lo": -1, "j_hi": 1},
+    "damped-mode": {"t_end": 1e3},
+}
+
+
+def _loaded_scipy(script: str, *args: str) -> list:
+    """What ``script``, run in a fresh interpreter with ``args`` in ``sys.argv``,
+    prints as JSON: the sorted scipy and jsonschema modules it holds."""
     src = str(Path(reporting.__file__).parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
-    assert (tmp_path / "lyapunov" / "verdicts.jsonl").exists()
+    return json.loads(proc.stdout)
+
+
+def test_a_run_imports_no_unneeded_scipy_module_or_jsonschema(tmp_path):
+    # import cost belongs to set-up: parse_config loads exactly the scipy that
+    # importing the kind's KIND_SCIPY entry loads, and the run nothing more;
+    # checking presence, not a time, keeps the guard free of timing noise
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema'))"
+    reference = f"""
+import importlib, json, sys
+for module in sys.argv[1:]:
+    importlib.import_module(module)
+print(json.dumps({loaded}))
+"""
+    script = f"""
+import json, sys
+from eulerfourier import cli
+from eulerfourier.config import parse_config
+cfg = parse_config(kind=sys.argv[1], overrides=json.loads(sys.argv[2]), out_dir=sys.argv[3])
+parsed = {loaded}
+cli.run(cfg)
+print(json.dumps([parsed, {loaded}]))
+"""
+    expected = {entry: _loaded_scipy(reference, *entry) for entry in set(KIND_SCIPY.values())}
+    assert expected[()] == []
+    assert set(_SMALL_RUNS) == set(KINDS)
+    for kind, overrides in _SMALL_RUNS.items():
+        out = tmp_path / kind
+        parsed, ran = _loaded_scipy(script, kind, json.dumps(overrides), str(out))
+        assert parsed == expected[KIND_SCIPY[kind]], kind
+        assert ran == parsed, kind
+        assert (out / "verdicts.jsonl").exists()
+
+
+def test_a_missing_scipy_module_fails_at_parse_time(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # import raises
+    with pytest.raises(ImportError):
+        parse_config(kind="simulate")
+    assert main(["simulate", "--out", str(tmp_path / "simulate")]) == 2
+    assert (tmp_path / "simulate" / "error.json").exists()
+    parse_config(kind="lp-inspect")
+    parse_config(kind="linear-decay")
 
 
 def test_write_curve_layout(tmp_path):
