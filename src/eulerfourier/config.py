@@ -118,19 +118,28 @@ KIND_DEFAULTS: dict[str, dict] = {
     },
 }
 
-#: the scipy modules each kind's numerics call: ``scipy.fft`` for the grid
-#: transforms, ``scipy.linalg`` for the solver's phi-tables.  parse_config
-#: imports them, so a run pays their import in set-up, a missing one fails at
-#: parse time, and linear-decay (numpy only) never loads scipy.
-KIND_SCIPY: dict[str, tuple[str, ...]] = {
-    "lp-inspect": ("scipy.fft",),
-    "validate": ("scipy.fft",),
+#: the lazily loaded modules each kind's numerics call: ``numpy.fft`` for the
+#: grid transforms, ``numpy.random`` for the random fields, ``scipy.linalg``
+#: (which loads both) for the solver's phi-tables.  A kind with a ``source``
+#: option takes the entry ``"<kind> source=<source>"`` where there is one.
+#: parse_config imports them, so a run pays their import in set-up, a missing
+#: one fails at parse time, and a kind never loads scipy unless it builds
+#: phi-tables.
+KIND_MODULES: dict[str, tuple[str, ...]] = {
+    "lp-inspect": ("numpy.fft", "numpy.random"),
+    "validate": ("numpy.fft", "numpy.random"),
     "linear-decay": (),
-    "simulate": ("scipy.fft", "scipy.linalg"),
-    "decay-fit": ("scipy.fft", "scipy.linalg"),
-    "lyapunov": ("scipy.fft", "scipy.linalg"),
-    "damped-mode": ("scipy.fft", "scipy.linalg"),
+    "simulate": ("scipy.linalg",),
+    "decay-fit": ("scipy.linalg",),
+    "lyapunov": ("scipy.linalg",),
+    "damped-mode": (),
+    "damped-mode source=box": ("scipy.linalg",),
 }
+
+#: the values an option accepts, by the type of its default; a float option
+#: keeps an int as given, so the config digest does not change
+_OPTION_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                 float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
 @dataclass
@@ -154,6 +163,12 @@ class RunConfig:
     @property
     def digest(self) -> str:
         return config_hash(self.canonical_text())
+
+    @property
+    def modules(self) -> tuple[str, ...]:
+        """The modules this run's numerics load (:data:`KIND_MODULES`)."""
+        source = f"{self.kind} source={self.options.get('source')}"
+        return KIND_MODULES.get(source, KIND_MODULES[self.kind])
 
 
 def _parse_scalar(text: str):
@@ -195,8 +210,9 @@ def parse_config(
     seed: int | None = None,
     out_dir: str | Path | None = None,
 ) -> RunConfig:
-    """Merge defaults <- config file <- explicit overrides, validate, then
-    import the kind's scipy modules (:data:`KIND_SCIPY`)."""
+    """Merge defaults <- config file <- explicit overrides, check each value's
+    type against its default, validate, then import the run's modules
+    (:data:`KIND_MODULES`)."""
     data: dict = {}
     if path is not None:
         data.update(read_config_file(path))
@@ -229,11 +245,17 @@ def parse_config(
         )
     for key, value in data.items():
         # overrides may arrive as raw strings (--set flags, config files)
-        options[key] = _parse_scalar(value) if isinstance(value, str) else value
+        value = _parse_scalar(value) if isinstance(value, str) else value
+        accepted, wording = _OPTION_TYPES[type(options[key])]
+        # bool is an int subclass, so only a bool option takes one
+        if isinstance(value, bool) != isinstance(options[key], bool) or not isinstance(
+                value, accepted):
+            raise ValueError(f"option {key} of {kind} takes {wording}, got {value!r}")
+        options[key] = value
 
     cfg = RunConfig(kind=kind, seed=int(seed), out_dir=Path(out_dir), options=options)
     validate_config(cfg)
-    for module in KIND_SCIPY[kind]:
+    for module in cfg.modules:
         importlib.import_module(module)
     return cfg
 

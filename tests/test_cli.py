@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from eulerfourier.config import (
     KIND_DEFAULTS,
-    KIND_SCIPY,
+    KIND_MODULES,
     KINDS,
     parse_config,
     read_config_file,
 )
 from eulerfourier import reporting
-from eulerfourier.cli import main
+from eulerfourier.cli import main, run
 from eulerfourier.reporting import (
     SCHEMA_VERSION,
     Verdict,
@@ -101,6 +101,45 @@ def test_domain_validation_messages_name_the_interval():
                                                     "snapshot_stride": "0"})
     # simulate reads snapshot_stride 0 as "the final state only"
     parse_config(kind="simulate", overrides={"snapshot_stride": "0"})
+
+
+def test_an_option_value_must_fit_the_type_of_its_default():
+    for kind, key, value, wording in [
+        ("linear-decay", "with_u", "maybe", "true or false"),
+        ("linear-decay", "with_u", "1", "true or false"),
+        ("linear-decay", "nodes_per_octave", "12.7", "an integer"),
+        ("validate", "trials", "abc", "an integer"),
+        ("validate", "trials", True, "an integer"),
+        ("simulate", "t_end", "soon", "a number"),
+        ("simulate", "t_end", False, "a number"),
+        ("damped-mode", "source", 1, "a string"),
+    ]:
+        with pytest.raises(ValueError, match=f"option {key} of {kind} takes {wording}"):
+            parse_config(kind=kind, overrides={key: value})
+    # a float option keeps an int as given, so no accepted config changes its digest
+    cfg = parse_config(kind="simulate", overrides={"t_end": "2", "checkpoint": "off"})
+    assert cfg.options["t_end"] == 2 and type(cfg.options["t_end"]) is int
+    assert cfg.options["checkpoint"] is False
+    assert "t_end = 2\n" in cfg.canonical_text()
+
+
+def test_a_mistyped_set_value_exits_2_with_error_record(tmp_path):
+    for kind, pair in [("validate", "trials=abc"), ("linear-decay", "with_u=maybe"),
+                       ("linear-decay", "nodes_per_octave=12.7")]:
+        out = tmp_path / pair.partition("=")[0]
+        assert main([kind, "--set", pair, "--out", str(out)]) == 2, pair
+        err = json.loads((out / "error.json").read_text())
+        assert err["schema"] == "error-v1" and pair.partition("=")[0] in err["message"]
+    # a sweep member too: the others run, the mistyped one leaves its error record
+    good = tmp_path / "good.cfg"
+    good.write_text("kind = lp-inspect\nradii = 1500\ntrials = 10\n")
+    mistyped = tmp_path / "mistyped.cfg"
+    mistyped.write_text("kind = validate\ntrials = abc\n")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", str(good), str(mistyped), "--jobs", "2", "--out", str(out)]) == 2
+    assert (out / "good" / "verdicts.jsonl").exists()
+    err = json.loads((out / "mistyped" / "error.json").read_text())
+    assert err["schema"] == "error-v1" and "trials" in err["message"]
 
 
 def test_box_damped_mode_needs_t_start_below_half_the_box():
@@ -266,21 +305,23 @@ def test_plain_verdict_check_agrees_with_jsonschema(record, tmp_path_factory):
                                tmp_path_factory.getbasetemp() / "agreement.jsonl")
 
 
-#: a small config of every kind for the import budget
-_SMALL_RUNS = {
-    "lp-inspect": {"trials": 2, "radii": 100},
-    "validate": {"npts": 32, "trials": 2},
-    "linear-decay": {"nodes_per_octave": 12, "t_end": 1e3},
-    "simulate": {"npts": 128, "t_end": 0.1},
-    "decay-fit": {"npts": 256, "t_end": 20.0},
-    "lyapunov": {"t_end": 0.0015, "j_lo": -1, "j_hi": 1},
-    "damped-mode": {"t_end": 1e3},
-}
+#: a small config of every kind, and of damped-mode from a box, for the import budget
+_SMALL_RUNS = [
+    ("lp-inspect", {"trials": 2, "radii": 100}),
+    ("validate", {"npts": 32, "trials": 2}),
+    ("linear-decay", {"nodes_per_octave": 12, "t_end": 1e3}),
+    ("simulate", {"npts": 128, "t_end": 0.1}),
+    ("decay-fit", {"npts": 256, "t_end": 20.0}),
+    ("lyapunov", {"t_end": 0.0015, "j_lo": -1, "j_hi": 1}),
+    ("damped-mode", {"t_end": 1e3}),
+    ("damped-mode", {"source": "box", "npts": 16, "length": 4.0 * np.pi, "t_start": 1.0,
+                     "sample_stride": 1, "snapshot_stride": 1}),
+]
 
 
-def _loaded_scipy(script: str, *args: str) -> list:
+def _loaded_modules(script: str, *args: str) -> list:
     """What ``script``, run in a fresh interpreter with ``args`` in ``sys.argv``,
-    prints as JSON: the sorted scipy and jsonschema modules it holds."""
+    prints as JSON: the sorted lazily loaded modules it holds."""
     src = str(Path(reporting.__file__).parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
@@ -289,11 +330,13 @@ def _loaded_scipy(script: str, *args: str) -> list:
     return json.loads(proc.stdout)
 
 
-def test_a_run_imports_no_unneeded_scipy_module_or_jsonschema(tmp_path):
-    # import cost belongs to set-up: parse_config loads exactly the scipy that
-    # importing the kind's KIND_SCIPY entry loads, and the run nothing more;
+def test_a_run_imports_no_unneeded_lazy_module(tmp_path):
+    # import cost belongs to set-up: parse_config loads exactly the modules that
+    # importing the run's KIND_MODULES entry loads, and the run nothing more;
+    # scipy, jsonschema and numpy's lazily loaded fft and random are tracked;
     # checking presence, not a time, keeps the guard free of timing noise
-    loaded = "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema'))"
+    loaded = ("sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')"
+              " or m.startswith(('numpy.fft', 'numpy.random')))")
     reference = f"""
 import importlib, json, sys
 for module in sys.argv[1:]:
@@ -309,13 +352,16 @@ parsed = {loaded}
 cli.run(cfg)
 print(json.dumps([parsed, {loaded}]))
 """
-    expected = {entry: _loaded_scipy(reference, *entry) for entry in set(KIND_SCIPY.values())}
+    expected = {entry: _loaded_modules(reference, *entry) for entry in set(KIND_MODULES.values())}
     assert expected[()] == []
-    assert set(_SMALL_RUNS) == set(KINDS)
-    for kind, overrides in _SMALL_RUNS.items():
-        out = tmp_path / kind
-        parsed, ran = _loaded_scipy(script, kind, json.dumps(overrides), str(out))
-        assert parsed == expected[KIND_SCIPY[kind]], kind
+    runs = [(kind, overrides, parse_config(kind=kind, overrides=overrides).modules)
+            for kind, overrides in _SMALL_RUNS]
+    assert {kind for kind, _, _ in runs} == set(KINDS)
+    assert {modules for _, _, modules in runs} == set(KIND_MODULES.values())
+    for i, (kind, overrides, modules) in enumerate(runs):
+        out = tmp_path / f"{i}-{kind}"
+        parsed, ran = _loaded_modules(script, kind, json.dumps(overrides), str(out))
+        assert parsed == expected[modules], kind
         assert ran == parsed, kind
         assert (out / "verdicts.jsonl").exists()
 
@@ -324,10 +370,22 @@ def test_a_missing_scipy_module_fails_at_parse_time(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # import raises
     with pytest.raises(ImportError):
         parse_config(kind="simulate")
+    with pytest.raises(ImportError):
+        parse_config(kind="damped-mode", overrides={"source": "box", "t_start": "2"})
     assert main(["simulate", "--out", str(tmp_path / "simulate")]) == 2
     assert (tmp_path / "simulate" / "error.json").exists()
     parse_config(kind="lp-inspect")
     parse_config(kind="linear-decay")
+    parse_config(kind="damped-mode")
+
+
+def test_lp_inspect_and_validate_run_without_scipy(tmp_path, monkeypatch):
+    # the grid transforms are numpy's: neither kind imports scipy
+    monkeypatch.setitem(sys.modules, "scipy", None)  # import raises
+    monkeypatch.setitem(sys.modules, "scipy.fft", None)
+    for kind, overrides in [r for r in _SMALL_RUNS if r[0] in ("lp-inspect", "validate")]:
+        record = run(parse_config(kind=kind, overrides=overrides, out_dir=tmp_path / kind))
+        assert record.n_pass + record.n_fail > 0, kind
 
 
 def test_write_curve_layout(tmp_path):

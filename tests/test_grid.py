@@ -102,13 +102,35 @@ def test_stacked_calls_equal_per_field_calls(dim, npts, length, rng):
 
 @pytest.mark.parametrize("dim, npts, length", STACK_GRIDS)
 def test_transforms_equal_numpy_fftn_bit_for_bit(dim, npts, length, rng):
-    # the scipy transforms over the last axis first match numpy's fftn exactly;
-    # a numpy or scipy upgrade that breaks this fails here
+    # one numpy FFT per axis, last axis first, matches numpy's fftn exactly;
+    # a numpy upgrade that breaks this fails here
     grid = PeriodicGrid(dim=dim, npts=npts, length=length)
     f = rng.standard_normal(grid.shape)
     fhat = grid.forward(f)
     assert np.array_equal(fhat, np.fft.fftn(f) / npts**dim)
     assert np.array_equal(grid.inverse(fhat), np.real(np.fft.ifftn(fhat) * npts**dim))
+
+
+# (dim, npts, rows): 1-D to 2048 points, 2-D to 128**2 and 3-D to 64**3, as one
+# field and as stacks of 1 to 5 rows on both sides of ROW_POINTS
+ORACLE_SHAPES = [(1, 8, 5), (1, 512, 3), (1, 2048, 2), (2, 16, 4), (2, 64, 5), (2, 128, 3),
+                 (3, 8, 2), (3, 16, 5), (3, 32, 1), (3, 64, 2)]
+
+
+@pytest.mark.parametrize("dim, npts, rows", ORACLE_SHAPES)
+def test_transforms_equal_scipy_fftn_bit_for_bit(dim, npts, rows, rng):
+    # scipy stays the independent oracle of the numpy transforms: the same
+    # complex FFT over the grid axes, real input cast first as forward does
+    from scipy.fft import fftn, ifftn
+
+    grid = PeriodicGrid(dim=dim, npts=npts, length=2.0 * np.pi)
+    for shape in [grid.shape, (rows,) + grid.shape]:
+        real = rng.standard_normal(shape)
+        for f in [real, real + 1j * rng.standard_normal(shape)]:
+            cast = f.astype(complex)
+            assert np.array_equal(grid.forward(f), fftn(cast, axes=grid.axes, norm="forward"))
+            assert np.array_equal(grid.inverse(f),
+                                  ifftn(cast, axes=grid.axes, norm="forward").real)
 
 
 def test_transforms_reject_a_wrong_trailing_shape(grid2d):
