@@ -11,6 +11,7 @@ norm computation.  The ranges themselves are stated once, in
 from __future__ import annotations
 
 import importlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,7 +212,7 @@ def parse_config(
     out_dir: str | Path | None = None,
 ) -> RunConfig:
     """Merge defaults <- config file <- explicit overrides, check each value's
-    type against its default, validate, then import the run's modules
+    type against its default and that a number is finite, validate, then import the run's modules
     (:data:`KIND_MODULES`)."""
     data: dict = {}
     if path is not None:
@@ -251,6 +252,8 @@ def parse_config(
         if isinstance(value, bool) != isinstance(options[key], bool) or not isinstance(
                 value, accepted):
             raise ValueError(f"option {key} of {kind} takes {wording}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"option {key} of {kind} takes a finite number, got {value!r}")
         options[key] = value
 
     cfg = RunConfig(kind=kind, seed=int(seed), out_dir=Path(out_dir), options=options)

@@ -1,4 +1,4 @@
-"""Periodic pseudo-spectral grid: transforms, derivatives, dealiasing.
+"""Periodic pseudo-spectral grid: transforms, derivatives, the 2/3-rule band.
 
 All fields live on a uniform periodic grid of N**d points covering
 [0, L)**d.  The forward transform is normalised so that the zero mode
@@ -18,10 +18,18 @@ axes too, in one pass per stack of small fields or one pass per field of at
 least ``ROW_POINTS``.  numpy loads ``numpy.fft`` lazily;
 :func:`~eulerfourier.config.parse_config` imports it up front for the kinds
 that transform.
+
+The 2/3 rule is stated here alone.  Its band layout holds the kept modes,
+all integer frequencies at most N/3 in size, (2 floor(N/3) + 1)**d of them
+in FFT order; ``forward(f, band=True)`` returns it and ``inverse`` takes it,
+each transforming only the lines the band needs.  numpy transforms each line
+on its own, an all-zero one to +0, so they equal the full-layout transforms
+restricted to, or zero-filled from, the band bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +67,15 @@ class PeriodicGrid:
     # np.ix_ index of this grid's modes in any finer grid's layout: signed
     # integer frequencies, the negative ones counted from the end of each axis
     mode_index: tuple = field(init=False, repr=False)
+    band_shape: tuple[int, ...] = field(init=False, repr=False)
+    band_wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    band_kmag: np.ndarray = field(init=False, repr=False)
+    # (full-layout, band-layout) index pairs of the band's 2**dim blocks
+    _band_slabs: tuple = field(init=False, repr=False)
+    # per grid axis, last axis first, the lines along it that a band transform
+    # touches: forward (False) those kept on the axes already transformed,
+    # inverse (True) those holding band data on the axes still to transform
+    _band_lines: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -69,25 +86,34 @@ class PeriodicGrid:
         if not self.length > 0:
             raise ValueError("length must be positive")
 
-        # integer frequencies scaled to physical wavenumbers 2*pi*m/L
-        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / self.length
-        axes = np.meshgrid(*([k1] * self.dim), indexing="ij", sparse=True)
-        object.__setattr__(self, "wavenumbers", tuple(axes))
-        kmag = np.sqrt(sum(a**2 for a in axes))
-        object.__setattr__(self, "kmag", kmag)
-
+        freq = np.fft.fftfreq(n, d=1.0 / n)
+        object.__setattr__(self, "mode_index", np.ix_(*([freq.astype(int)] * self.dim)))
         # two-thirds rule: drop any mode with an integer frequency above N/3.
         # N is a power of two so N/3 is never an integer and quadratic
         # products of retained modes alias strictly outside the retained band.
-        mcut = n / 3.0
-        m1 = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        maxes = np.meshgrid(*([m1] * self.dim), indexing="ij", sparse=True)
-        mask = np.ones((n,) * self.dim, dtype=bool)
-        for m in maxes:
-            mask &= m <= mcut
-        object.__setattr__(self, "dealias_mask", mask)
-        idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        object.__setattr__(self, "mode_index", np.ix_(*([idx] * self.dim)))
+        mesh = np.meshgrid(*([np.abs(freq) <= n / 3.0] * self.dim), indexing="ij")
+        object.__setattr__(self, "dealias_mask", np.all(mesh, axis=0))
+        # per axis the band is two slabs, frequencies 0..m and -m..-1: where
+        # they are kept in the full layout and placed in the band layout
+        m = n // 3
+        kept = (slice(0, m + 1), slice(n - m, n))
+        placed = (slice(0, m + 1), slice(m + 1, 2 * m + 1))
+        object.__setattr__(self, "band_shape", (2 * m + 1,) * self.dim)
+        # integer frequencies scaled to physical wavenumbers 2*pi*m/L
+        k1 = 2.0 * np.pi * freq / self.length
+        for prefix, k in (("", k1), ("band_", np.concatenate([k1[s] for s in kept]))):
+            axes = np.meshgrid(*([k] * self.dim), indexing="ij", sparse=True)
+            object.__setattr__(self, prefix + "wavenumbers", tuple(axes))
+            object.__setattr__(self, prefix + "kmag", np.sqrt(sum(a**2 for a in axes)))
+        blocks = zip(*(itertools.product(s, repeat=self.dim) for s in (kept, placed)))
+        object.__setattr__(self, "_band_slabs", tuple(((..., *f), (..., *b)) for f, b in blocks))
+
+        def lines(cut):  # index of the lines holding band data on the axes in ``cut``
+            return tuple((..., *index) for index in itertools.product(
+                *(kept if k in cut else (slice(None),) for k in range(self.dim))))
+        object.__setattr__(self, "_band_lines", {
+            False: tuple(lines(range(k + 1, self.dim)) for k in reversed(range(self.dim))),
+            True: tuple(lines(range(k)) for k in reversed(range(self.dim)))})
 
     # ------------------------------------------------------------------
     @property
@@ -117,35 +143,60 @@ class PeriodicGrid:
         return tuple(range(-1, -self.dim - 1, -1))
 
     # ------------------------------------------------------------------
-    def _c2c(self, transform, f, real: bool) -> np.ndarray:
-        """``transform`` along each grid axis in turn, last axis first, in place on
-        one complex copy of ``f`` (real input is cast: a real-input FFT rounds
-        differently); a stack of large fields one field at a time."""
+    def _c2c(self, f, inverse: bool, band: bool, real: bool) -> np.ndarray:
+        """The FFT or inverse FFT along each grid axis in turn, last axis first, in
+        place on one complex copy of ``f`` (real input is cast: a real-input FFT
+        rounds differently); a stack of large fields one field at a time.  With
+        ``band``, only the lines of ``_band_lines``, on a copy of the full layout."""
         f = np.asarray(f)
-        if f.shape[-self.dim :] != self.shape:
+        lead = f.shape[: f.ndim - self.dim]
+        if f.shape[len(lead) :] != (self.band_shape if band and inverse else self.shape):
             raise ValueError(f"field shape {f.shape} does not end in grid shape {self.shape}")
-        if f.ndim > self.dim and self.npts**self.dim >= ROW_POINTS:
-            out = np.empty(f.shape, dtype=float if real else complex)
-            for row in np.ndindex(f.shape[: f.ndim - self.dim]):
-                value = self._c2c(transform, f[row], False)
+        if lead and self.npts**self.dim >= ROW_POINTS:
+            shape = lead + (self.band_shape if band and not inverse else self.shape)
+            out = np.empty(shape, dtype=float if real else complex)
+            for row in np.ndindex(lead):
+                value = self._c2c(f[row], inverse, band, False)
                 out[row] = value.real if real else value
             return out
-        out = np.array(f, dtype=complex)
-        for axis in self.axes:
-            transform(out, axis=axis, norm="forward", out=out)
+        out = self.from_band(f) if band and inverse else np.array(f, dtype=complex)
+        transform = np.fft.ifft if inverse else np.fft.fft
+        lines = self._band_lines[inverse] if band else [[...]] * self.dim
+        for axis, axis_lines in zip(self.axes, lines):
+            for line in axis_lines:
+                transform(out[line], axis=axis, norm="forward", out=out[line])
+        if band and not inverse:
+            out = self.to_band(out)
         # a copy, so that a held real part does not keep the complex array alive
         return out.real.copy() if real else out
 
-    def forward(self, f: np.ndarray) -> np.ndarray:
-        """FFT normalised so the zero mode is the mean of ``f``."""
-        return self._c2c(np.fft.fft, f, real=False)
+    def forward(self, f: np.ndarray, band: bool = False) -> np.ndarray:
+        """FFT normalised so the zero mode is the mean of ``f``; its band layout if ``band``."""
+        return self._c2c(f, inverse=False, band=band, real=False)
 
     def inverse(self, fhat: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`forward`; returns the real part."""
-        return self._c2c(np.fft.ifft, fhat, real=True)
+        """Inverse of :meth:`forward`, of a full-layout or band stack; returns the real part."""
+        band = np.shape(fhat)[-self.dim :] == self.band_shape
+        return self._c2c(fhat, inverse=True, band=band, real=True)
+
+    def to_band(self, fhat: np.ndarray) -> np.ndarray:
+        """The band layout of a full-layout spectral stack."""
+        out = np.empty(fhat.shape[: -self.dim] + self.band_shape, dtype=complex)
+        for full, band in self._band_slabs:
+            out[band] = fhat[full]
+        return out
+
+    def from_band(self, bhat: np.ndarray) -> np.ndarray:
+        """The full layout of a band stack, zero off the band."""
+        out = np.zeros(bhat.shape[: -self.dim] + self.shape, dtype=complex)
+        for full, band in self._band_slabs:
+            out[full] = bhat[band]
+        return out
 
     def derivative_hat(self, fhat: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        return fhat * (1j * self.wavenumbers[axis]) ** order
+        band = np.shape(fhat)[-self.dim :] == self.band_shape
+        k = self.band_wavenumbers if band else self.wavenumbers
+        return fhat * (1j * k[axis]) ** order
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """``(dim, *f.shape)`` stack of the partial derivatives of ``f``."""
@@ -159,11 +210,6 @@ class PeriodicGrid:
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self.inverse(-(self.kmag**2) * self.forward(f))
-
-    def dealias(self, fhat: np.ndarray) -> np.ndarray:
-        """Zero, in place, every mode with any axis frequency above N/3; returns ``fhat``."""
-        np.copyto(fhat, 0.0, where=~self.dealias_mask)
-        return fhat
 
     # ------------------------------------------------------------------
     def l2_norm(self, f: np.ndarray):

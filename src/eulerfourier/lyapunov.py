@@ -111,7 +111,7 @@ def _vec_norm(lp: LittlewoodPaley, hats, j: int) -> np.ndarray:
 
 
 def _dealiased(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    return grid.inverse(grid.dealias(grid.forward(f)))
+    return grid.inverse(grid.forward(f, band=True))
 
 
 def _check_positive(state: StateFields) -> None:

@@ -19,18 +19,18 @@ exponential (scaling-and-squaring Pade), never by diagonalisation.
 
 A state is one ``(d + 2, *grid.shape)`` stack [a, u_1, ..., u_d, theta]:
 physical in :class:`~eulerfourier.grid.StateFields`, whose a, u and theta
-are views of it, and spectral in the stepper, so one ``forward`` or
-``inverse`` call maps a state across.  The quadratic and quotient terms
-are formed in one place, :func:`_remainder_hat`, always dealiased by the
-2/3 rule.  The stepper advances it, and :func:`nonlinear_rhs` (the full
-tendency that the Lyapunov and Duhamel checks read) is the linear symbol
-plus the same remainder.  :func:`linear_rhs` is an independent
-physical-space oracle for the linear part.
+are views of it, and in the solver the grid's band layout (the modes the
+2/3 rule keeps), so one ``forward(..., band=True)`` or ``inverse`` call maps
+a state across.  The quadratic and quotient terms are formed in one place,
+:func:`_remainder_hat`.  The stepper advances it, and :func:`nonlinear_rhs`
+(the full tendency that the Lyapunov and Duhamel checks read) is the linear
+symbol plus the same remainder; :func:`linear_rhs` is a physical-space oracle.
 
-A step's working set is three spectral stacks: its input (reused for
-N(mid) - N(input)), N(input) and the midpoint, which it returns.  On top of
-them the remainder holds one physical state and a few single fields, one
-gradient at a time, and the tables add into the midpoint row by row.
+A step's working set is three band stacks, about (2/3)**d of a full one
+each: its input (reused for N(mid) - N(input)), N(input) and the midpoint,
+which it returns.  The remainder adds one physical state and a few single
+fields, one gradient at a time; the tables add into the midpoint row by
+row.  A sample zero-fills the band, so its shell norms sum as before.
 
 The continuity equation is advanced in divergence form, so the mean of
 the density is conserved to rounding.
@@ -157,8 +157,8 @@ def _remainder_hat(
 
     The one place the quadratic and quotient terms are formed: -div(a u),
     -(u . grad) u - ((theta - a)/(1 + a)) grad a, and
-    -div(theta u) - (a/(1 + a)) Lap theta, each dealiased by the 2/3 rule.
-    It is written into ``out`` when given, any stack of the same shape.
+    -div(theta u) - (a/(1 + a)) Lap theta, each kept on the 2/3-rule band.
+    ``hats`` and the result are band stacks, the result written into ``out`` when given.
     """
     d = grid.dim
     fields = grid.inverse(hats)
@@ -170,30 +170,32 @@ def _remainder_hat(
     out[...] = 0.0
     # continuity: -div(a u), kept in divergence form
     for m in range(d):
-        out[0] -= grid.derivative_hat(grid.forward(a * u[m]), m)
+        out[0] -= grid.derivative_hat(grid.forward(a * u[m], band=True), m)
 
     for m in range(d):
         # one gradient field live at a time: d_n u_m for every n, then d_m a
         adv = sum(u[n] * grid.inverse(grid.derivative_hat(hats[1 + m], n)) for n in range(d))
-        out[1 + m] = grid.forward(-adv - q * grid.inverse(grid.derivative_hat(hats[0], m)))
+        out[1 + m] = grid.forward(-adv - q * grid.inverse(grid.derivative_hat(hats[0], m)),
+                                  band=True)
 
     for m in range(d):
-        out[-1] -= grid.derivative_hat(grid.forward(theta * u[m]), m)
-    out[-1] += grid.forward(-(a / one_a) * grid.inverse(-(grid.kmag**2) * hats[-1]))
-    return grid.dealias(out)
+        out[-1] -= grid.derivative_hat(grid.forward(theta * u[m], band=True), m)
+    out[-1] += grid.forward(-(a / one_a) * grid.inverse(-(grid.band_kmag**2) * hats[-1]),
+                            band=True)
+    return out
 
 
 class Stepper:
-    """ETDRK2 stepper with cached per-radius propagator tables."""
+    """ETDRK2 stepper on band stacks, with propagator tables cached per band radius."""
 
     def __init__(self, grid: PeriodicGrid, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
 
-        kmag = grid.kmag
+        kmag = grid.band_kmag
         r_unique, idx = np.unique(np.round(kmag, 12), return_inverse=True)
-        self._idx = idx.reshape(grid.shape)
+        self._idx = idx.reshape(grid.band_shape)
         self._e0, self._f1, self._f2 = _phi_tables(reduced_symbol(r_unique), dt)
 
         # transverse velocity: scalar damping with the same phi calculus
@@ -201,8 +203,7 @@ class Stepper:
         self._perp = (complex(e0t[0, 0, 0]), complex(f1t[0, 0, 0]), complex(f2t[0, 0, 0]))
 
         with np.errstate(invalid="ignore", divide="ignore"):
-            self._unit_k = [np.broadcast_to(np.where(kmag > 0, km / kmag, 0.0), grid.shape)
-                            for km in grid.wavenumbers]
+            self._unit_k = [np.where(kmag > 0, km / kmag, 0.0) for km in grid.band_wavenumbers]
 
     def _apply_table(self, table: np.ndarray, hats: np.ndarray, scalar: complex,
                      out: np.ndarray, add: bool = True) -> None:
@@ -223,7 +224,7 @@ class Stepper:
             put(1 + m, k * p2 + scalar * (um - k * upar))
 
     def step_hat(self, hats: np.ndarray) -> np.ndarray:
-        """One ETDRK2 step on a spectral stack, which it consumes: its buffer
+        """One ETDRK2 step on a band stack, which it consumes: its buffer
         is reused for N(mid) - N(hats)."""
         n0 = _remainder_hat(self.grid, hats)
         e0, f1, f2 = self._e0, self._f1, self._f2
@@ -253,21 +254,21 @@ def linear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
 def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
     """Full tendency of the nonlinear system (linear part included).
 
-    The state is dealiased on entry, the linear symbol is applied mode by
-    mode and the remainder is the stepper's own :func:`_remainder_hat`,
+    The state enters as its band layout, the linear symbol is applied mode
+    by mode and the remainder is the stepper's own :func:`_remainder_hat`,
     so this is the band-limited tendency the integrator advances.
     """
     if np.min(1.0 + state.a) <= 0:
         raise PositivityViolation("1 + a must stay positive to form quotients")
     d = grid.dim
-    hats = grid.dealias(grid.forward(state.data))
+    hats = grid.forward(state.data, band=True)
     out = _remainder_hat(grid, hats)
     ah, uh, th = hats[0], hats[1:-1], hats[-1]
     div_u = sum(grid.derivative_hat(uh[m], m) for m in range(d))
     out[0] -= div_u
     for m in range(d):
         out[1 + m] += -grid.derivative_hat(ah, m) - uh[m] - grid.derivative_hat(th, m)
-    out[-1] += -div_u - grid.kmag**2 * th
+    out[-1] += -div_u - grid.band_kmag**2 * th
     return StateFields(grid.inverse(out))
 
 
@@ -322,7 +323,7 @@ def integrate(
     """
     if lp is None:
         lp = LittlewoodPaley(grid)
-    # one forward transform serves the epsilon0 gate and, dealiased in place, the run
+    # one forward transform serves the epsilon0 gate and, as its band layout, the run
     hats = grid.forward(state0.data)
     _check_admissible(state0, hats, config, lp)
 
@@ -334,10 +335,10 @@ def integrate(
     dt = config.t_end / n_steps
 
     stepper = Stepper(grid, dt)
-    hats = grid.dealias(hats)
+    hats = grid.to_band(hats)
 
     times: list[float] = []
-    shell_rows: list[list[tuple]] = []  # per sample: (a, u, theta) norms per shell
+    shell_rows: list[np.ndarray] = []  # per sample: (shells, 3, 1) norms
     mean_a: list[float] = []
     max_speed: list[float] = []
     snap_times: list[float] = []
@@ -345,7 +346,7 @@ def integrate(
 
     def sample(i_sample: int, t: float, hats_now: np.ndarray, final: bool = False) -> None:
         times.append(t)
-        shell_rows.append([lp.state_l2_hat(hats_now, j) for j in lp.shells])
+        shell_rows.append(ShellSeries.of_hats(lp, grid.from_band(hats_now)).norms)
         mean_a.append(float(np.real(hats_now[0].flat[0])))
         state = StateFields(grid.inverse(hats_now))
         if (np.min(1.0 + state.a) < POSITIVITY_FLOOR
@@ -370,7 +371,7 @@ def integrate(
             sample(i_sample, i_step * dt, hats, final=i_step == n_steps)
             i_sample += 1
 
-    norms = np.array(shell_rows).transpose(1, 2, 0).copy()  # (shells, 3, times)
+    norms = np.concatenate(shell_rows, axis=2)  # (shells, 3, times)
     return TrajectoryRecord(
         grid=grid,
         config=config,

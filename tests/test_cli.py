@@ -142,6 +142,23 @@ def test_a_mistyped_set_value_exits_2_with_error_record(tmp_path):
     assert err["schema"] == "error-v1" and "trials" in err["message"]
 
 
+def test_a_non_finite_number_exits_2_with_error_record(tmp_path):
+    for kind, pair in [("simulate", "dt=nan"), ("simulate", "amplitude=inf"),
+                       ("simulate", "t_end=-inf"), ("linear-decay", "sigma1=NaN")]:
+        key = pair.partition("=")[0]
+        with pytest.raises(ValueError, match=f"option {key} of {kind} takes a finite number"):
+            parse_config(kind=kind, overrides={key: pair.partition("=")[2]})
+        out = tmp_path / key
+        assert main([kind, "--set", pair, "--out", str(out)]) == 2, pair
+        err = json.loads((out / "error.json").read_text())
+        assert err["schema"] == "error-v1" and key in err["message"]
+    # from a config file too
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("kind = validate\nbudget = nan\n")
+    with pytest.raises(ValueError, match="option budget of validate takes a finite number"):
+        parse_config(path=cfg)
+
+
 def test_box_damped_mode_needs_t_start_below_half_the_box():
     # the default t_start = 1e2 lies beyond L/2 = 8 pi of the default box
     with pytest.raises(ValueError, match=r"L/2 = 25\.13"):

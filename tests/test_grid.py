@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerfourier.grid import PeriodicGrid, StateFields, alias_free_product
+from eulerfourier.grid import ROW_POINTS, PeriodicGrid, StateFields, alias_free_product
 
 
 def test_roundtrip_and_parseval(grid1d, rng):
@@ -38,7 +38,7 @@ def test_derivative_of_single_mode_is_exact(grid1d):
 
 def test_vector_calculus_identities(grid2d, rng):
     f = rng.standard_normal(grid2d.shape)
-    f = grid2d.inverse(grid2d.dealias(grid2d.forward(f)))
+    f = grid2d.inverse(grid2d.forward(f, band=True))
     grad = grid2d.gradient(f)
     # div(grad f) == laplacian f
     assert np.max(np.abs(grid2d.divergence(np.stack(grad)) - grid2d.laplacian(f))) < 1e-8
@@ -49,16 +49,43 @@ def test_vector_calculus_identities(grid2d, rng):
 
 
 def test_dealiased_product_matches_fine_grid(grid1d, rng):
-    # A product computed with the 2/3-rule mask must agree with the exact
+    # A product kept on the 2/3-rule band must agree with the exact
     # (padded) product restricted back to the coarse grid.
     fine = grid1d.refine(2)
-    fhat = grid1d.dealias(grid1d.forward(rng.standard_normal(grid1d.shape)))
-    ghat = grid1d.dealias(grid1d.forward(rng.standard_normal(grid1d.shape)))
-    f, g = grid1d.inverse(fhat), grid1d.inverse(ghat)
+    f, g = (grid1d.inverse(grid1d.forward(rng.standard_normal(grid1d.shape), band=True))
+            for _ in range(2))
 
-    direct = grid1d.dealias(grid1d.forward(f * g))
+    direct = grid1d.forward(f * g, band=True)
     exact = alias_free_product(grid1d, fine, f, g)
-    assert np.max(np.abs(direct - grid1d.dealias(grid1d.forward(exact)))) < 1e-12
+    assert np.max(np.abs(direct - grid1d.forward(exact, band=True))) < 1e-12
+
+
+# a single field and a stack, on grids on both sides of ROW_POINTS
+BAND_GRIDS = [(1, 512), (1, 2**14), (2, 64), (2, 128), (3, 16), (3, 32)]
+
+
+@pytest.mark.parametrize("dim,npts", BAND_GRIDS)
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_band_transforms_equal_the_full_ones_bit_for_bit(dim, npts, lead):
+    grid = PeriodicGrid(dim=dim, npts=npts, length=2.0 * np.pi)
+    assert (npts**dim >= ROW_POINTS) == (npts in (2**14, 128, 32))
+    mask = grid.dealias_mask
+    rng = np.random.default_rng(npts + dim)
+    f = rng.standard_normal(lead + grid.shape)
+    full = grid.forward(f)
+    band = grid.forward(f, band=True)
+    assert band.shape == lead + grid.band_shape == lead + (2 * (npts // 3) + 1,) * dim
+    # the band layout is the kept modes in FFT order, signed zeros included
+    assert band.reshape(lead + (-1,)).tobytes() == full[..., mask].tobytes()
+    filled = np.zeros_like(full)
+    filled[..., mask] = band.reshape(lead + (-1,))
+    assert grid.inverse(band).tobytes() == grid.inverse(filled).tobytes()
+    assert grid.from_band(band).tobytes() == filled.tobytes()
+    assert grid.to_band(full).tobytes() == band.tobytes()
+    for axis in range(dim):
+        assert (grid.derivative_hat(band, axis).reshape(lead + (-1,)).tobytes()
+                == grid.derivative_hat(full, axis)[..., mask].tobytes())
+    assert np.array_equal(grid.band_kmag.ravel(), grid.kmag[mask])
 
 
 def test_pad_restrict_roundtrip(grid1d, rng):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eulerfourier.grid import PeriodicGrid
 from eulerfourier.linear import saturating_profile, semigroup_besov_decay
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +57,27 @@ def test_mode_evals_counter_binds_a_quadrature_call():
     octaves = math.log2(8.0 / 5e-3)
     nodes = sum(math.ceil(npo * octaves) + 1 for npo in (16, 32))
     assert counts["linear.mode_evals"] == 3 * nodes
+
+
+def test_fft_counter_binds_band_transforms():
+    # the counter reads the field as the first argument after the grid and the
+    # result's size: a band forward reads a full field and returns the band,
+    # a band inverse the reverse
+    grid = PeriodicGrid(dim=2, npts=16, length=2.0 * math.pi)
+    f = np.random.default_rng(3).standard_normal((3,) + grid.shape)
+    tracer = _SPANS.Tracer()
+    forward, inverse = (tracer._wrap(f"grid:PeriodicGrid.{name}", "grid",
+                                     getattr(PeriodicGrid, name), _SPANS._fft_count)
+                        for name in ("forward", "inverse"))
+    band = forward(grid, f, band=True)
+    assert band.shape == (3,) + grid.band_shape
+    assert tracer.counts["grid.fft_points"] == f.size
+    assert tracer.counts["grid.fft_bytes"] == f.nbytes + band.nbytes
+    back = inverse(grid, band)
+    assert back.shape == f.shape
+    assert tracer.counts["grid.fft_points"] == f.size + band.size
+    assert tracer.counts["grid.fft_bytes"] == f.nbytes + 2 * band.nbytes + back.nbytes
+    assert [tracer.spans[f"grid:PeriodicGrid.{n}"][0] for n in ("forward", "inverse")] == [1, 1]
 
 
 # runs in a fresh interpreter, since the tracer patches the package in place
