@@ -16,7 +16,7 @@ from .decay import (
     run_decay_experiment,
     time_weighted_functionals,
 )
-from .grid import PeriodicGrid, StateFields, alias_free_product
+from .grid import PeriodicGrid, StateFields
 from .inequalities import (
     check_bernstein,
     check_commutator,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PeriodicGrid",
     "StateFields",
-    "alias_free_product",
     "DyadicCutoffs",
     "FrequencySplit",
     "LittlewoodPaley",

@@ -176,7 +176,8 @@ def _box_pieces(cfg: RunConfig):
 
 
 def _run_simulate(cfg: RunConfig) -> RunnerResult:
-    from .solver import POSITIVITY_FLOOR, SolverConfig, integrate, save_checkpoint
+    from .solver import (POSITIVITY_FLOOR, SolverConfig, integrate, positivity_margin,
+                         save_checkpoint)
 
     opts = cfg.options
     grid, lp, spec, state0 = _box_pieces(cfg)
@@ -192,11 +193,11 @@ def _run_simulate(cfg: RunConfig) -> RunnerResult:
 
     drift = float(np.max(np.abs(np.asarray(traj.mean_a) - traj.mean_a[0])))
     finite = bool(np.all(np.isfinite(traj.series.norms)))
-    floor = min(1.0 + traj.snapshots[-1].a.min(), 1.0 + traj.snapshots[-1].theta.min())
     verdicts = [
         Verdict.from_bound("mass-drift", drift, float(opts["mass_tol"])),
         Verdict.from_bound("nonfinite-samples", 0.0 if finite else 1.0, 0.0),
-        Verdict.from_floor("final-positivity-margin", floor, POSITIVITY_FLOOR),
+        Verdict.from_floor("final-positivity-margin", positivity_margin(traj.snapshots[-1]),
+                           POSITIVITY_FLOOR),
     ]
     crit = traj.series.critical()
     curves = {
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, default=None,
                        help="key = value configuration file")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+        p.add_argument("--seed", default=None, help="master RNG seed, a non-negative integer")
         p.add_argument("--out", type=Path, default=None,
                        help=f"output directory (default: ${ENV_OUT_DIR} or ./runs)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],

@@ -11,7 +11,7 @@ norm computation.  The ranges themselves are stated once, in
 from __future__ import annotations
 
 import importlib
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -212,8 +212,8 @@ def parse_config(
     out_dir: str | Path | None = None,
 ) -> RunConfig:
     """Merge defaults <- config file <- explicit overrides, check each value's
-    type against its default and that a number is finite, validate, then import the run's modules
-    (:data:`KIND_MODULES`)."""
+    type against its default (the seed's: a non-negative int) and that a number
+    is finite, validate, then import the run's modules (:data:`KIND_MODULES`)."""
     data: dict = {}
     if path is not None:
         data.update(read_config_file(path))
@@ -229,9 +229,12 @@ def parse_config(
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {', '.join(KINDS)}")
 
     if seed is None:
-        seed = int(data.pop("seed", 0))
+        seed = data.pop("seed", 0)
     else:
         data.pop("seed", None)
+    seed = _parse_scalar(seed) if isinstance(seed, str) else seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed takes a non-negative integer, got {seed!r}")
     if out_dir is None:
         out_dir = data.pop("out_dir", "runs")
     else:
@@ -252,11 +255,12 @@ def parse_config(
         if isinstance(value, bool) != isinstance(options[key], bool) or not isinstance(
                 value, accepted):
             raise ValueError(f"option {key} of {kind} takes {wording}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        # not NaN, +-inf or an int beyond the float range, which a run could not convert
+        if isinstance(options[key], float) and not abs(value) <= sys.float_info.max:
             raise ValueError(f"option {key} of {kind} takes a finite number, got {value!r}")
         options[key] = value
 
-    cfg = RunConfig(kind=kind, seed=int(seed), out_dir=Path(out_dir), options=options)
+    cfg = RunConfig(kind=kind, seed=seed, out_dir=Path(out_dir), options=options)
     validate_config(cfg)
     for module in cfg.modules:
         importlib.import_module(module)

@@ -8,7 +8,7 @@ equals the spatial mean of the field; with that convention Parseval reads
 
 which is how every L^2-type norm in this package is evaluated.
 
-Transforms, derivatives, padding and norms act on the last d axes of any
+Transforms, derivatives, products and norms act on the last d axes of any
 ``(..., *grid.shape)`` stack of fields in one call; norms give one value per
 row.  A transform is one ``numpy.fft`` complex FFT per grid axis, last axis
 first, in place on one complex copy of the input: the order of
@@ -24,11 +24,15 @@ all integer frequencies at most N/3 in size, (2 floor(N/3) + 1)**d of them
 in FFT order; ``forward(f, band=True)`` returns it and ``inverse`` takes it,
 each transforming only the lines the band needs.  numpy transforms each line
 on its own, an all-zero one to +0, so they equal the full-layout transforms
-restricted to, or zero-filled from, the band bit for bit.
+restricted to, or zero-filled from, the band bit for bit.  One layout's
+modes sit in another as the 2**d slab blocks of :func:`_blocks`: the band in
+the full layout, and that in ``fine``'s, the same box at 2N points, where
+``times`` multiplies, alias-free as 2N points hold every sum frequency.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -43,6 +47,25 @@ ROW_POINTS = 2**14
 def _per_row(value: np.ndarray):
     """A reduction over the grid axes: a float for one field, one value per row of a stack."""
     return value if value.ndim else float(value)
+
+
+@functools.cache
+def _blocks(n: int, s: int, dim: int) -> tuple:
+    """(n-point, s-point) index pairs of the 2**dim slab blocks that hold the
+    frequencies two layouts share: -(k // 2) ... (k - 1) // 2, k = min(n, s)."""
+    k = min(n, s)
+    a, b = ((slice(0, (k + 1) // 2), slice(m - k // 2, m)) for m in (n, s))
+    pairs = zip(*(itertools.product(x, repeat=dim) for x in (a, b)))
+    return tuple(((..., *x), (..., *y)) for x, y in pairs)
+
+
+def _resize(fhat: np.ndarray, shape: tuple) -> np.ndarray:
+    """A spectral stack in the ``shape`` layout: the modes the two layouts share,
+    zero elsewhere (zero-padded into a larger layout, truncated to a smaller one)."""
+    out = np.zeros(fhat.shape[: fhat.ndim - len(shape)] + shape, dtype=complex)
+    for to, frm in _blocks(shape[0], fhat.shape[-1], len(shape)):
+        out[to] = fhat[frm]
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,22 +83,17 @@ class PeriodicGrid:
     npts: int
     length: float
 
-    # caches filled in __post_init__
-    wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    kmag: np.ndarray = field(init=False, repr=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False)
-    # np.ix_ index of this grid's modes in any finer grid's layout: signed
-    # integer frequencies, the negative ones counted from the end of each axis
-    mode_index: tuple = field(init=False, repr=False)
-    band_shape: tuple[int, ...] = field(init=False, repr=False)
-    band_wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    band_kmag: np.ndarray = field(init=False, repr=False)
-    # (full-layout, band-layout) index pairs of the band's 2**dim blocks
-    _band_slabs: tuple = field(init=False, repr=False)
+    # caches filled in __post_init__; a grid compares and hashes as (dim, npts, length)
+    wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    kmag: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    band_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    band_wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    band_kmag: np.ndarray = field(init=False, repr=False, compare=False)
     # per grid axis, last axis first, the lines along it that a band transform
     # touches: forward (False) those kept on the axes already transformed,
     # inverse (True) those holding band data on the axes still to transform
-    _band_lines: dict = field(init=False, repr=False)
+    _band_lines: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -87,17 +105,14 @@ class PeriodicGrid:
             raise ValueError("length must be positive")
 
         freq = np.fft.fftfreq(n, d=1.0 / n)
-        object.__setattr__(self, "mode_index", np.ix_(*([freq.astype(int)] * self.dim)))
         # two-thirds rule: drop any mode with an integer frequency above N/3.
         # N is a power of two so N/3 is never an integer and quadratic
         # products of retained modes alias strictly outside the retained band.
         mesh = np.meshgrid(*([np.abs(freq) <= n / 3.0] * self.dim), indexing="ij")
         object.__setattr__(self, "dealias_mask", np.all(mesh, axis=0))
-        # per axis the band is two slabs, frequencies 0..m and -m..-1: where
-        # they are kept in the full layout and placed in the band layout
+        # per axis the band is two slabs of the full layout, frequencies 0..m and -m..-1
         m = n // 3
         kept = (slice(0, m + 1), slice(n - m, n))
-        placed = (slice(0, m + 1), slice(m + 1, 2 * m + 1))
         object.__setattr__(self, "band_shape", (2 * m + 1,) * self.dim)
         # integer frequencies scaled to physical wavenumbers 2*pi*m/L
         k1 = 2.0 * np.pi * freq / self.length
@@ -105,8 +120,6 @@ class PeriodicGrid:
             axes = np.meshgrid(*([k] * self.dim), indexing="ij", sparse=True)
             object.__setattr__(self, prefix + "wavenumbers", tuple(axes))
             object.__setattr__(self, prefix + "kmag", np.sqrt(sum(a**2 for a in axes)))
-        blocks = zip(*(itertools.product(s, repeat=self.dim) for s in (kept, placed)))
-        object.__setattr__(self, "_band_slabs", tuple(((..., *f), (..., *b)) for f, b in blocks))
 
         def lines(cut):  # index of the lines holding band data on the axes in ``cut``
             return tuple((..., *index) for index in itertools.product(
@@ -181,17 +194,11 @@ class PeriodicGrid:
 
     def to_band(self, fhat: np.ndarray) -> np.ndarray:
         """The band layout of a full-layout spectral stack."""
-        out = np.empty(fhat.shape[: -self.dim] + self.band_shape, dtype=complex)
-        for full, band in self._band_slabs:
-            out[band] = fhat[full]
-        return out
+        return _resize(fhat, self.band_shape)
 
     def from_band(self, bhat: np.ndarray) -> np.ndarray:
         """The full layout of a band stack, zero off the band."""
-        out = np.zeros(bhat.shape[: -self.dim] + self.shape, dtype=complex)
-        for full, band in self._band_slabs:
-            out[full] = bhat[band]
-        return out
+        return _resize(bhat, self.shape)
 
     def derivative_hat(self, fhat: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
         band = np.shape(fhat)[-self.dim :] == self.band_shape
@@ -231,34 +238,22 @@ class PeriodicGrid:
         return float(np.mean(f))
 
     # ------------------------------------------------------------------
-    def refine(self, factor: int = 2) -> "PeriodicGrid":
-        """Grid with the same box and ``factor`` times the resolution."""
-        return PeriodicGrid(self.dim, self.npts * factor, self.length)
+    @functools.cached_property
+    def fine(self) -> "PeriodicGrid":
+        """The same box at 2N points, where :meth:`times` multiplies."""
+        return PeriodicGrid(self.dim, 2 * self.npts, self.length)
 
-    def pad_to(self, fhat: np.ndarray, fine: "PeriodicGrid") -> np.ndarray:
-        """Zero-pad spectral coefficients onto a finer grid's layout."""
-        if fine.npts < self.npts or fine.dim != self.dim:
-            raise ValueError("target grid must refine this one")
-        out = np.zeros(fhat.shape[: fhat.ndim - self.dim] + fine.shape, dtype=complex)
-        out[(..., *self.mode_index)] = fhat
-        return out
+    def times(self, f: np.ndarray):
+        """g -> f g, alias-free: both factors zero-padded onto :attr:`fine`,
+        multiplied there and truncated back.  ``f`` is transformed once; ``g``
+        is a field or a stack, or a chunk row for row with a chunk ``f``."""
+        fine = self.fine
+        f_fine = fine.inverse(_resize(self.forward(f), fine.shape))
 
-    def restrict_from(self, fhat_fine: np.ndarray, fine: "PeriodicGrid") -> np.ndarray:
-        """Keep only this grid's modes from a finer grid's coefficients."""
-        return fhat_fine[(..., *self.mode_index)]
-
-
-def alias_free_product(
-    grid: PeriodicGrid, fine: PeriodicGrid, f: np.ndarray, g: np.ndarray
-) -> np.ndarray:
-    """Pointwise product evaluated on ``fine`` and restricted back to ``grid``.
-
-    Exact (no aliasing) whenever both factors are band-limited on the base
-    grid, since a 2x refinement holds every sum frequency.
-    """
-    f_fine = fine.inverse(grid.pad_to(grid.forward(f), fine))
-    g_fine = fine.inverse(grid.pad_to(grid.forward(g), fine))
-    return grid.inverse(grid.restrict_from(fine.forward(f_fine * g_fine), fine))
+        def product(g: np.ndarray) -> np.ndarray:
+            g_fine = fine.inverse(_resize(self.forward(g), fine.shape))
+            return self.inverse(_resize(fine.forward(f_fine * g_fine), self.shape))
+        return product
 
 
 @dataclass

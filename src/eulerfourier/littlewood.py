@@ -21,14 +21,15 @@ equal scipy's bit for bit and do not depend on the installed scipy version.
 
 :class:`ShellSeries` holds sampled shell norms of the state and is the one
 place where they are reduced to Besov, Chemin-Lerner, critical and delta0
-norms, for solver trajectories and semigroup quadratures alike.
+norms, for solver trajectories and semigroup quadratures alike.  Component
+norms combine into one by :func:`ell2`, and the commutators [P_j, f] g
+multiply through the grid's alias-free :meth:`~eulerfourier.grid.PeriodicGrid.times`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,11 @@ def square(x) -> np.ndarray:
     numpy's: no value depends on being computed in a stack."""
     x = np.asarray(x)
     return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def ell2(norms) -> np.ndarray:
+    """The ell^2 of component norms, one value per row: squared by :func:`square`."""
+    return np.sqrt(sum(square(n) for n in norms))
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -235,22 +241,12 @@ class LittlewoodPaley:
         """Physical-space dyadic block of a real field."""
         return self.grid.inverse(self.block_hat(self.grid.forward(f), j))
 
-    @cached_property
-    def fine(self) -> PeriodicGrid:
-        """The 2x refined grid on which commutator products are alias-free."""
-        return self.grid.refine(2)
-
     def commutators(self, f: np.ndarray, g: np.ndarray, shells) -> list[np.ndarray]:
         """``[P_j, f] g = P_j(f g) - f P_j(g)`` for every j of ``shells``, both
-        products alias-free on the 2x refined grid.  ``f g`` and ``f`` on that
-        grid are formed once; each shell then costs one product ``f P_j(g)``."""
-        grid, fine = self.grid, self.fine
-        f_fine = fine.inverse(grid.pad_to(grid.forward(f), fine))
-
-        def times_f(h: np.ndarray) -> np.ndarray:
-            h_fine = fine.inverse(grid.pad_to(grid.forward(h), fine))
-            return grid.inverse(grid.restrict_from(fine.forward(f_fine * h_fine), fine))
-
+        products alias-free (:meth:`PeriodicGrid.times`).  ``f`` on the 2x grid
+        and ``f g`` are formed once; each shell then costs one product ``f P_j(g)``."""
+        grid = self.grid
+        times_f = grid.times(f)
         fg_hat = grid.forward(times_f(g))
         return [grid.inverse(self.block_hat(fg_hat, j)) - times_f(self.block(g, j))
                 for j in shells]
@@ -265,7 +261,7 @@ class LittlewoodPaley:
         """Shell-j L^2 norms of a, |u| and theta from a spectral stack
         [a, u_1, ..., u_d, theta]; one value per row of each component."""
         norms = [self.shell_l2_hat(h, j) for h in hats]
-        return norms[0], np.sqrt(sum(square(n) for n in norms[1:-1])), norms[-1]
+        return norms[0], ell2(norms[1:-1]), norms[-1]
 
     # ------------------------------------------------------------------
     @staticmethod

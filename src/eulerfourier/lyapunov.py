@@ -39,9 +39,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .grid import PeriodicGrid, StateFields
-from .littlewood import LittlewoodPaley, square
+from .littlewood import LittlewoodPaley, ell2, square
 from .reporting import Verdict
-from .solver import PositivityViolation, TrajectoryRecord, nonlinear_rhs
+from .solver import PositivityViolation, TrajectoryRecord, nonlinear_rhs, positivity_margin
 
 __all__ = [
     "StrideTooCoarse",
@@ -101,21 +101,12 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
-def _ell2(norms) -> np.ndarray:
-    return np.sqrt(sum(square(n) for n in norms))
-
-
-def _vec_norm(lp: LittlewoodPaley, hats, j: int) -> np.ndarray:
-    """Shell-j L^2 norm of a vector field given by its components' hats."""
-    return _ell2([lp.shell_l2_hat(h, j) for h in hats])
-
-
 def _dealiased(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     return grid.inverse(grid.forward(f, band=True))
 
 
 def _check_positive(state: StateFields) -> None:
-    if np.min(state.a) <= -1.0 or np.min(state.theta) <= -1.0:
+    if positivity_margin(state) <= 0.0:
         raise PositivityViolation("density or temperature lost positivity")
 
 
@@ -185,7 +176,7 @@ class _ChunkTerms:
         ]))
         groups = np.split(grid.forward(smooth), 4)
         div_au = grid.forward(grid.divergence(smooth[:d]))
-        return {j: (*(_vec_norm(lp, g, j) for g in groups), lp.shell_l2_hat(div_au, j))
+        return {j: (*(ell2(lp.shell_l2_hat(g, j)) for g in groups), lp.shell_l2_hat(div_au, j))
                 for j in self.shells}
 
     @cached_property
@@ -198,7 +189,8 @@ class _ChunkTerms:
             *(k.ratio_s * grad_th[m] for m in range(d)),
             sum(k.grad_s[m] * grad_th[m] for m in range(d)),
         ])))
-        return {j: (_vec_norm(lp, hats[:d], j), lp.shell_l2_hat(hats[d], j)) for j in self.shells}
+        return {j: (ell2(lp.shell_l2_hat(hats[:d], j)), lp.shell_l2_hat(hats[d], j))
+                for j in self.shells}
 
     @cached_property
     def high_sups(self):
@@ -240,7 +232,7 @@ class _ChunkTerms:
     def remainders(self) -> dict[int, tuple]:
         """L^2 norms of R1, of (R2_m) over m and of R3 on every shell of ``high_shells``."""
         grid = self.grid
-        return {j: (grid.l2_norm(r1), _ell2([grid.l2_norm(c) for c in r2]), grid.l2_norm(r3))
+        return {j: (grid.l2_norm(r1), ell2([grid.l2_norm(c) for c in r2]), grid.l2_norm(r3))
                 for j, (r1, r2, r3) in self.remainder_fields(self.high_shells).items()}
 
     # ------------------------------------------------------------------
@@ -355,8 +347,8 @@ def commutator_remainders(
     """Remainder fields measuring how far shell filtering is from commuting
     with multiplication by the solution-dependent coefficients.
 
-    With ``[P_j, f] g = P_j(f g) - f P_j(g)`` (both products alias-free on a
-    refined grid, :meth:`LittlewoodPaley.commutators`):
+    With ``[P_j, f] g = P_j(f g) - f P_j(g)`` (both products alias-free on the
+    2x grid, :meth:`LittlewoodPaley.commutators`):
 
         R1 = -[P_j, 1+a] div u - sum_m [P_j, u_m] d_m a
         R2_m = -sum_n [P_j, u_n] d_n u_m - [P_j, (1+theta)/(1+a)] d_m a

@@ -18,7 +18,6 @@ import numpy as np
 
 SCHEMA_VERSION = "verdict-v1"
 ERROR_SCHEMA_VERSION = "error-v1"
-_SCHEMA_DIR = Path(__file__).parent / "schemas"
 
 __all__ = [
     "Verdict",
@@ -193,37 +192,34 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _conforms(record) -> bool:
-    """Whether one loaded line satisfies the shipped verdict-v1 schema."""
-    return (
-        isinstance(record, dict)
-        and all(key in record for key in
-                ("schema", "name", "predicted", "measured", "tolerance", "pass"))
-        and record["schema"] == SCHEMA_VERSION
-        and isinstance(record["name"], str) and record["name"] != ""
-        and all(_is_number(record[key]) or isinstance(record[key], str)
-                for key in ("predicted", "measured"))
-        # "minimum": NaN is not below 0, so it passes as in JSON Schema
-        and _is_number(record["tolerance"]) and not record["tolerance"] < 0
-        and isinstance(record["pass"], bool)
-    )
+#: the rules of ``schemas/verdict-v1.json``, the published format, key by key
+_RULES = (
+    ("schema", f"must be {SCHEMA_VERSION!r}", lambda v: v == SCHEMA_VERSION),
+    ("name", "must be a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    ("predicted", "must be a number or string", lambda v: _is_number(v) or isinstance(v, str)),
+    ("measured", "must be a number or string", lambda v: _is_number(v) or isinstance(v, str)),
+    # "minimum": NaN is not below 0, so it passes as in JSON Schema
+    ("tolerance", "must be a number >= 0", lambda v: _is_number(v) and not v < 0),
+    ("pass", "must be true or false", lambda v: isinstance(v, bool)),
+)
+
+
+def _violation(record) -> str | None:
+    """The first verdict-v1 rule, with its key, that a loaded line breaks; None if none."""
+    if not isinstance(record, dict):
+        return f"a line must be a JSON object, got {record!r}"
+    for key, rule, holds in _RULES:
+        if key not in record:
+            return f"key {key!r} is required"
+        if not holds(record[key]):
+            return f"key {key!r} {rule}, got {record[key]!r}"
+    return None
 
 
 def validate_verdict_file(path: Path) -> None:
-    """Check every verdict line against the shipped versioned schema.
-
-    A plain check decides a conforming file.  jsonschema is imported only
-    when some line fails it, and then decides and words the failure.
-    """
-    records = load_verdicts(path)
-    if all(_conforms(record) for record in records):
-        return
-    import jsonschema
-
-    schema = json.loads((_SCHEMA_DIR / f"{SCHEMA_VERSION}.json").read_text())
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    validator.check_schema(schema)  # once per file; jsonschema.validate does it per call
-    for i, record in enumerate(records):
-        err = jsonschema.exceptions.best_match(validator.iter_errors(record))
-        if err is not None:
-            raise ValueError(f"verdict line {i + 1} fails {SCHEMA_VERSION}: {err.message}")
+    """Check every verdict line against verdict-v1; the first line that fails
+    raises a ``ValueError`` naming the line, the key and the rule."""
+    for i, record in enumerate(load_verdicts(path)):
+        problem = _violation(record)
+        if problem is not None:
+            raise ValueError(f"verdict line {i + 1} fails {SCHEMA_VERSION}: {problem}")

@@ -65,6 +65,12 @@ class NonFinite(RuntimeError):
     """A field stopped being finite during time integration."""
 
 
+def positivity_margin(state: StateFields) -> float:
+    """How far a state or chunk is from vacuum: the least of 1 + a and 1 + theta
+    (1 + the least a or theta, which rounding, being monotone, keeps bit for bit)."""
+    return float(min(1.0 + state.a.min(), 1.0 + state.theta.min()))
+
+
 @dataclass
 class SolverConfig:
     """Time-stepping parameters.
@@ -102,8 +108,8 @@ def cfl_check(grid: PeriodicGrid, state: StateFields) -> float:
     speed sqrt(1 + theta) plus the flow speed |u|.  At the zero state
     this reduces to ``CFL_SAFETY * dx`` (unit sound speed).
     """
-    if np.min(1.0 + state.theta) <= 0:
-        raise PositivityViolation("temperature must stay positive for a wave speed")
+    if positivity_margin(state) <= 0:
+        raise PositivityViolation("density and temperature must stay positive for a wave speed")
     return CFL_SAFETY * grid.spacing / _max_speed(state)
 
 
@@ -258,8 +264,8 @@ def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
     by mode and the remainder is the stepper's own :func:`_remainder_hat`,
     so this is the band-limited tendency the integrator advances.
     """
-    if np.min(1.0 + state.a) <= 0:
-        raise PositivityViolation("1 + a must stay positive to form quotients")
+    if positivity_margin(state) <= 0:
+        raise PositivityViolation("1 + a and 1 + theta must stay positive to form quotients")
     d = grid.dim
     hats = grid.forward(state.data, band=True)
     out = _remainder_hat(grid, hats)
@@ -292,7 +298,7 @@ def _check_admissible(
 ) -> None:
     if not np.all(np.isfinite(state.data)):
         raise NonFinite("initial data contains non-finite values")
-    if np.min(1.0 + state.a) < POSITIVITY_FLOOR or np.min(1.0 + state.theta) < POSITIVITY_FLOOR:
+    if positivity_margin(state) < POSITIVITY_FLOOR:
         raise PositivityViolation(
             f"initial density/temperature below positivity floor {POSITIVITY_FLOOR}"
         )
@@ -349,8 +355,7 @@ def integrate(
         shell_rows.append(ShellSeries.of_hats(lp, grid.from_band(hats_now)).norms)
         mean_a.append(float(np.real(hats_now[0].flat[0])))
         state = StateFields(grid.inverse(hats_now))
-        if (np.min(1.0 + state.a) < POSITIVITY_FLOOR
-                or np.min(1.0 + state.theta) < POSITIVITY_FLOOR):
+        if positivity_margin(state) < POSITIVITY_FLOOR:
             raise PositivityViolation(f"positivity floor crossed at t={t:g}")
         max_speed.append(_max_speed(state))
         # the final state is always kept: downstream checks (positivity

@@ -1,22 +1,27 @@
 """Configuration, verdict reporting, and the command-line entry point."""
 
+import functools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerfourier.config import (
     KIND_DEFAULTS,
     KIND_MODULES,
     KINDS,
+    _parse_scalar,
     parse_config,
     read_config_file,
+    validate_config,
 )
 from eulerfourier import reporting
 from eulerfourier.cli import main, run
@@ -159,6 +164,94 @@ def test_a_non_finite_number_exits_2_with_error_record(tmp_path):
         parse_config(path=cfg)
 
 
+def test_the_seed_must_be_a_non_negative_integer(tmp_path):
+    for value in ["2.7", "true", "1e400", "-3", "abc", 2.7, True, -1, math.inf, math.nan]:
+        with pytest.raises(ValueError, match="seed takes a non-negative integer"):
+            parse_config(kind="lp-inspect", overrides={"seed": value})
+    with pytest.raises(ValueError, match="seed"):
+        parse_config(kind="lp-inspect", seed=-3)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("kind = lp-inspect\nseed = 2.7\n")
+    with pytest.raises(ValueError, match="seed"):
+        parse_config(path=cfg)
+    # from the command line: exit 2 and an error record naming the seed
+    for i, args in enumerate([["--set", "seed=1e400"], ["--set", "seed=2.7"],
+                              ["--set", "seed=true"], ["--seed", "-3"], ["--seed", "abc"]]):
+        out = tmp_path / f"cli{i}"
+        assert main(["lp-inspect", *args, "--out", str(out)]) == 2, args
+        assert "seed" in json.loads((out / "error.json").read_text())["message"]
+    # a sweep member too
+    good = tmp_path / "good.cfg"
+    good.write_text("kind = lp-inspect\nradii = 1500\ntrials = 10\nseed = 3\n")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", str(good), str(cfg), "--out", str(out)]) == 2
+    assert (out / "good" / "verdicts.jsonl").exists()
+    assert "seed" in json.loads((out / "seed" / "error.json").read_text())["message"]
+    # valid seeds keep their config digests, given as an int or as text
+    assert parse_config(kind="lp-inspect").digest == "327242a2a028d495"
+    assert parse_config(kind="lp-inspect", seed=7).digest == "abcb350701df7f09"
+    assert parse_config(kind="lp-inspect", seed="7").digest == "abcb350701df7f09"
+    assert parse_config(kind="validate", overrides={"seed": "12"}).digest == "553a4d0ae9b908bb"
+
+
+#: option values of every sort: random strings, numbers of any type, NaN,
+#: +-inf, zero, negative and huge ones, as Python values and as text
+_OPTION_VALUES = st.one_of(
+    st.text(max_size=8), st.integers(), st.floats(), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, 2.7, 10**400, -10**400,
+                     1e308, "nan", "-inf", "1e400", "-3", "2.7", "0", "true", "", "abc"]),
+)
+
+
+@st.composite
+def _option_draws(draw):
+    """A kind, one of its keys or ``seed``, and a value."""
+    kind = draw(st.sampled_from(KINDS))
+    key = draw(st.sampled_from(sorted(KIND_DEFAULTS[kind]) + ["seed"]))
+    return kind, key, draw(_OPTION_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@example(draw=("lp-inspect", "seed", math.inf))
+@example(draw=("validate", "seed", 2.7))
+@example(draw=("linear-decay", "amplitude", 10**400))
+@given(draw=_option_draws())
+def test_an_option_value_parses_as_given_or_is_a_configuration_error(draw):
+    # every draw either parses to a valid config holding the value as given
+    # (text parsed as on the command line), or raises the ValueError of exit 2
+    kind, key, value = draw
+    try:
+        cfg = parse_config(kind=kind, overrides={key: value})
+    except ValueError:
+        return
+    validate_config(cfg)
+    given = _parse_scalar(value) if isinstance(value, str) else value
+    got = cfg.seed if key == "seed" else cfg.options[key]
+    assert got == given and type(got) is type(given)
+
+
+@settings(max_examples=3, deadline=None)
+@example(draw=("simulate", "seed", "1e400"))
+@given(draw=_option_draws())
+def test_a_drawn_configuration_error_exits_2_with_error_record(draw, tmp_path_factory):
+    kind, key, value = draw
+    text = value if isinstance(value, str) else repr(value)
+    assume("\x00" not in text)
+    try:
+        parse_config(kind=kind, overrides={key: text})
+        assume(False)
+    except ValueError:
+        pass
+    out = tmp_path_factory.mktemp("drawn")
+    src = str(Path(reporting.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "eulerfourier.cli", kind, "--set",
+                           f"{key}={text}", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads((out / "error.json").read_text())["schema"] == "error-v1"
+
+
 def test_box_damped_mode_needs_t_start_below_half_the_box():
     # the default t_start = 1e2 lies beyond L/2 = 8 pi of the default box
     with pytest.raises(ValueError, match=r"L/2 = 25\.13"):
@@ -210,26 +303,50 @@ def test_verdict_json_line_is_stable_and_schema_valid(tmp_path):
 
 
 def test_validate_verdict_file_rejects_corruption(tmp_path):
-    import jsonschema
-
-    schema = json.loads((Path(reporting.__file__).parent / "schemas"
-                         / f"{SCHEMA_VERSION}.json").read_text())
     path = tmp_path / "verdicts.jsonl"
     write_verdicts(path, [Verdict.from_bound("ok", 1.0, 2.0), Verdict.from_bound("bad", 3.0, 2.0)])
     first, second = path.read_text().splitlines()
-    # two faults in one line: the message is the one jsonschema.validate picks
+    # two faults in one line: the message names the line, the first key that
+    # breaks its rule in the schema's key order, and the rule
     second = second.replace('"pass":false', '"pass":"no"').replace('"name":"bad"', '"name":7')
-    path.write_text(f"{first}\n{second}\n")
-    with pytest.raises(jsonschema.ValidationError) as want:
-        jsonschema.validate(json.loads(second), schema)
-    with pytest.raises(ValueError) as got:
-        validate_verdict_file(path)
-    assert str(got.value) == f"verdict line 2 fails {SCHEMA_VERSION}: {want.value.message}"
+    renamed = second.replace('"name":7', '"name":"bad"')
+    for lines, message in [
+        ([first, second], "verdict line 2 fails verdict-v1: "
+                          "key 'name' must be a non-empty string, got 7"),
+        ([first, renamed], "verdict line 2 fails verdict-v1: "
+                           "key 'pass' must be true or false, got 'no'"),
+        ([first, "[1]"], "verdict line 2 fails verdict-v1: "
+                         "a line must be a JSON object, got [1]"),
+        ([first.replace(',"tolerance":0.0', "")], "verdict line 1 fails verdict-v1: "
+                                                  "key 'tolerance' is required"),
+    ]:
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError) as got:
+            validate_verdict_file(path)
+        assert str(got.value) == message
+
+
+def test_a_failing_verdict_check_loads_no_jsonschema(tmp_path):
+    # the check is the package's own; jsonschema is only the tests' oracle
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text('{"schema":"verdict-v1","name":7}\n')
+    script = f"""
+import json, sys
+from eulerfourier.reporting import validate_verdict_file
+try:
+    validate_verdict_file({str(path)!r})
+except ValueError as exc:
+    print(json.dumps([str(exc), sorted(m for m in sys.modules if m.startswith("jsonschema"))]))
+"""
+    message, loaded = _loaded_modules(script)
+    assert "key 'name' must be a non-empty string" in message
+    assert loaded == []
 
 
 VERDICT_KEYS = ("schema", "name", "predicted", "measured", "tolerance", "pass")
 
 
+@functools.cache
 def _schema_validator():
     import jsonschema
 
@@ -239,17 +356,28 @@ def _schema_validator():
 
 
 def _assert_plain_check_agrees(validator, record, path):
-    """The plain check and jsonschema accept the same record, and the file
-    check raises exactly when jsonschema rejects it."""
+    """The plain check and jsonschema accept the same record, the file check
+    raises exactly when jsonschema rejects it, and the key it names is one
+    that jsonschema faults (none for a line that is not an object)."""
     record = json.loads(json.dumps(record))  # as loaded from a verdict file
     valid = validator.is_valid(record)
-    assert reporting._conforms(record) == valid
+    assert (reporting._violation(record) is None) == valid
     path.write_text(json.dumps(record) + "\n")
     if valid:
         validate_verdict_file(path)
-    else:
-        with pytest.raises(ValueError, match="fails verdict-v1"):
-            validate_verdict_file(path)
+        return
+    with pytest.raises(ValueError, match="fails verdict-v1") as got:
+        validate_verdict_file(path)
+    faulted = set()
+    for error in validator.iter_errors(record):
+        if error.path:
+            faulted.add(error.path[0])
+        elif error.validator == "required":
+            faulted |= {key for key in error.validator_value if key not in record}
+        else:
+            faulted.add(None)
+    named = re.search(r"key '(\w+)'", str(got.value))
+    assert (named and named.group(1)) in faulted
 
 
 _GOOD = {"schema": "verdict-v1", "name": "n", "predicted": 1.0, "measured": 0.5,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerfourier.grid import ROW_POINTS, PeriodicGrid, StateFields, alias_free_product
+from eulerfourier.grid import ROW_POINTS, PeriodicGrid, StateFields, _resize
 
 
 def test_roundtrip_and_parseval(grid1d, rng):
@@ -48,16 +48,61 @@ def test_vector_calculus_identities(grid2d, rng):
     assert np.max(np.abs(cross1 - cross2)) < 1e-8
 
 
-def test_dealiased_product_matches_fine_grid(grid1d, rng):
+def test_dealiased_product_matches_fine_grid(grid1d, grid2d, rng):
     # A product kept on the 2/3-rule band must agree with the exact
-    # (padded) product restricted back to the coarse grid.
-    fine = grid1d.refine(2)
-    f, g = (grid1d.inverse(grid1d.forward(rng.standard_normal(grid1d.shape), band=True))
-            for _ in range(2))
+    # (padded) product restricted back to the coarse grid, in every dimension.
+    for grid in (grid1d, grid2d, PeriodicGrid(dim=3, npts=16, length=4.0 * np.pi)):
+        f, g = (grid.inverse(grid.forward(rng.standard_normal(grid.shape), band=True))
+                for _ in range(2))
+        direct = grid.forward(f * g, band=True)
+        exact = grid.times(f)(g)
+        assert np.max(np.abs(direct - grid.forward(exact, band=True))) < 1e-12, grid.dim
 
-    direct = grid1d.forward(f * g, band=True)
-    exact = alias_free_product(grid1d, fine, f, g)
-    assert np.max(np.abs(direct - grid1d.forward(exact, band=True))) < 1e-12
+
+def _fancy_index(n: int, freq: np.ndarray, dim: int) -> tuple:
+    """np.ix_ index, in an n-point layout per axis, of the signed integer
+    frequencies ``freq``: the negative ones counted from the end of each axis."""
+    return (..., *np.ix_(*[freq % n] * dim))
+
+
+@pytest.mark.parametrize("dim, npts", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_slab_embedding_equals_fancy_indexing(dim, npts, lead):
+    # the slab blocks place one layout's modes in a larger one exactly where
+    # fancy indexing by signed frequency does, signed zeros included
+    grid = PeriodicGrid(dim=dim, npts=npts, length=2.0 * np.pi)
+    rng = np.random.default_rng(npts + dim)
+    freq = np.fft.fftfreq(npts, d=1.0 / npts).astype(int)  # frequencies in FFT order
+
+    def draw(shape):
+        return rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+
+    # the band (|k| <= N/3) in the full layout, and the full layout in the 2x one
+    band_freq = freq[np.abs(freq) <= npts // 3]
+    for small_freq, small_shape, large_shape, embed, keep in [
+        (band_freq, grid.band_shape, grid.shape, grid.from_band, grid.to_band),
+        (freq, grid.shape, grid.fine.shape, lambda h: _resize(h, grid.fine.shape),
+         lambda h: _resize(h, grid.shape)),
+    ]:
+        index = _fancy_index(large_shape[0], small_freq, dim)
+        small, large = draw(small_shape), draw(large_shape)
+        large[(..., *(0,) * dim)] = -0.0  # a signed zero must survive the copy
+        padded = np.zeros(lead + large_shape, dtype=complex)
+        padded[index] = small
+        assert embed(small).tobytes() == padded.tobytes()
+        assert keep(large).tobytes() == large[index].tobytes()
+
+    # the alias-free product equals the one built on fancy indexing
+    f, g = rng.standard_normal((2,) + lead + grid.shape)
+    index = _fancy_index(2 * npts, freq, dim)
+
+    def on_fine(h):
+        padded = np.zeros(lead + grid.fine.shape, dtype=complex)
+        padded[index] = grid.forward(h)
+        return grid.fine.inverse(padded)
+
+    oracle = grid.inverse(grid.fine.forward(on_fine(f) * on_fine(g))[index])
+    assert grid.times(f)(g).tobytes() == oracle.tobytes()
 
 
 # a single field and a stack, on grids on both sides of ROW_POINTS
@@ -89,10 +134,10 @@ def test_band_transforms_equal_the_full_ones_bit_for_bit(dim, npts, lead):
 
 
 def test_pad_restrict_roundtrip(grid1d, rng):
-    fine = grid1d.refine(2)
     fhat = grid1d.forward(rng.standard_normal(grid1d.shape))
-    back = grid1d.restrict_from(grid1d.pad_to(fhat, fine), fine)
-    assert np.max(np.abs(back - fhat)) < 1e-14
+    padded = _resize(fhat, grid1d.fine.shape)
+    assert np.count_nonzero(padded) == np.count_nonzero(fhat)
+    assert _resize(padded, grid1d.shape).tobytes() == fhat.tobytes()
 
 
 # 32**3 points lie above ROW_POINTS, so that stack is transformed field by
@@ -106,19 +151,20 @@ def test_stacked_calls_equal_per_field_calls(dim, npts, length, rng):
     # a stack of fields goes through one call, bit for bit what one call per
     # field gives; the Lyapunov audit's chunking relies on it
     grid = PeriodicGrid(dim=dim, npts=npts, length=length)
-    fine = grid.refine(2)
     stack = rng.standard_normal((2, 3) + grid.shape)
     hats = grid.forward(stack)
     back = grid.inverse(hats)
-    padded = grid.pad_to(hats, fine)
-    restricted = grid.restrict_from(padded, fine)
+    # alias-free products of a chunk by a chunk, row for row, and of one field by a stack
+    other = rng.standard_normal((2, 3) + grid.shape)
+    chunk_products = grid.times(stack)(other)
+    stack_products = grid.times(stack[0, 0])(other)
     norms, norms_hat = grid.l2_norm(stack), grid.l2_norm_hat(hats)
     for idx in np.ndindex(2, 3):
         fhat = grid.forward(stack[idx])
         assert np.array_equal(hats[idx], fhat)
         assert np.array_equal(back[idx], grid.inverse(fhat))
-        assert np.array_equal(padded[idx], grid.pad_to(fhat, fine))
-        assert np.array_equal(restricted[idx], grid.restrict_from(padded[idx], fine))
+        assert chunk_products[idx].tobytes() == grid.times(stack[idx])(other[idx]).tobytes()
+        assert stack_products[idx].tobytes() == grid.times(stack[0, 0])(other[idx]).tobytes()
         assert norms[idx] == grid.l2_norm(stack[idx])
         assert norms_hat[idx] == grid.l2_norm_hat(fhat)
     # complex input is transformed in a copy
@@ -216,3 +262,14 @@ def test_kmax_dealiased_is_two_thirds_rule(grid1d):
     assert kept.max() <= grid1d.kmax_dealiased + 1e-12
     # the mask keeps at most 2/3 of the modes per axis
     assert grid1d.dealias_mask.sum() <= int(np.ceil(2 * grid1d.npts / 3)) + 1
+
+
+def test_grids_compare_and_hash_by_dim_npts_length():
+    grid = PeriodicGrid(2, 16, 1.0)
+    assert grid == PeriodicGrid(2, 16, 1.0)
+    assert hash(grid) == hash(PeriodicGrid(2, 16, 1.0))
+    assert grid != PeriodicGrid(2, 32, 1.0) and grid != PeriodicGrid(2, 16, 2.0)
+    # the cached 2x grid is no field: building it changes neither
+    assert grid.fine == PeriodicGrid(2, 32, 1.0) and grid.fine is grid.fine
+    assert grid == PeriodicGrid(2, 16, 1.0) and hash(grid) == hash(PeriodicGrid(2, 16, 1.0))
+    assert len({grid, PeriodicGrid(2, 16, 1.0), PeriodicGrid(1, 16, 1.0)}) == 2

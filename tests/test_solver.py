@@ -21,6 +21,7 @@ from eulerfourier.solver import (
     linear_rhs,
     load_checkpoint,
     nonlinear_rhs,
+    positivity_margin,
     save_checkpoint,
 )
 
@@ -308,6 +309,31 @@ def test_nan_in_any_component_stops_the_run_at_that_step(monkeypatch):
     monkeypatch.setattr(Stepper, "step_hat", poisoned)
     with pytest.raises(NonFinite, match=r"t=0\.003$"):
         integrate(grid, state0, SolverConfig(dt=1e-3, t_end=0.01, sample_stride=10**9))
+
+
+def test_positivity_margin_is_the_least_of_one_plus_a_and_theta(rng):
+    # one state, a chunk of states, and NaN in either field
+    for shape in ((3,) + GRID.shape, (3, 4) + GRID.shape):
+        for nan_at in (None, 0, -1):
+            data = 0.5 * rng.standard_normal(shape)
+            if nan_at is not None:
+                data[nan_at].flat[5] = np.nan
+            state = StateFields(data)
+            want = min(1.0 + state.a.min(), 1.0 + state.theta.min())
+            assert np.float64(positivity_margin(state)).tobytes() == np.float64(want).tobytes()
+            if nan_at is None:  # rounding is monotone: min fl(1 + a) = fl(1 + min a)
+                least = min(np.min(1.0 + state.a), np.min(1.0 + state.theta))
+                assert positivity_margin(state) == least
+
+
+def test_cfl_check_and_nonlinear_rhs_need_both_fields_positive():
+    for field in ("a", "theta"):
+        state = _single_mode_state(GRID, 1e-3)
+        getattr(state, field)[7] = -1.0
+        with pytest.raises(PositivityViolation):
+            cfl_check(GRID, state)
+        with pytest.raises(PositivityViolation):
+            nonlinear_rhs(GRID, state)
 
 
 def test_dt_above_cfl_bound_is_rejected():
