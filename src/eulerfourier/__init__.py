@@ -7,7 +7,6 @@ Lyapunov functionals, and a decay-rate harness tying them together.
 """
 
 from .decay import (
-    DecayReport,
     InitialDataSpec,
     RateTarget,
     damped_mode_check,
@@ -62,7 +61,6 @@ __all__ = [
     "integrate",
     "InitialDataSpec",
     "RateTarget",
-    "DecayReport",
     "fit_rate",
     "generate_initial_data",
     "run_decay_experiment",

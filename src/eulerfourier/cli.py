@@ -1,13 +1,16 @@
 """Command-line driver: experiment registry, persistence, report emission.
 
-Every subcommand resolves to one experiment runner that returns verdict
-records and named curves.  The module that measures a quantity also
-decides its pass rule: the inequality, decay, damped-mode and Lyapunov
-runners only collect the verdicts their checks return.  This module owns
-directory layout, JSONL/CSV emission, schema validation, the run record
-with timestamps, and exit codes (0 iff all verdicts pass, 2 on errors,
-with a machine-readable ``error.json``).  Verdict files are
-byte-identical across reruns of the same configuration.
+Every subcommand resolves to one experiment runner that builds the
+inputs of its checks and returns what they return, one
+:class:`~eulerfourier.reporting.Outcome` of verdicts, named curves and
+notes.  The module that measures a quantity also decides its pass rule:
+all seven runners only collect the verdicts their checks return, and this
+module makes none beyond the sweep rows and the ``--strict`` warnings.
+It owns directory layout, the ``simulate`` checkpoint, JSONL/CSV
+emission, schema validation, the run record with timestamps, and exit
+codes (0 iff all verdicts pass, 2 on errors, with a machine-readable
+``error.json``).  Verdict files are byte-identical across reruns of the
+same configuration.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from .config import KINDS, RunConfig, parse_config
 from .grid import PeriodicGrid
 from .littlewood import FrequencySplit, LittlewoodPaley
 from .reporting import (
+    Outcome,
     RunRecord,
     Verdict,
     validate_verdict_file,
@@ -35,79 +40,28 @@ from .reporting import (
 
 ENV_OUT_DIR = "EULERFOURIER_OUT"
 
-#: runner result: (verdicts, {curve name: (times, values, meta)}, notes)
-RunnerResult = tuple[list[Verdict], dict, list[str]]
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _slug(text: str) -> str:
-    return (
-        text.replace(" ", "_").replace("/", "-").replace("-", "m")
-        if text.startswith("-")
-        else text.replace(" ", "_").replace("/", "-")
-    )
-
-
 # ----------------------------------------------------------------------
 # runners
 # ----------------------------------------------------------------------
-def _run_lp_inspect(cfg: RunConfig) -> RunnerResult:
+def _run_lp_inspect(cfg: RunConfig) -> Outcome:
+    from .inequalities import check_partition
+
     opts = cfg.options
     grid = PeriodicGrid(dim=int(opts["dim"]), npts=int(opts["npts"]),
                         length=float(opts["length"]))
-    lp = LittlewoodPaley(grid)
-    cutoffs = lp.cutoffs
-    rng = np.random.default_rng(cfg.seed)
-
-    radii = np.geomspace(1e-3, 1e3, int(opts["radii"]))
-    js = np.arange(-14, 15)
-    partition = np.zeros_like(radii)
-    for j in js:
-        partition += cutoffs.phi(radii * 2.0 ** (-float(j)))
-    residual = np.abs(partition - 1.0)
-
-    lo, hi = lp.covered_band
-    band_mask = (grid.kmag >= lo) & (grid.kmag <= hi)
-
-    def covered_field() -> np.ndarray:
-        """Random field supported where the shells tile unity exactly."""
-        return grid.inverse(grid.forward(rng.standard_normal(grid.shape)) * band_mask)
-
-    tele_worst = 0.0
-    disjoint_worst = 0.0
-    for _ in range(int(opts["trials"])):
-        f = covered_field()
-        f = f - grid.mean(f)
-        norm = grid.l2_norm(f)
-        total = np.zeros_like(f)
-        for j in lp.shells:
-            total += lp.block(f, j)
-        tele_worst = max(tele_worst, grid.l2_norm(total - f) / norm)
-    probe = covered_field()
-    pnorm = grid.l2_norm(probe)
-    for j in lp.shells:
-        bj = lp.block(probe, j)
-        for jp in lp.shells:
-            if abs(j - jp) >= 2:
-                disjoint_worst = max(disjoint_worst, grid.l2_norm(lp.block(bj, jp)) / pnorm)
-
-    verdicts = [
-        Verdict.from_bound("partition-residual", float(residual.max()),
-                           float(opts["partition_tol"]), radii=int(opts["radii"])),
-        Verdict.from_bound("telescoping-residual", tele_worst,
-                           float(opts["telescope_tol"]), trials=int(opts["trials"])),
-        Verdict.from_bound("shell-disjointness", disjoint_worst,
-                           float(opts["disjoint_tol"])),
-    ]
-    curves = {"partition_residual": (radii, residual,
-                                     {"x": "radius", "what": "abs(sum_j phi - 1)"})}
-    return verdicts, curves, []
+    return check_partition(LittlewoodPaley(grid), np.random.default_rng(cfg.seed),
+                           radii=int(opts["radii"]), trials=int(opts["trials"]),
+                           partition_tol=float(opts["partition_tol"]),
+                           telescope_tol=float(opts["telescope_tol"]),
+                           disjoint_tol=float(opts["disjoint_tol"]))
 
 
-def _run_validate(cfg: RunConfig) -> RunnerResult:
+def _run_validate(cfg: RunConfig) -> Outcome:
     from . import inequalities as ineq
 
     opts = cfg.options
@@ -128,7 +82,7 @@ def _run_validate(cfg: RunConfig) -> RunnerResult:
         verdicts += ineq.check_product(lp, rng(20 + i), trials=trials, variant=variant,
                                        budget=budget)
     verdicts += ineq.check_commutator(lp, rng(30), trials=trials, budget=budget)
-    return verdicts, {}, []
+    return Outcome(verdicts)
 
 
 def _decay_targets(cfg: RunConfig):
@@ -143,23 +97,18 @@ def _decay_targets(cfg: RunConfig):
     return targets
 
 
-def _run_linear_decay(cfg: RunConfig) -> RunnerResult:
+def _run_linear_decay(cfg: RunConfig) -> Outcome:
     from .decay import InitialDataSpec, run_decay_experiment
 
     opts = cfg.options
     spec = InitialDataSpec(sigma1=float(opts["sigma1"]), dim=int(opts["dim"]),
                            amplitude=float(opts["amplitude"]), seed=cfg.seed)
-    window = (float(opts["t_start"]), float(opts["t_end"]))
-    report = run_decay_experiment(
-        spec, _decay_targets(cfg), "linear-quadrature", window=window,
+    return run_decay_experiment(
+        spec, _decay_targets(cfg), "linear-quadrature",
+        window=(float(opts["t_start"]), float(opts["t_end"])),
         nodes_per_octave=int(opts["nodes_per_octave"]),
         neg_ratio_bound=float(opts["neg_ratio_bound"]),
     )
-    curves = {
-        _slug(name): (t, v, {"window": list(window), "mode": report.mode})
-        for name, (t, v) in report.curves.items()
-    }
-    return report.verdicts, curves, []
 
 
 def _box_pieces(cfg: RunConfig):
@@ -175,9 +124,8 @@ def _box_pieces(cfg: RunConfig):
     return grid, lp, spec, state0
 
 
-def _run_simulate(cfg: RunConfig) -> RunnerResult:
-    from .solver import (POSITIVITY_FLOOR, SolverConfig, integrate, positivity_margin,
-                         save_checkpoint)
+def _run_simulate(cfg: RunConfig) -> Outcome:
+    from .solver import SolverConfig, check_trajectory, integrate, save_checkpoint
 
     opts = cfg.options
     grid, lp, spec, state0 = _box_pieces(cfg)
@@ -189,32 +137,16 @@ def _run_simulate(cfg: RunConfig) -> RunnerResult:
         snapshot_stride=int(opts["snapshot_stride"]) or None,
     )
     traj = integrate(grid, state0, sc, lp=lp)
-    times = traj.series.times
-
-    drift = float(np.max(np.abs(np.asarray(traj.mean_a) - traj.mean_a[0])))
-    finite = bool(np.all(np.isfinite(traj.series.norms)))
-    verdicts = [
-        Verdict.from_bound("mass-drift", drift, float(opts["mass_tol"])),
-        Verdict.from_bound("nonfinite-samples", 0.0 if finite else 1.0, 0.0),
-        Verdict.from_floor("final-positivity-margin", positivity_margin(traj.snapshots[-1]),
-                           POSITIVITY_FLOOR),
-    ]
-    crit = traj.series.critical()
-    curves = {
-        "critical_norm": (times, crit, {"what": "hybrid critical norm"}),
-        "max_speed": (times, np.asarray(traj.max_speed), {}),
-        "mean_density": (times, np.asarray(traj.mean_a), {}),
-    }
-    notes: list[str] = []
-    if opts.get("checkpoint", True):
-        path = cfg.out_dir / "final_state"
-        save_checkpoint(path, grid, traj.snapshots[-1], float(times[-1]),
-                        meta={"kind": cfg.kind, "config": cfg.digest})
-        notes.append(f"checkpoint written: {path}.npz (+ .txt sidecar)")
-    return verdicts, curves, notes
+    outcome = check_trajectory(traj, float(opts["mass_tol"]))
+    if not opts.get("checkpoint", True):
+        return outcome
+    path = cfg.out_dir / "final_state"
+    save_checkpoint(path, grid, traj.snapshots[-1], float(traj.series.times[-1]),
+                    meta={"kind": cfg.kind, "config": cfg.digest})
+    return replace(outcome, notes=[f"checkpoint written: {path}.npz (+ .txt sidecar)"])
 
 
-def _run_decay_fit(cfg: RunConfig) -> RunnerResult:
+def _run_decay_fit(cfg: RunConfig) -> Outcome:
     from .decay import RateTarget, run_decay_experiment
     from .solver import SolverConfig, integrate
 
@@ -227,37 +159,34 @@ def _run_decay_fit(cfg: RunConfig) -> RunnerResult:
     traj = integrate(grid, state0, sc, lp=lp)
     targets = [RateTarget(sigma=float(opts["sigma"]), component="state",
                           tolerance=float(opts["tolerance"]))]
-    report = run_decay_experiment(spec, targets, "nonlinear-box",
-                                  trajectory=traj, window=window)
-    curves = {
-        _slug(name): (t, v, {"window": list(window), "mode": report.mode})
-        for name, (t, v) in report.curves.items()
-    }
-    return report.verdicts, curves, []
+    return run_decay_experiment(spec, targets, "nonlinear-box", trajectory=traj, window=window)
 
 
-def _run_lyapunov(cfg: RunConfig) -> RunnerResult:
+def _run_lyapunov(cfg: RunConfig) -> Outcome:
     from .lyapunov import lyapunov_residual
     from .solver import SolverConfig, integrate
 
     opts = cfg.options
     grid, lp, spec, state0 = _box_pieces(cfg)
+    j_lo, j_hi = int(opts["j_lo"]), int(opts["j_hi"])
+    shells = [j for j in range(j_lo, j_hi + 1) if j in lp.shells]
+    if not shells:
+        raise ValueError(f"no shell in [j_lo, j_hi] = [{j_lo}, {j_hi}] is resolved; "
+                         f"this grid resolves shells {lp.j_min} to {lp.j_max}")
     sc = SolverConfig(dt=float(opts["dt"]) or None, t_end=float(opts["t_end"]),
                       sample_stride=1, snapshot_stride=1, epsilon0=None)
     traj = integrate(grid, state0, sc, lp=lp)
     eta = float(opts["eta"])
-    shells = [j for j in range(int(opts["j_lo"]), int(opts["j_hi"]) + 1)
-              if j in lp.shells]
     # each functional is coercive only on its own side of the split
     pairs = [(regime, j) for regime in ("low", "high")
              for j in FrequencySplit().select(shells, regime)]
     results = lyapunov_residual(traj, pairs, eta=eta, budget=float(opts["budget"]), lp=lp)
     curves = {f"energy_{r.regime}_j{r.j}":
               (r.times, r.energy, {"regime": r.regime, "shell": r.j, "eta": eta}) for r in results}
-    return [r.verdict for r in results], curves, []
+    return Outcome([r.verdict for r in results], curves)
 
 
-def _run_damped_mode(cfg: RunConfig) -> RunnerResult:
+def _run_damped_mode(cfg: RunConfig) -> Outcome:
     from .decay import _default_linear_times, damped_mode_check
 
     opts = cfg.options
@@ -278,14 +207,8 @@ def _run_damped_mode(cfg: RunConfig) -> RunnerResult:
         sc = SolverConfig(t_end=window[1], sample_stride=int(opts["sample_stride"]),
                           snapshot_stride=int(opts["snapshot_stride"]), epsilon0=None)
         run = integrate(grid, state0, sc, lp=lp)
-    rep = damped_mode_check(run, sigma1, sigma=float(opts["sigma"]),
-                            window=window, tolerance=float(opts["tolerance"]))
-    notes = [rep.note] if rep.out_of_theorem else []
-    curves = {
-        _slug(name): (t, v, {"sigma1": sigma1})
-        for name, (t, v) in rep.curves.items()
-    }
-    return rep.verdicts, curves, notes
+    return damped_mode_check(run, sigma1, sigma=float(opts["sigma"]),
+                             window=window, tolerance=float(opts["tolerance"]))
 
 
 RUNNERS = {
@@ -312,9 +235,10 @@ def run(cfg: RunConfig, strict: bool = False) -> RunRecord:
     started = _now()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    verdicts, curves, notes = RUNNERS[cfg.kind](cfg)
+    outcome = RUNNERS[cfg.kind](cfg)
+    verdicts, notes = list(outcome.verdicts), list(outcome.notes)
     if strict:
-        for i, note in enumerate([n for n in notes if n]):
+        for i, note in enumerate(notes):
             verdicts.append(Verdict(f"strict-warning-{i}", 0.0, 1.0, 0.0, False,
                                     {"note": note}))
 
@@ -322,7 +246,7 @@ def run(cfg: RunConfig, strict: bool = False) -> RunRecord:
     vpath = write_verdicts(out / "verdicts.jsonl", verdicts)
     validate_verdict_file(vpath)
     artifacts.append(str(vpath))
-    for name, (times, values, meta) in curves.items():
+    for name, (times, values, meta) in outcome.curves.items():
         meta = {"config": cfg.digest, "kind": cfg.kind} | dict(meta)
         artifacts.append(str(write_curve(out / "curves" / f"{name}.csv",
                                          times, values, meta)))
@@ -331,13 +255,13 @@ def run(cfg: RunConfig, strict: bool = False) -> RunRecord:
     n_fail = len(verdicts) - n_pass
     lines = [f"{cfg.kind} run {cfg.digest}: {n_pass} passed, {n_fail} failed"]
     lines += [_format_verdict(v) for v in verdicts]
-    lines += [f"note: {n}" for n in notes if n]
+    lines += [f"note: {n}" for n in notes]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     artifacts.append(str(out / "summary.txt"))
 
     record = RunRecord(kind=cfg.kind, config_hash=cfg.digest, started_at=started,
                        finished_at=_now(), artifacts=artifacts,
-                       n_pass=n_pass, n_fail=n_fail, notes=[n for n in notes if n])
+                       n_pass=n_pass, n_fail=n_fail, notes=notes)
     record.write(out / "run_record.json")
     return record
 
@@ -427,10 +351,21 @@ def _run_sweep(args) -> int:
 
     A config that fails to parse or raises gets its ``error.json`` and a
     failed ``sweep_summary.jsonl`` row with measured = inf.  Exit code 2
-    if any config errored, else 1 if any verdict failed, else 0.
+    if any config errored, else 1 if any verdict failed, else 0.  Configs
+    whose file stems collide would share a directory, so none runs: the
+    sweep root gets an ``error.json`` naming both and the exit code is 2.
     """
     out_root = _resolve_out(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
+    seen: dict[str, Path] = {}
+    for path in args.configs:
+        if path.stem in seen:
+            exc = ValueError(f"configs {seen[path.stem]} and {path} share the stem "
+                             f"{path.stem!r}, so both would run in {out_root / path.stem}")
+            print(f"configuration error: {exc}", file=sys.stderr)
+            write_error_record(out_root / "error.json", "sweep", "unparsed", exc)
+            return 2
+        seen[path.stem] = path
 
     def work(path: Path) -> tuple:
         return _guarded_run(out_root / path.stem, args.strict, "unparsed", path=path)

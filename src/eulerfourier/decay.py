@@ -20,14 +20,15 @@ Conventions
   ``ShellSeries`` reduction takes: low shells ``j <= 0``, high shells
   ``j >= -1``.
 * :func:`run_decay_experiment`, :func:`damped_mode_check` and
-  :func:`time_weighted_functionals` each decide their own pass rules:
-  their reports carry :class:`~eulerfourier.reporting.Verdict` records.
+  :func:`time_weighted_functionals` each decide their own pass rules and
+  return one :class:`~eulerfourier.reporting.Outcome`: its verdicts, its
+  curves with their CSV meta, and its notes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,16 +36,13 @@ import numpy as np
 from .grid import PeriodicGrid, StateFields
 from .linear import saturating_profile, semigroup_besov_decay
 from .littlewood import COMPONENTS, FrequencySplit, LittlewoodPaley, ShellSeries
-from .reporting import Verdict
+from .reporting import Outcome, Verdict
 from .solver import TrajectoryRecord, nonlinear_rhs
 
 __all__ = [
     "InitialDataSpec",
     "RateTarget",
     "RateFit",
-    "DecayReport",
-    "DampedModeReport",
-    "TimeWeightedReport",
     "generate_initial_data",
     "fit_rate",
     "run_decay_experiment",
@@ -310,24 +308,9 @@ class RateTarget:
         return f"{self.component}_s{self.sigma:g}_sigma1_{sigma1:g}"
 
 
-@dataclass
-class DecayReport:
-    """Outcome of one decay experiment: verdicts plus the raw curves.
-
-    ``verdicts`` holds one fitted-exponent comparison per target, then the
-    ``neg-norm-ratio`` bound on the low sup-shell norm at regularity
-    ``-sigma1`` relative to ``delta0``.
-    """
-
-    mode: str
-    delta0: float
-    verdicts: list[Verdict]
-    curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-
 def _default_linear_times(window: tuple[float, float]) -> np.ndarray:
-    start = min(1.0, window[0])
+    # t = 0 is always the first time, so a window from 0 starts the ladder at 1
+    start = min(1.0, window[0]) or 1.0
     return np.concatenate(
         [[0.0], np.geomspace(start, window[1] * 1.0000001, 160)]
     )
@@ -342,7 +325,7 @@ def run_decay_experiment(
     nodes_per_octave: int = 64,
     trajectory: TrajectoryRecord | None = None,
     neg_ratio_bound: float = 4.0,
-) -> DecayReport:
+) -> Outcome:
     """Measure decay exponents against their predictions.
 
     ``linear-quadrature`` evolves a radial whole-space profile with the
@@ -351,6 +334,10 @@ def run_decay_experiment(
     so the fit window must end before the box sound-crossing horizon
     ``L/2``.  ``neg_ratio_bound`` bounds the
     growth of the sup-shell norm at regularity ``-sigma1`` over ``delta0``.
+
+    The verdicts are one fitted-exponent comparison per target, then the
+    ``neg-norm-ratio`` bound (with ``delta0`` among its extras); the curves
+    are ``neg_sup`` and one per target, each with the fit window and mode.
     """
     for tgt in targets:
         tgt.validate(spec.dim, spec.sigma1)
@@ -376,15 +363,13 @@ def run_decay_experiment(
                 lo = max(lo, 1e-10)
             band = (lo, 1.0)
         profile = saturating_profile(spec.sigma1, spec.dim, band, spec.amplitude)
-        curve = semigroup_besov_decay(
+        run = semigroup_besov_decay(
             profile,
             spec.dim,
             _default_linear_times(window),
             nodes_per_octave=nodes_per_octave,
             r_range=(band[0] * 0.5, max(1e3, band[1] * 4.0)),
         )
-        run = curve
-        meta = dict(curve.meta)
     elif mode == "nonlinear-box":
         if trajectory is None:
             raise ValueError("nonlinear-box mode needs a trajectory")
@@ -397,7 +382,6 @@ def run_decay_experiment(
                 f"horizon L/2 = {box / 2.0}; periodic images contaminate later times"
             )
         run = trajectory
-        meta = {"box": box, "dt": trajectory.dt}
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -409,13 +393,14 @@ def run_decay_experiment(
     neg_sup = series.besov(-spec.sigma1, np.inf, regime="low")
     neg_norm_ratio = float(np.max(neg_sup) / delta0) if delta0 > 0 else 0.0
 
-    curves: dict[str, tuple[np.ndarray, np.ndarray]] = {"neg_sup": (rtimes, neg_sup)}
+    meta = {"window": list(window), "mode": mode}
+    curves = {"neg_sup": (rtimes, neg_sup, meta)}
     verdicts: list[Verdict] = []
     for tgt in targets:
         components = COMPONENTS if tgt.component == "state" else ("u",)
         vals = series.besov(tgt.sigma, 1, components)
         name = tgt.name(spec.sigma1)
-        curves[name] = (rtimes, vals)
+        curves[name] = (rtimes, vals, meta)
         fit = fit_rate(rtimes, vals, window)
         verdicts.append(Verdict.from_comparison(
             name, tgt.predicted_exponent(spec.sigma1), fit.exponent, tgt.tolerance,
@@ -424,13 +409,7 @@ def run_decay_experiment(
     verdicts.append(Verdict.from_bound("neg-norm-ratio", neg_norm_ratio, neg_ratio_bound,
                                        delta0=delta0, x0=x0))
 
-    return DecayReport(
-        mode=mode,
-        delta0=delta0,
-        verdicts=verdicts,
-        curves=curves,
-        meta=meta | {"seed": spec.seed, "amplitude": spec.amplitude},
-    )
+    return Outcome(verdicts, curves)
 
 
 # ----------------------------------------------------------------------
@@ -466,22 +445,6 @@ def convolution_bound_constant() -> float:
         integral = float(np.sum(decay * contrib))
         best = max(best, math.sqrt(1.0 + t) * integral)
     return best
-
-
-@dataclass
-class DampedModeReport:
-    """Duhamel-identity and enhanced-decay diagnostics for the velocity.
-
-    ``verdicts`` holds ``u-neg-sup-exponent``, ``u-enhanced-exponent``,
-    ``duhamel-convolution-constant`` and, for trajectory input only,
-    ``duhamel-reconstruction``.
-    """
-
-    out_of_theorem: bool
-    note: str
-    neg_fit: RateFit
-    verdicts: list[Verdict]
-    curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def duhamel_reconstruction(traj: TrajectoryRecord) -> tuple[float, float]:
@@ -532,7 +495,7 @@ def damped_mode_check(
     sigma: float = 0.0,
     window: tuple[float, float] | None = None,
     tolerance: float = 0.10,
-) -> DampedModeReport:
+) -> Outcome:
     """Check the damped velocity mode against its Duhamel description.
 
     Three probes: (i) on trajectories, reconstruct u through the
@@ -542,18 +505,18 @@ def damped_mode_check(
     shell norm at regularity ``sigma`` against the enhanced exponent
     ``-(1 + sigma + sigma1)/2``.  Each probe is one verdict, and a fourth
     bounds the convolution constant of the Duhamel argument by
-    ``CONVOLUTION_BOUND``.  Runs with d=1 or sigma1 outside (-d/2+1, d/2]
-    are still measured but flagged ``out_of_theorem``.
+    ``CONVOLUTION_BOUND``.  The verdicts are ``u-neg-sup-exponent``,
+    ``u-enhanced-exponent``, ``duhamel-convolution-constant`` and, for
+    trajectory input only, ``duhamel-reconstruction``; the two fitted
+    curves carry ``sigma1``.  Runs with d=1 or sigma1 outside
+    (-d/2+1, d/2] are still measured, with a note saying so.
     """
     series = run.series
     times, dim = series.times, series.dim
-    out = not velocity_enhancement_in_range(dim, sigma1)
-    note = (
+    notes = [] if velocity_enhancement_in_range(dim, sigma1) else [
         "d=1 or sigma1 outside (-d/2+1, d/2]: enhanced velocity decay is "
         "outside the proven range; exponents reported for exploration only"
-        if out
-        else ""
-    )
+    ]
 
     if window is None:
         positive = times[times > 0]
@@ -579,49 +542,21 @@ def damped_mode_check(
         verdicts.append(Verdict.from_bound("duhamel-reconstruction", duh_err,
                                            max(25.0 * h_max**2, 1e-12)))
 
-    return DampedModeReport(
-        out_of_theorem=out,
-        note=note,
-        neg_fit=neg_fit,
-        verdicts=verdicts,
-        curves={
-            "u_neg_sup": (times, neg_series),
-            f"u_s{sigma:g}": (times, sig_series),
-        },
-    )
+    meta = {"sigma1": sigma1}
+    curves = {"u_neg_sup": (times, neg_series, meta), f"u_s{sigma:g}": (times, sig_series, meta)}
+    return Outcome(verdicts, curves, notes)
 
 
 # ----------------------------------------------------------------------
 # time-weighted norm budgets
 # ----------------------------------------------------------------------
-@dataclass
-class TimeWeightedReport:
-    """The (1+t)^M weighted budget, its unweighted companion and their verdicts.
-
-    ``verdicts`` holds ``time-weighted-growth`` (the fitted growth exponent
-    of ``x_m`` within ``GROWTH_TOLERANCE`` of ``M - (d/2 + sigma1)/2``; it
-    fails when the fit window spans less than a decade) and
-    ``time-weighted-low-bound`` (``x_l(T) / delta0 <= LOW_BOUND_RATIO``).
-    """
-
-    m_exp: float
-    sigma1: float
-    dim: int
-    times: np.ndarray
-    x_m: np.ndarray
-    x_l: np.ndarray
-    delta0: float
-    growth_fit: RateFit | None
-    verdicts: list[Verdict]
-
-
 def time_weighted_functionals(
     run,
     m_exp: float,
     sigma1: float,
     *,
     fit_window: tuple[float, float] | None = None,
-) -> TimeWeightedReport:
+) -> Outcome:
     """Accumulate the (1+t)^M weighted budget and fit its growth.
 
     The weighted budget combines sup-in-time and L2-in-time shell norms
@@ -632,6 +567,12 @@ def time_weighted_functionals(
     is the admissibility rule ``M > 1 + (d/2 + sigma1)/2`` enforced here.
     The unweighted companion ``x_l`` (sup-shell norms at regularity
     -sigma1) must stay bounded by a moderate multiple of delta0.
+
+    The verdicts are ``time-weighted-growth`` (the fitted growth exponent
+    of ``x_m`` within ``GROWTH_TOLERANCE`` of ``M - (d/2 + sigma1)/2``; it
+    fails when the fit window spans less than a decade) and
+    ``time-weighted-low-bound`` (``x_l(T) / delta0 <= LOW_BOUND_RATIO``);
+    the curves are ``x_m`` and ``x_l``, each with ``sigma1`` and ``m_exp``.
     """
     series = run.series
     times, dim = series.times, series.dim
@@ -670,15 +611,13 @@ def time_weighted_functionals(
     bound_ratio = float(x_l[-1] / delta0) if delta0 > 0 else 0.0
 
     predicted = m_exp - (dim / 2.0 + sigma1) / 2.0
-    growth_fit = None
     exponent, decades = math.nan, 0.0
     if float(np.max(x_m)) > 0.0:
         if fit_window is None:
             positive = times[times > 0]
             fit_window = (float(positive[0]), float(times[-1]))
         decades = math.log10((1.0 + fit_window[1]) / (1.0 + fit_window[0]))
-        growth_fit = fit_rate(times, x_m, fit_window)
-        exponent = growth_fit.exponent
+        exponent = fit_rate(times, x_m, fit_window).exponent
     verdicts = [
         Verdict("time-weighted-growth", predicted, exponent, GROWTH_TOLERANCE,
                 abs(exponent - predicted) <= GROWTH_TOLERANCE and decades >= 1.0,
@@ -687,14 +626,5 @@ def time_weighted_functionals(
                            delta0=delta0),
     ]
 
-    return TimeWeightedReport(
-        m_exp=m_exp,
-        sigma1=float(sigma1),
-        dim=dim,
-        times=times,
-        x_m=x_m,
-        x_l=x_l,
-        delta0=delta0,
-        growth_fit=growth_fit,
-        verdicts=verdicts,
-    )
+    meta = {"sigma1": sigma1, "m_exp": m_exp}
+    return Outcome(verdicts, {"x_m": (times, x_m, meta), "x_l": (times, x_l, meta)})

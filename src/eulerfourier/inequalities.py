@@ -7,7 +7,10 @@ inequalities carry unspecified constants, so "validation" means the ratio
 stays below a fixed, generously chosen budget across many seeded trials --
 boundedness, not a sharp constant.  Budgets are inputs, never tuned from
 the data.  The annulus Bernstein check also returns the reverse bound, a
-floor of ``RING_INNER**k`` on the least ratio.
+floor of ``RING_INNER**k`` on the least ratio.  :func:`check_partition`
+measures the shells' own identities (partition of unity, telescoping,
+disjointness) against tolerances and returns an
+:class:`~eulerfourier.reporting.Outcome` with its residual curve.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import numpy as np
 
 from .littlewood import LittlewoodPaley
 from .randfields import random_field, ball_field
-from .reporting import Verdict
+from .reporting import Outcome, Verdict
 
 __all__ = [
+    "check_partition",
     "check_bernstein",
     "check_interpolation",
     "check_product",
@@ -45,6 +49,73 @@ def _band_field(lp: LittlewoodPaley, rng: np.random.Generator, exponent: float) 
     lo = RING_INNER * 2.0**lp.j_min
     hi = RING_OUTER * 2.0**lp.j_max
     return random_field(lp.grid, rng, band=(lo, hi), exponent=exponent)
+
+
+# ----------------------------------------------------------------------
+# the dyadic partition itself
+
+
+def check_partition(
+    lp: LittlewoodPaley,
+    rng: np.random.Generator,
+    *,
+    radii: int,
+    trials: int,
+    partition_tol: float,
+    telescope_tol: float,
+    disjoint_tol: float,
+) -> Outcome:
+    """Partition of unity, telescoping and shell disjointness.
+
+    ``partition-residual`` is the largest ``|sum_j phi(r 2^-j) - 1|`` over
+    ``radii`` radii in [1e-3, 1e3], which is also the curve
+    ``partition_residual``; ``telescoping-residual`` the largest relative
+    L^2 error of the summed blocks over ``trials`` mean-free random fields
+    supported where the shells tile unity; ``shell-disjointness`` the
+    largest relative norm of ``block_j'(block_j f)`` with ``|j - j'| >= 2``
+    on one such field.
+    """
+    grid = lp.grid
+    radius = np.geomspace(1e-3, 1e3, radii)
+    partition = np.zeros_like(radius)
+    for j in range(-14, 15):
+        partition += lp.cutoffs.phi(radius * 2.0 ** (-float(j)))
+    residual = np.abs(partition - 1.0)
+
+    lo, hi = lp.covered_band
+    band_mask = (grid.kmag >= lo) & (grid.kmag <= hi)
+
+    def covered_field() -> np.ndarray:
+        """Random field supported where the shells tile unity exactly."""
+        return grid.inverse(grid.forward(rng.standard_normal(grid.shape)) * band_mask)
+
+    tele_worst = 0.0
+    disjoint_worst = 0.0
+    for _ in range(trials):
+        f = covered_field()
+        f = f - grid.mean(f)
+        norm = grid.l2_norm(f)
+        total = np.zeros_like(f)
+        for j in lp.shells:
+            total += lp.block(f, j)
+        tele_worst = max(tele_worst, grid.l2_norm(total - f) / norm)
+    probe = covered_field()
+    pnorm = grid.l2_norm(probe)
+    for j in lp.shells:
+        bj = lp.block(probe, j)
+        for jp in lp.shells:
+            if abs(j - jp) >= 2:
+                disjoint_worst = max(disjoint_worst, grid.l2_norm(lp.block(bj, jp)) / pnorm)
+
+    verdicts = [
+        Verdict.from_bound("partition-residual", float(residual.max()), partition_tol,
+                           radii=radii),
+        Verdict.from_bound("telescoping-residual", tele_worst, telescope_tol, trials=trials),
+        Verdict.from_bound("shell-disjointness", disjoint_worst, disjoint_tol),
+    ]
+    curves = {"partition_residual": (radius, residual,
+                                     {"x": "radius", "what": "abs(sum_j phi - 1)"})}
+    return Outcome(verdicts, curves)
 
 
 # ----------------------------------------------------------------------

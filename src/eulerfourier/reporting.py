@@ -21,6 +21,7 @@ ERROR_SCHEMA_VERSION = "error-v1"
 
 __all__ = [
     "Verdict",
+    "Outcome",
     "RunRecord",
     "config_hash",
     "render_verdict_line",
@@ -96,6 +97,20 @@ class Verdict:
                 raise ValueError(f"extra field {key!r} collides with a core field")
             record[key] = _plain(self.extras[key])
         return record
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What one check returns: its verdicts, named curves and notes.
+
+    ``curves`` maps each curve's name, the stem of its CSV file, to
+    ``(times, values, csv_meta)``; ``csv_meta`` holds the header entries the
+    check knows, to which the run adds its kind and config hash.
+    """
+
+    verdicts: list[Verdict]
+    curves: dict = field(default_factory=dict)
+    notes: list[str] = field(default_factory=list)
 
 
 def render_verdict_line(verdict: Verdict) -> str:

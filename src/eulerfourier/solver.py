@@ -47,7 +47,7 @@ import numpy as np
 from .grid import PeriodicGrid, StateFields
 from .linear import reduced_symbol
 from .littlewood import LittlewoodPaley, ShellSeries
-from .reporting import config_hash
+from .reporting import Outcome, Verdict, config_hash
 
 
 #: fraction of the advective bound that :func:`cfl_check` admits as a step
@@ -69,6 +69,29 @@ def positivity_margin(state: StateFields) -> float:
     """How far a state or chunk is from vacuum: the least of 1 + a and 1 + theta
     (1 + the least a or theta, which rounding, being monotone, keeps bit for bit)."""
     return float(min(1.0 + state.a.min(), 1.0 + state.theta.min()))
+
+
+def check_trajectory(traj: TrajectoryRecord, mass_tol: float) -> Outcome:
+    """A run's own health: ``mass-drift`` (the density mean's largest change,
+    at most ``mass_tol``), ``nonfinite-samples`` (every sampled shell norm
+    finite) and ``final-positivity-margin`` (the final state at least
+    ``POSITIVITY_FLOOR``), with the critical-norm, signal-speed and
+    density-mean curves."""
+    times = traj.series.times
+    drift = float(np.max(np.abs(traj.mean_a - traj.mean_a[0])))
+    finite = bool(np.all(np.isfinite(traj.series.norms)))
+    verdicts = [
+        Verdict.from_bound("mass-drift", drift, mass_tol),
+        Verdict.from_bound("nonfinite-samples", 0.0 if finite else 1.0, 0.0),
+        Verdict.from_floor("final-positivity-margin", positivity_margin(traj.snapshots[-1]),
+                           POSITIVITY_FLOOR),
+    ]
+    curves = {
+        "critical_norm": (times, traj.series.critical(), {"what": "hybrid critical norm"}),
+        "max_speed": (times, traj.max_speed, {}),
+        "mean_density": (times, traj.mean_a, {}),
+    }
+    return Outcome(verdicts, curves)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -497,15 +498,21 @@ parsed = {loaded}
 cli.run(cfg)
 print(json.dumps([parsed, {loaded}]))
 """
-    expected = {entry: _loaded_modules(reference, *entry) for entry in set(KIND_MODULES.values())}
-    assert expected[()] == []
+    entries = list(set(KIND_MODULES.values()))
     runs = [(kind, overrides, parse_config(kind=kind, overrides=overrides).modules)
             for kind, overrides in _SMALL_RUNS]
     assert {kind for kind, _, _ in runs} == set(KINDS)
     assert {modules for _, _, modules in runs} == set(KIND_MODULES.values())
-    for i, (kind, overrides, modules) in enumerate(runs):
-        out = tmp_path / f"{i}-{kind}"
-        parsed, ran = _loaded_modules(script, kind, json.dumps(overrides), str(out))
+    outs = [tmp_path / f"{i}-{kind}" for i, (kind, _, _) in enumerate(runs)]
+    # the fresh interpreters are independent: at most one per core at a time
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        references = [pool.submit(_loaded_modules, reference, *entry) for entry in entries]
+        loads = [pool.submit(_loaded_modules, script, kind, json.dumps(overrides), str(out))
+                 for (kind, overrides, _), out in zip(runs, outs)]
+    expected = {entry: future.result() for entry, future in zip(entries, references)}
+    assert expected[()] == []
+    for (kind, _, modules), out, future in zip(runs, outs, loads):
+        parsed, ran = future.result()
         assert parsed == expected[modules], kind
         assert ran == parsed, kind
         assert (out / "verdicts.jsonl").exists()
@@ -621,6 +628,31 @@ def test_lyapunov_subcommand_splits_shells_at_j0(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("j_lo, j_hi", [(8, 9), (-9, -8)])
+def test_a_shell_range_missing_every_resolved_shell_exits_2(tmp_path, j_lo, j_hi):
+    # the default grid resolves shells -3 to 4; an empty audit is an error, not a pass
+    args = ["lyapunov", "--set", "t_end=0.0015", "--set", f"j_lo={j_lo}",
+            "--set", f"j_hi={j_hi}"]
+    code, out = _run_main(args, tmp_path, "lyap")
+    assert code == 2
+    assert not (out / "verdicts.jsonl").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert all(word in err["message"] for word in ("j_lo", "j_hi", "-3", "4"))
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("linear-decay", {"nodes_per_octave": 12, "t_end": 1e3}),
+    ("damped-mode", {"t_end": 1e3}),
+])
+def test_a_linear_run_from_t_start_0_writes_verdicts(tmp_path, kind, overrides):
+    # the quadrature's time ladder starts at 1 when the fit window starts at 0
+    sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+    code, out = _run_main([kind, "--set", "t_start=0", *sets], tmp_path, kind)
+    assert code in (0, 1)
+    assert load_verdicts(out / "verdicts.jsonl")
+
+
 def test_invalid_config_exits_2_with_error_record(tmp_path):
     out = tmp_path / "bad"
     code = main(["linear-decay", "--set", "sigma1=9", "--out", str(out)])
@@ -687,6 +719,20 @@ def test_sweep_isolates_failing_configs(tmp_path):
     assert rows["sweep:good"]["pass"]
     assert not rows["sweep:typo"]["pass"] and not rows["sweep:raises"]["pass"]
     assert rows["sweep:raises"]["config_hash"] == run_err["config_hash"]
+
+
+def test_sweep_rejects_configs_whose_stems_collide(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first, second = tmp_path / "a" / "x.cfg", tmp_path / "b" / "x.cfg"
+    first.write_text("kind = lp-inspect\nradii = 1500\ntrials = 10\n")
+    second.write_text("kind = validate\ntrials = 8\n")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", str(first), str(second), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["schema"] == "error-v1"
+    assert str(first) in err["message"] and str(second) in err["message"]
+    assert not (out / "x").exists() and not (out / "sweep_summary.jsonl").exists()
 
 
 def test_console_script_is_installed():

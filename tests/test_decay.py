@@ -164,9 +164,10 @@ def test_linear_decay_small_case():
     v, neg = report.verdicts
     assert np.isclose(v.predicted, -0.5, atol=1e-12)
     assert abs(v.measured - v.predicted) < 0.05
-    assert report.delta0 > 0.0
+    assert neg.extras["delta0"] > 0.0
     assert neg.name == "neg-norm-ratio" and neg.measured < 4.0
     assert "neg_sup" in report.curves
+    assert report.curves["neg_sup"][2] == {"window": [1e2, 1e4], "mode": "linear-quadrature"}
 
 
 def test_linear_decay_exponent_is_amplitude_invariant():
@@ -268,9 +269,10 @@ def test_convolution_bound_constant_is_small():
 def test_damped_mode_check_on_linear_curve():
     curve = _linear_curve(sigma1=1.0, dim=2, t_end=1e4, nodes=32)
     out = damped_mode_check(curve, 1.0, window=(1e2, 1e4), tolerance=0.10)
-    assert not out.out_of_theorem
+    assert out.notes == []  # inside the theorem's range
     verdicts = {v.name: v for v in out.verdicts}
-    assert verdicts["u-neg-sup-exponent"].passed and out.neg_fit.exponent <= -0.45
+    neg = verdicts["u-neg-sup-exponent"]
+    assert neg.passed and neg.measured <= -0.45
     enhanced = verdicts["u-enhanced-exponent"]
     assert enhanced.passed and abs(enhanced.measured - enhanced.predicted) < 0.10
     assert "duhamel-reconstruction" not in verdicts  # no trajectory, nothing to reconstruct
@@ -280,8 +282,8 @@ def test_damped_mode_check_on_linear_curve():
 def test_damped_mode_check_flags_out_of_theorem_range():
     curve = _linear_curve(sigma1=-0.4, dim=2, t_end=1e3)
     out = damped_mode_check(curve, -0.4, window=(1e1, 1e3))
-    assert out.out_of_theorem
-    assert "sigma1" in out.note
+    (note,) = out.notes
+    assert "sigma1" in note
 
 
 # ----------------------------------------------------------------------
@@ -294,13 +296,15 @@ def test_time_weighted_functional_growth_matches_prediction():
     growth, low_bound = report.verdicts
     assert growth.name == "time-weighted-growth"
     assert np.isclose(growth.predicted, 2.0 - 0.5, atol=1e-12)
-    assert report.growth_fit is not None and growth.measured == report.growth_fit.exponent
+    times, x_m, meta = report.curves["x_m"]
+    assert growth.measured == fit_rate(times, x_m, (1e2, 1e4)).exponent
+    assert meta == {"sigma1": 0.5, "m_exp": 2.0}
     assert abs(growth.measured - growth.predicted) < 0.1
     assert growth.passed
     assert growth.extras["window_decades"] >= 1.0
     assert low_bound.name == "time-weighted-low-bound"
     assert low_bound.passed and low_bound.measured < 4.0
-    assert np.all(np.diff(report.x_m) >= -1e-12)  # running sups/integrals grow
+    assert np.all(np.diff(x_m) >= -1e-12)  # running sups/integrals grow
 
 
 def test_time_weighted_functional_rejects_small_m():

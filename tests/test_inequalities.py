@@ -11,6 +11,7 @@ from eulerfourier.inequalities import (
     check_bernstein,
     check_commutator,
     check_interpolation,
+    check_partition,
     check_product,
 )
 
@@ -20,6 +21,21 @@ def test_radial_derivative_multiplier_is_exact_on_single_mode(grid1d):
     f = np.sin(4.0 * x)
     df = grid1d.inverse(grid1d.forward(f) * grid1d.kmag)
     assert np.isclose(grid1d.l2_norm(df), 4.0 * grid1d.l2_norm(f), rtol=1e-12)
+
+
+def test_partition_check_on_the_default_cutoffs(lp1d):
+    # the lp-inspect tolerances; the default grid is lp1d's
+    outcome = check_partition(lp1d, np.random.default_rng(0), radii=500, trials=3,
+                              partition_tol=1e-12, telescope_tol=1e-10, disjoint_tol=1e-12)
+    names = [v.name for v in outcome.verdicts]
+    assert names == ["partition-residual", "telescoping-residual", "shell-disjointness"]
+    assert all(v.passed for v in outcome.verdicts)
+    radius, residual, meta = outcome.curves["partition_residual"]
+    assert radius.size == residual.size == 500
+    assert radius[0] == pytest.approx(1e-3) and radius[-1] == pytest.approx(1e3)
+    assert outcome.verdicts[0].measured == residual.max()
+    assert meta == {"x": "radius", "what": "abs(sum_j phi - 1)"}
+    assert list(outcome.curves) == ["partition_residual"] and outcome.notes == []
 
 
 def test_bernstein_ball(lp1d):

@@ -11,11 +11,14 @@ from eulerfourier.grid import PeriodicGrid, StateFields
 from eulerfourier.linear import expm_stack, mode_propagator, reduced_symbol
 from eulerfourier.littlewood import LittlewoodPaley, ShellSeries
 from eulerfourier.solver import (
+    POSITIVITY_FLOOR,
     NonFinite,
     PositivityViolation,
     SolverConfig,
     Stepper,
+    TrajectoryRecord,
     _phi_tables,
+    check_trajectory,
     cfl_check,
     integrate,
     linear_rhs,
@@ -324,6 +327,40 @@ def test_positivity_margin_is_the_least_of_one_plus_a_and_theta(rng):
             if nan_at is None:  # rounding is monotone: min fl(1 + a) = fl(1 + min a)
                 least = min(np.min(1.0 + state.a), np.min(1.0 + state.theta))
                 assert positivity_margin(state) == least
+
+
+def _hand_built_record(mean_a=(0.0, 0.0, 0.0), nan_norm=False, least_a=0.0):
+    """A three-sample record on GRID: flat means, unit shell norms, zero final state."""
+    times = np.array([0.0, 0.5, 1.0])
+    norms = np.ones((2, 3, times.size))
+    if nan_norm:
+        norms[1, 2, 1] = np.nan
+    final = StateFields.zeros(GRID)
+    final.a[7] = least_a
+    return TrajectoryRecord(
+        grid=GRID, config=SolverConfig(), dt=0.5,
+        series=ShellSeries(times, (0, 1), GRID.dim, norms),
+        mean_a=np.asarray(mean_a), max_speed=np.ones(times.size),
+        snapshot_times=[1.0], snapshots=[final],
+    )
+
+
+@pytest.mark.parametrize("fault, record", [
+    (None, _hand_built_record()),
+    ("mass-drift", _hand_built_record(mean_a=(0.0, 1e-9, 0.0))),
+    ("nonfinite-samples", _hand_built_record(nan_norm=True)),
+    ("final-positivity-margin", _hand_built_record(least_a=POSITIVITY_FLOOR - 1.0 - 0.05)),
+])
+def test_check_trajectory_fails_exactly_the_faulty_verdict(fault, record):
+    outcome = check_trajectory(record, mass_tol=1e-10)
+    names = ["mass-drift", "nonfinite-samples", "final-positivity-margin"]
+    assert [v.name for v in outcome.verdicts] == names
+    assert [v.name for v in outcome.verdicts if not v.passed] == ([fault] if fault else [])
+    assert list(outcome.curves) == ["critical_norm", "max_speed", "mean_density"]
+    times, mean_a, meta = outcome.curves["mean_density"]
+    assert np.array_equal(times, record.series.times) and np.array_equal(mean_a, record.mean_a)
+    assert outcome.curves["critical_norm"][2] == {"what": "hybrid critical norm"}
+    assert outcome.notes == []
 
 
 def test_cfl_check_and_nonlinear_rhs_need_both_fields_positive():
