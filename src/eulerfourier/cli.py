@@ -74,6 +74,7 @@ def _run_validate(cfg: RunConfig) -> Outcome:
     def rng(offset: int) -> np.random.Generator:
         return np.random.default_rng(cfg.seed + offset)
 
+    held = [lp.shell_multiplier(j) for j in lp.shells]  # laid out once for every check
     verdicts = ineq.check_bernstein(lp, rng(0), trials=trials, k=1, support="ball")
     for k in (1, 2):
         verdicts += ineq.check_bernstein(lp, rng(k), trials=trials, k=k, support="annulus")
@@ -120,15 +121,14 @@ def _box_pieces(cfg: RunConfig):
     lp = LittlewoodPaley(grid)
     spec = InitialDataSpec(sigma1=float(opts["sigma1"]), dim=int(opts["dim"]),
                            amplitude=float(opts["amplitude"]), seed=cfg.seed)
-    state0 = generate_initial_data(spec, grid, lp=lp)
-    return grid, lp, spec, state0
+    return grid, lp, spec, lambda: generate_initial_data(spec, grid, lp=lp)
 
 
 def _run_simulate(cfg: RunConfig) -> Outcome:
     from .solver import SolverConfig, check_trajectory, integrate, save_checkpoint
 
     opts = cfg.options
-    grid, lp, spec, state0 = _box_pieces(cfg)
+    grid, lp, spec, initial = _box_pieces(cfg)
     sc = SolverConfig(
         dt=float(opts["dt"]) or None,
         t_end=float(opts["t_end"]),
@@ -136,7 +136,7 @@ def _run_simulate(cfg: RunConfig) -> Outcome:
         # stride 0 keeps the final state only
         snapshot_stride=int(opts["snapshot_stride"]) or None,
     )
-    traj = integrate(grid, state0, sc, lp=lp)
+    traj = integrate(grid, initial(), sc, lp=lp)
     outcome = check_trajectory(traj, float(opts["mass_tol"]))
     if not opts.get("checkpoint", True):
         return outcome
@@ -151,12 +151,12 @@ def _run_decay_fit(cfg: RunConfig) -> Outcome:
     from .solver import SolverConfig, integrate
 
     opts = cfg.options
-    grid, lp, spec, state0 = _box_pieces(cfg)
+    grid, lp, spec, initial = _box_pieces(cfg)
     t_end = float(opts["t_end"]) or grid.length / 2.0
     window = (float(opts["t_start"]), t_end)
     sc = SolverConfig(t_end=t_end, sample_stride=int(opts["sample_stride"]),
                       epsilon0=None)
-    traj = integrate(grid, state0, sc, lp=lp)
+    traj = integrate(grid, initial(), sc, lp=lp)
     targets = [RateTarget(sigma=float(opts["sigma"]), component="state",
                           tolerance=float(opts["tolerance"]))]
     return run_decay_experiment(spec, targets, "nonlinear-box", trajectory=traj, window=window)
@@ -167,7 +167,7 @@ def _run_lyapunov(cfg: RunConfig) -> Outcome:
     from .solver import SolverConfig, integrate
 
     opts = cfg.options
-    grid, lp, spec, state0 = _box_pieces(cfg)
+    grid, lp, spec, initial = _box_pieces(cfg)
     j_lo, j_hi = int(opts["j_lo"]), int(opts["j_hi"])
     shells = [j for j in range(j_lo, j_hi + 1) if j in lp.shells]
     if not shells:
@@ -175,7 +175,7 @@ def _run_lyapunov(cfg: RunConfig) -> Outcome:
                          f"this grid resolves shells {lp.j_min} to {lp.j_max}")
     sc = SolverConfig(dt=float(opts["dt"]) or None, t_end=float(opts["t_end"]),
                       sample_stride=1, snapshot_stride=1, epsilon0=None)
-    traj = integrate(grid, state0, sc, lp=lp)
+    traj = integrate(grid, initial(), sc, lp=lp)
     eta = float(opts["eta"])
     # each functional is coercive only on its own side of the split
     pairs = [(regime, j) for regime in ("low", "high")
@@ -201,12 +201,12 @@ def _run_damped_mode(cfg: RunConfig) -> Outcome:
     else:
         from .solver import SolverConfig, integrate
 
-        grid, lp, spec, state0 = _box_pieces(cfg)
+        grid, lp, spec, initial = _box_pieces(cfg)
         # the fit window ends at L/2; integrating past it is wasted work
         window = (window[0], min(window[1], grid.length / 2.0))
         sc = SolverConfig(t_end=window[1], sample_stride=int(opts["sample_stride"]),
                           snapshot_stride=int(opts["snapshot_stride"]), epsilon0=None)
-        run = integrate(grid, state0, sc, lp=lp)
+        run = integrate(grid, initial(), sc, lp=lp)
     return damped_mode_check(run, sigma1, sigma=float(opts["sigma"]),
                              window=window, tolerance=float(opts["tolerance"]))
 
@@ -235,6 +235,7 @@ def run(cfg: RunConfig, strict: bool = False) -> RunRecord:
     started = _now()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _clear_artifacts(out)
     outcome = RUNNERS[cfg.kind](cfg)
     verdicts, notes = list(outcome.verdicts), list(outcome.notes)
     if strict:
@@ -266,6 +267,14 @@ def run(cfg: RunConfig, strict: bool = False) -> RunRecord:
     return record
 
 
+def _clear_artifacts(out: Path) -> None:
+    """Remove what an earlier run wrote into ``out`` (its error record, verdicts,
+    summary, run record and curves), so no stale file sits beside this run's."""
+    names = ("error.json", "verdicts.jsonl", "summary.txt", "run_record.json")
+    for path in [out / name for name in names] + sorted(out.glob("curves/*.csv")):
+        path.unlink(missing_ok=True)
+
+
 def _format_verdict(v: Verdict) -> str:
     mark = "PASS" if v.passed else "FAIL"
     if v.tolerance > 0:
@@ -288,7 +297,7 @@ def _parse_set_flags(pairs: list[str] | None) -> dict:
     overrides: dict = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise ValueError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         overrides[key.strip()] = _parse_scalar(value)
     return overrides
@@ -325,24 +334,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _guarded_run(out_dir: Path, strict: bool, label: str, **parse_kw) -> tuple:
-    """Parse and run one configuration; a failure leaves ``error.json``.
+def _record_error(out_dir: Path, kind: str, digest: str, exc: BaseException) -> None:
+    """Leave ``error.json`` as the one run artifact in ``out_dir``, or say on stderr
+    that it could not be written."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _clear_artifacts(out_dir)
+        write_error_record(out_dir / "error.json", kind, digest, exc)
+    except OSError as why:
+        print(f"no error.json could be written in {out_dir}: {why}", file=sys.stderr)
+
+
+def _guarded_run(out_dir: Path, strict: bool, label: str, parse) -> tuple:
+    """Parse (``parse()`` returns the :class:`RunConfig`) and run one configuration;
+    a failure leaves ``error.json``.
 
     Returns ``(record, kind, config_hash)``; ``record`` is None when the
     configuration did not parse (``label`` stands in for the kind) or the
     run raised.
     """
     try:
-        cfg = parse_config(out_dir=out_dir, **parse_kw)
+        cfg = parse()
     except (ValueError, OSError, ImportError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        write_error_record(out_dir / "error.json", label, "unparsed", exc)
+        _record_error(out_dir, label, "unparsed", exc)
         return None, label, "unparsed"
     try:
         return run(cfg, strict=strict), cfg.kind, cfg.digest
     except Exception as exc:  # noqa: BLE001 - module errors become error records
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        write_error_record(cfg.out_dir / "error.json", cfg.kind, cfg.digest, exc)
+        _record_error(cfg.out_dir, cfg.kind, cfg.digest, exc)
         return None, cfg.kind, cfg.digest
 
 
@@ -356,19 +377,27 @@ def _run_sweep(args) -> int:
     sweep root gets an ``error.json`` naming both and the exit code is 2.
     """
     out_root = _resolve_out(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"no error.json could be written in {out_root}: {exc}", file=sys.stderr)
+        return 2
+    for name in ("error.json", "sweep_summary.jsonl"):  # an earlier sweep's records
+        (out_root / name).unlink(missing_ok=True)
     seen: dict[str, Path] = {}
     for path in args.configs:
         if path.stem in seen:
             exc = ValueError(f"configs {seen[path.stem]} and {path} share the stem "
                              f"{path.stem!r}, so both would run in {out_root / path.stem}")
             print(f"configuration error: {exc}", file=sys.stderr)
-            write_error_record(out_root / "error.json", "sweep", "unparsed", exc)
+            _record_error(out_root, "sweep", "unparsed", exc)
             return 2
         seen[path.stem] = path
 
     def work(path: Path) -> tuple:
-        return _guarded_run(out_root / path.stem, args.strict, "unparsed", path=path)
+        out = out_root / path.stem
+        return _guarded_run(out, args.strict, "unparsed",
+                            lambda: parse_config(out_dir=out, path=path))
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(work, args.configs))
@@ -393,9 +422,9 @@ def main(argv=None) -> int:
         return _run_sweep(args)
 
     out_dir = _resolve_out(args.out)
-    record, _, _ = _guarded_run(out_dir, args.strict, args.command, kind=args.command,
-                                path=args.config, overrides=_parse_set_flags(args.set),
-                                seed=args.seed)
+    record, _, _ = _guarded_run(out_dir, args.strict, args.command, lambda: parse_config(
+        out_dir=out_dir, kind=args.command, path=args.config,
+        overrides=_parse_set_flags(args.set), seed=args.seed))
     if record is None:
         return 2
     print((out_dir / "summary.txt").read_text(), end="")

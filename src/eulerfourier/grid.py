@@ -59,10 +59,10 @@ def _blocks(n: int, s: int, dim: int) -> tuple:
     return tuple(((..., *x), (..., *y)) for x, y in pairs)
 
 
-def _resize(fhat: np.ndarray, shape: tuple) -> np.ndarray:
+def _resize(fhat: np.ndarray, shape: tuple, dtype=complex) -> np.ndarray:
     """A spectral stack in the ``shape`` layout: the modes the two layouts share,
     zero elsewhere (zero-padded into a larger layout, truncated to a smaller one)."""
-    out = np.zeros(fhat.shape[: fhat.ndim - len(shape)] + shape, dtype=complex)
+    out = np.zeros(fhat.shape[: fhat.ndim - len(shape)] + shape, dtype=dtype)
     for to, frm in _blocks(shape[0], fhat.shape[-1], len(shape)):
         out[to] = fhat[frm]
     return out
@@ -189,8 +189,11 @@ class PeriodicGrid:
 
     def inverse(self, fhat: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`, of a full-layout or band stack; returns the real part."""
-        band = np.shape(fhat)[-self.dim :] == self.band_shape
-        return self._c2c(fhat, inverse=True, band=band, real=True)
+        return self._c2c(fhat, inverse=True, band=self.in_band(fhat), real=True)
+
+    def in_band(self, fhat: np.ndarray) -> bool:
+        """Whether a spectral stack is in the band layout (else the full one)."""
+        return np.shape(fhat)[-self.dim :] == self.band_shape
 
     def to_band(self, fhat: np.ndarray) -> np.ndarray:
         """The band layout of a full-layout spectral stack."""
@@ -201,8 +204,7 @@ class PeriodicGrid:
         return _resize(bhat, self.shape)
 
     def derivative_hat(self, fhat: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        band = np.shape(fhat)[-self.dim :] == self.band_shape
-        k = self.band_wavenumbers if band else self.wavenumbers
+        k = self.band_wavenumbers if self.in_band(fhat) else self.wavenumbers
         return fhat * (1j * k[axis]) ** order
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
@@ -229,13 +231,25 @@ class PeriodicGrid:
         total = np.sum(np.abs(f) ** p, axis=self.axes) * self.cell_volume
         return _per_row(total ** (1.0 / p))
 
-    def l2_norm_hat(self, fhat: np.ndarray):
-        """L^2 norm computed from spectral coefficients (Parseval)."""
-        total = np.sqrt(np.sum(np.abs(fhat) ** 2, axis=self.axes))
+    def l2_norm_hat(self, fhat: np.ndarray, weight: np.ndarray | None = None):
+        """L^2 norm of ``weight * fhat`` by Parseval, fields of ``ROW_POINTS`` or more one at
+        a time; a band stack's squares are zero-filled, to sum as its full layout does."""
+        if np.ndim(fhat) > self.dim and self.npts**self.dim >= ROW_POINTS:
+            return np.array([self.l2_norm_hat(row, weight) for row in fhat])
+        square = np.abs(fhat if weight is None else fhat * weight) ** 2
+        square = _resize(square, self.shape, float) if self.in_band(fhat) else square
+        total = np.sqrt(square.sum(axis=self.axes))
         return _per_row(total * self.length ** (self.dim / 2.0))
 
     def mean(self, f: np.ndarray) -> float:
         return float(np.mean(f))
+
+    @functools.cached_property
+    def radii(self) -> tuple[np.ndarray, dict]:
+        """The distinct values of ``kmag`` and, per layout (band or not), each mode's index."""
+        r, index = np.unique(self.kmag, return_inverse=True)
+        index = index.reshape(self.shape)
+        return r, {False: index, True: _resize(index, self.band_shape, index.dtype)}
 
     # ------------------------------------------------------------------
     @functools.cached_property

@@ -24,11 +24,14 @@ place where they are reduced to Besov, Chemin-Lerner, critical and delta0
 norms, for solver trajectories and semigroup quadratures alike.  Component
 norms combine into one by :func:`ell2`, and the commutators [P_j, f] g
 multiply through the grid's alias-free :meth:`~eulerfourier.grid.PeriodicGrid.times`.
+Shell tables are kept by radius (``grid.radii``), laid out per call and shared while held,
+so a band stack's shell norms equal its zero-filled full layout's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,7 +203,8 @@ class LittlewoodPaley:
     def __init__(self, grid: PeriodicGrid):
         self.grid = grid
         self.cutoffs = build_cutoffs()
-        self._phi_cache: dict[int, np.ndarray] = {}
+        self._phi_cache: dict[int, np.ndarray] = {}  # shell -> phi by radius (grid.radii)
+        self._laid_out = weakref.WeakValueDictionary()  # (shell, band) -> held multiplier
 
         # shells whose annulus is fully resolved by the dealiased grid
         self.j_min = math.ceil(math.log2(2.0 * np.pi / grid.length)) - 1
@@ -225,17 +229,22 @@ class LittlewoodPaley:
         return (4.0 / 3.0) * 2.0**self.j_min, 0.75 * 2.0 ** (self.j_max + 1)
 
     # ------------------------------------------------------------------
-    def shell_multiplier(self, j: int) -> np.ndarray:
-        mult = self._phi_cache.get(j)
+    def shell_multiplier(self, j: int, band: bool = False) -> np.ndarray:
+        """phi(2^-j |k|) in the full or, if ``band``, the band layout: laid out from the
+        table by radius, or the array a caller still holds (validate holds them all)."""
+        mult = self._laid_out.get((j, band))
         if mult is None:
-            mult = self.cutoffs.phi(self.grid.kmag * 2.0 ** (-j))
-            mult.flat[0] = 0.0  # zero mode never belongs to a shell
-            self._phi_cache[j] = mult
+            table = self._phi_cache.get(j)
+            if table is None:
+                table = self.cutoffs.phi(self.grid.radii[0] * 2.0 ** (-j))
+                table[0] = 0.0  # zero mode (radius 0, alone) never belongs to a shell
+                self._phi_cache[j] = table
+            mult = self._laid_out[j, band] = table[self.grid.radii[1][band]]
         return mult
 
     def block_hat(self, fhat: np.ndarray, j: int) -> np.ndarray:
-        """Spectral coefficients of the dyadic block at shell j."""
-        return fhat * self.shell_multiplier(j)
+        """Spectral coefficients of the dyadic block at shell j, in the layout of ``fhat``."""
+        return fhat * self.shell_multiplier(j, self.grid.in_band(fhat))
 
     def block(self, f: np.ndarray, j: int) -> np.ndarray:
         """Physical-space dyadic block of a real field."""
@@ -254,13 +263,13 @@ class LittlewoodPaley:
     # ------------------------------------------------------------------
     def shell_l2_hat(self, fhat: np.ndarray, j: int):
         """L^2 norm of the shell-j block, evaluated by Parseval; one value
-        per row of a stack."""
-        return self.grid.l2_norm_hat(self.block_hat(fhat, j))
+        per row of a stack, in the layout of ``fhat``."""
+        return self.grid.l2_norm_hat(fhat, self.shell_multiplier(j, self.grid.in_band(fhat)))
 
     def state_l2_hat(self, hats: np.ndarray, j: int) -> tuple:
         """Shell-j L^2 norms of a, |u| and theta from a spectral stack
         [a, u_1, ..., u_d, theta]; one value per row of each component."""
-        norms = [self.shell_l2_hat(h, j) for h in hats]
+        norms = self.shell_l2_hat(hats, j)
         return norms[0], ell2(norms[1:-1]), norms[-1]
 
     # ------------------------------------------------------------------

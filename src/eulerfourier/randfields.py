@@ -37,9 +37,9 @@ def random_field(
 
     If ``annulus_shell`` is given the band and exponent are ignored and the
     envelope is shell j's profile phi(|k| / 2^j), supported on
-    [3/4 * 2^j, 8/3 * 2^j]: the table ``lp.shell_multiplier(j)`` of the
+    [3/4 * 2^j, 8/3 * 2^j]: ``lp.shell_multiplier(j)`` of the
     :class:`~eulerfourier.littlewood.LittlewoodPaley` ``lp`` on ``grid``,
-    built once per shell.
+    laid out from its table by radius, built once per shell.
     """
     white = rng.standard_normal(grid.shape)
     what = grid.forward(white)

@@ -30,7 +30,7 @@ A step's working set is three band stacks, about (2/3)**d of a full one
 each: its input (reused for N(mid) - N(input)), N(input) and the midpoint,
 which it returns.  The remainder adds one physical state and a few single
 fields, one gradient at a time; the tables add into the midpoint row by
-row.  A sample zero-fills the band, so its shell norms sum as before.
+row.  A sample zero-fills only the band stack's squares, so its norms sum as before.
 
 The continuity equation is advanced in divergence form, so the mean of
 the density is conserved to rounding.
@@ -202,15 +202,19 @@ def _remainder_hat(
         out[0] -= grid.derivative_hat(grid.forward(a * u[m], band=True), m)
 
     for m in range(d):
-        # one gradient field live at a time: d_n u_m for every n, then d_m a
-        adv = sum(u[n] * grid.inverse(grid.derivative_hat(hats[1 + m], n)) for n in range(d))
-        out[1 + m] = grid.forward(-adv - q * grid.inverse(grid.derivative_hat(hats[0], m)),
-                                  band=True)
+        adv = np.zeros_like(a)  # one gradient live at a time: -sum_n u_n d_n u_m - q d_m a
+        for n in range(d):
+            adv += u[n] * grid.inverse(grid.derivative_hat(hats[1 + m], n))
+        np.negative(adv, out=adv)
+        adv -= q * grid.inverse(grid.derivative_hat(hats[0], m))
+        out[1 + m] = grid.forward(adv, band=True)
+    del adv, q
 
     for m in range(d):
         out[-1] -= grid.derivative_hat(grid.forward(theta * u[m], band=True), m)
-    out[-1] += grid.forward(-(a / one_a) * grid.inverse(-(grid.band_kmag**2) * hats[-1]),
-                            band=True)
+    lap = grid.inverse(-(grid.band_kmag**2) * hats[-1])
+    lap *= -(a / one_a)
+    out[-1] += grid.forward(lap, band=True)
     return out
 
 
@@ -348,7 +352,8 @@ def integrate(
     norms of each component (the raw material of every Besov-type
     functional downstream), the density mean and the maximum signal
     speed.  Full snapshots are kept every ``snapshot_stride`` samples,
-    and the final state always.
+    and the final state always.  ``state0`` is left unchanged and dropped once the band
+    stack exists, so a temporary passed in is freed before the first step (CPython 3.11+).
     """
     if lp is None:
         lp = LittlewoodPaley(grid)
@@ -365,6 +370,7 @@ def integrate(
 
     stepper = Stepper(grid, dt)
     hats = grid.to_band(hats)
+    del state0  # the band stack is all the run reads of it
 
     times: list[float] = []
     shell_rows: list[np.ndarray] = []  # per sample: (shells, 3, 1) norms
@@ -375,7 +381,7 @@ def integrate(
 
     def sample(i_sample: int, t: float, hats_now: np.ndarray, final: bool = False) -> None:
         times.append(t)
-        shell_rows.append(ShellSeries.of_hats(lp, grid.from_band(hats_now)).norms)
+        shell_rows.append(ShellSeries.of_hats(lp, hats_now).norms)
         mean_a.append(float(np.real(hats_now[0].flat[0])))
         state = StateFields(grid.inverse(hats_now))
         if positivity_margin(state) < POSITIVITY_FLOOR:

@@ -662,6 +662,54 @@ def test_invalid_config_exits_2_with_error_record(tmp_path):
     assert "sigma1" in err["message"]
 
 
+def test_a_set_flag_without_a_value_exits_2_with_error_record(tmp_path):
+    out = tmp_path / "noeq"
+    assert main(["lp-inspect", "--set", "trials", "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["schema"] == "error-v1" and "key=value" in err["message"]
+
+
+def test_an_out_path_naming_a_file_exits_2_and_says_no_record_was_written(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for args in (FAST_LP, ["lp-inspect", "--set", "trials=0"], ["sweep", "a.cfg"]):
+        assert main([*args, "--out", str(taken)]) == 2, args
+        assert "no error.json could be written" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_a_run_clears_an_earlier_runs_artifacts(tmp_path):
+    # a failed run, then a passing one into the same directory: no stale
+    # error.json or curve; files the package does not write stay
+    out = tmp_path / "again"
+    (out / "curves").mkdir(parents=True)
+    (out / "curves" / "old.csv").write_text("t,v\n")
+    (out / "notes.md").write_text("mine\n")
+    assert main(["lp-inspect", "--set", "trials=0", "--out", str(out)]) == 2
+    assert (out / "error.json").exists() and not (out / "curves" / "old.csv").exists()
+    assert main([*FAST_LP, "--out", str(out)]) == 0
+    assert not (out / "error.json").exists()
+    assert sorted(p.name for p in out.rglob("*")) == sorted(
+        ["curves", "partition_residual.csv", "notes.md", "run_record.json", "summary.txt",
+         "verdicts.jsonl"])
+    # and a failed run leaves no verdicts of the passing one beside its error record
+    assert main(["lp-inspect", "--set", "radii=-1", "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.rglob("*")) == ["curves", "error.json", "notes.md"]
+
+    # a sweep root too: a colliding sweep, a passing one, then a colliding one
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first, second = tmp_path / "a" / "x.cfg", tmp_path / "b" / "x.cfg"
+    first.write_text("kind = lp-inspect\nradii = 1500\ntrials = 10\n")
+    second.write_text("kind = lp-inspect\nradii = 1500\ntrials = 10\n")
+    root = tmp_path / "sweepout"
+    assert main(["sweep", str(first), str(second), "--out", str(root)]) == 2
+    assert main(["sweep", str(first), "--out", str(root)]) == 0
+    assert not (root / "error.json").exists() and (root / "sweep_summary.jsonl").exists()
+    assert main(["sweep", str(first), str(second), "--out", str(root)]) == 2
+    assert (root / "error.json").exists() and not (root / "sweep_summary.jsonl").exists()
+
+
 def test_env_var_sets_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("EULERFOURIER_OUT", str(tmp_path / "envout"))
     code = main(FAST_LP)

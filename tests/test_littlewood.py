@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eulerfourier.grid import ROW_POINTS, PeriodicGrid
 from eulerfourier.littlewood import (
     CHI_FLAT,
     CHI_ZERO,
@@ -150,6 +151,46 @@ def test_vector_shell_norms_combine_components(grid2d, lp2d, rng):
         a, u, theta = lp2d.state_l2_hat(single, j)
         assert np.isclose(u, np.sqrt(2.0) * a, rtol=1e-12)
         assert [row[0] for row in lp2d.state_l2_hat(stacked, j)] == [a, u, theta]
+
+
+@pytest.mark.parametrize("dim,npts", [(1, 512), (1, ROW_POINTS), (2, 64), (2, 128),
+                                      (3, 16), (3, 32)])
+def test_band_stack_shell_norms_equal_the_full_layout_bit_for_bit(dim, npts):
+    # the tables are kept by radius and laid out on request: each multiplier is
+    # phi(2^-j |k|) of the full layout, restricted to the band; a band stack's
+    # norms are those of its zero-filled full layout, and a stack's rows those
+    # of its fields alone, below ROW_POINTS (one pass) and at or above (per field)
+    grid = PeriodicGrid(dim=dim, npts=npts, length=16.0 * np.pi)
+    lp = LittlewoodPaley(grid)
+    assert (npts**dim >= ROW_POINTS) == (npts in (ROW_POINTS, 128, 32))
+    band = grid.forward(np.random.default_rng(dim).standard_normal((dim + 2,) + grid.shape),
+                        band=True)
+    full = grid.from_band(band)
+    for j in lp.shells:
+        mult = lp.cutoffs.phi(grid.kmag * 2.0 ** (-j))
+        mult.flat[0] = 0.0
+        assert lp.shell_multiplier(j).tobytes() == mult.tobytes()
+        assert lp.shell_multiplier(j, band=True).tobytes() == grid.to_band(mult).real.tobytes()
+        rows = lp.shell_l2_hat(band, j)
+        assert rows.tobytes() == lp.shell_l2_hat(full, j).tobytes()
+        assert [lp.shell_l2_hat(b, j) for b in band] == list(rows)
+        assert [lp.shell_l2_hat(f, j) for f in full] == list(rows)
+        got, want = lp.state_l2_hat(band, j), lp.state_l2_hat(full, j)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_a_held_multiplier_is_laid_out_once_and_let_go_when_no_one_holds_it():
+    # while a caller holds a shell's multiplier, every call returns that array;
+    # once none does, the shell calculus keeps its tables by radius only
+    lp = LittlewoodPaley(PeriodicGrid(dim=2, npts=64, length=16.0 * np.pi))
+    j = lp.j_min
+    held = lp.shell_multiplier(j)
+    assert lp.shell_multiplier(j) is held and lp.shell_multiplier(j, band=True) is not held
+    before = held.tobytes()
+    del held
+    assert len(lp._laid_out) == 0
+    assert lp.shell_multiplier(j).tobytes() == before
+    assert not any(isinstance(v, np.ndarray) for v in vars(lp).values())
 
 
 def _shell_series(lp, f, times):

@@ -1,7 +1,9 @@
 """Pseudo-spectral time stepping: accuracy, invariants, and guard rails."""
 
 import math
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -129,6 +131,32 @@ def test_nonlinear_rhs_closed_form(npts):
     assert np.max(np.abs(rhs.a + eps * np.cos(x))) < 1e-13
     assert np.max(np.abs(rhs.u[0] + 0.5 * eps**2 * np.sin(2.0 * x))) < 1e-13
     assert np.max(np.abs(rhs.theta + 2.0 * eps * np.cos(x) + eps**2 * np.cos(2.0 * x))) < 1e-13
+
+
+@pytest.mark.parametrize("k,w", [((1,), (1.0,)), ((1, 1), (1.0, 0.5))])
+def test_nonlinear_rhs_closed_form_with_density(k, w):
+    # a = eps cos s, u = eps sin(2s) w, theta = eps cos 3s along s = k.x, so every
+    # derivative is k times d/ds: the quotient terms ((theta - a)/(1 + a)) grad a
+    # and (a/(1 + a)) Lap theta are nonzero, and w not parallel to k gives u a
+    # transverse part.  1/(1 + a) has Fourier coefficients of size (eps/2)^|m|:
+    # past the 2/3 rule's 21 modes, below rounding.  The gap reads 6.2e-14 in
+    # d = 1 and 4.0e-13 in d = 2; flipping the sign of either quotient term, or
+    # dropping its 1/(1 + a), moves it by O(eps^2)
+    grid = PeriodicGrid(dim=len(k), npts=64, length=2.0 * np.pi)
+    s = sum(km * xm for km, xm in zip(k, grid.coordinates())) + np.zeros(grid.shape)
+    eps, kw, kk = 0.3, float(np.dot(k, w)), float(np.dot(k, k))
+    a, da = eps * np.cos(s), -eps * np.sin(s)
+    g, dg = eps * np.sin(2.0 * s), 2.0 * eps * np.cos(2.0 * s)
+    th, dth = eps * np.cos(3.0 * s), -3.0 * eps * np.sin(3.0 * s)
+    d2th = -9.0 * th
+    q = (th - a) / (1.0 + a)
+    expected = [-kw * ((1.0 + a) * dg + da * g)]
+    expected += [-km * da - wm * g - km * dth - kw * g * dg * wm - q * km * da
+                 for km, wm in zip(k, w)]
+    expected += [-kw * dg + kk * d2th - kw * (dth * g + th * dg) - a / (1.0 + a) * kk * d2th]
+
+    rhs = nonlinear_rhs(grid, StateFields(np.stack([a, *(wm * g for wm in w), th])))
+    assert np.max(np.abs(rhs.data - np.stack(expected))) < 1e-12
 
 
 @pytest.mark.parametrize("dim,npts", [(1, 64), (2, 16), (3, 8)])
@@ -511,6 +539,73 @@ def test_step_peak_memory_and_integrate_leaves_state0_intact():
     before = state0.data.tobytes()
     integrate(grid, state0, SolverConfig(dt=1e-3, t_end=3e-3, epsilon0=None, snapshot_stride=1))
     assert state0.data.tobytes() == before
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the caller's stack")
+def test_integrate_frees_a_temporary_initial_state_before_the_first_step(monkeypatch):
+    # the runners call integrate(grid, initial(), ...): once the band stack
+    # exists nothing keeps the physical initial state alive through the steps
+    grid = PeriodicGrid(dim=2, npts=16, length=2.0 * np.pi)
+    made, alive = [], []
+
+    def initial():
+        state = _varying_state(grid, 1e-2)
+        made.append(weakref.ref(state.data))
+        return state
+
+    step_hat = Stepper.step_hat
+
+    def watched(self, hats):
+        alive.append(made[0]() is not None)
+        return step_hat(self, hats)
+
+    monkeypatch.setattr(Stepper, "step_hat", watched)
+    integrate(grid, initial(), SolverConfig(dt=1e-3, t_end=2e-3, epsilon0=None))
+    assert alive == [False, False]
+
+
+def test_shell_tables_are_kept_by_radius_and_a_sample_stays_small():
+    # the shell tables live over the grid's distinct radii and no one holds a
+    # laid-out multiplier, so after a run (whose epsilon0 gate reads the full
+    # layout) the shell calculus holds no array of the grid's full layout
+    grid = PeriodicGrid(dim=3, npts=16, length=2.0 * np.pi)
+    lp = LittlewoodPaley(grid)
+    integrate(grid, _varying_state(grid, 1e-2),
+              SolverConfig(dt=1e-3, t_end=2e-3, epsilon0=10.0), lp=lp)
+    assert len(lp._phi_cache) == len(lp.shells)
+    assert all(t.shape == grid.radii[0].shape for t in lp._phi_cache.values())
+    assert not any(isinstance(v, np.ndarray) for v in vars(lp).values())
+    assert len(lp._laid_out) == 0
+
+    # a sample reduces the band stack, one zero-filled real field at a time at
+    # 32**3 (>= ROW_POINTS); in full-layout complex state stacks, its peak read
+    # 0.90 (1.04 for the first sample, which builds the tables), and 1.30 (1.74)
+    # when each sample zero-filled the band into a complex stack
+    grid = PeriodicGrid(dim=3, npts=32, length=2.0 * np.pi)
+    state0 = _varying_state(grid, 1e-2)
+    full_nbytes = 16 * len(state0.data) * grid.npts**grid.dim
+    peaks, held_at = [], []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (code.co_name, code.co_filename) != ("sample", integrate.__code__.co_filename):
+            return
+        if event == "call":
+            held_at.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        elif event == "return":
+            peaks.append((tracemalloc.get_traced_memory()[1] - held_at[-1]) / full_nbytes)
+
+    tracemalloc.start()
+    sys.setprofile(hook)
+    try:
+        integrate(grid, state0, SolverConfig(dt=1e-3, t_end=2e-3, epsilon0=None))
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    assert len(peaks) == 3 and max(peaks) <= 1.15, peaks
+    assert max(peaks[1:]) <= 1.0, peaks
 
 
 def test_integrate_transforms_the_initial_and_final_states_once(monkeypatch):
