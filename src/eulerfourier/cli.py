@@ -74,7 +74,8 @@ def _run_validate(cfg: RunConfig) -> Outcome:
     def rng(offset: int) -> np.random.Generator:
         return np.random.default_rng(cfg.seed + offset)
 
-    held = [lp.shell_multiplier(j) for j in lp.shells]  # laid out once for every check
+    # laid out once for every check
+    held = [grid.kmag, grid.radius_index(False)] + [lp.shell_multiplier(j) for j in lp.shells]
     verdicts = ineq.check_bernstein(lp, rng(0), trials=trials, k=1, support="ball")
     for k in (1, 2):
         verdicts += ineq.check_bernstein(lp, rng(k), trials=trials, k=k, support="annulus")

@@ -183,13 +183,13 @@ def generate_initial_data(
 
     # a, u_1, ..., u_d, theta in turn
     state = StateFields(np.stack([draw() for _ in range(grid.dim + 2)]))
+    del kmag
 
     series = ShellSeries.of_state(lp, state)
     measured_delta0 = series.delta0(spec.sigma1)
     if measured_delta0 <= 0.0:
         raise RuntimeError("drawn data vanished; enlarge the band or grid")
-    scale = spec.amplitude / measured_delta0
-    state = StateFields(state.data * scale)
+    state.data *= spec.amplitude / measured_delta0
 
     comp = dict(zip(series.shells, series.composite()[:, 0]))
     inner = [

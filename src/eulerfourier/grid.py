@@ -27,13 +27,15 @@ on its own, an all-zero one to +0, so they equal the full-layout transforms
 restricted to, or zero-filled from, the band bit for bit.  One layout's
 modes sit in another as the 2**d slab blocks of :func:`_blocks`: the band in
 the full layout, and that in ``fine``'s, the same box at 2N points, where
-``times`` multiplies, alias-free as 2N points hold every sum frequency.
+``times`` multiplies, alias-free as 2N points hold every sum frequency.  The
+full layout's ``kmag`` and radius index are formed on access and shared while held.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +87,6 @@ class PeriodicGrid:
 
     # caches filled in __post_init__; a grid compares and hashes as (dim, npts, length)
     wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    kmag: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     band_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
     band_wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
@@ -94,6 +95,7 @@ class PeriodicGrid:
     # touches: forward (False) those kept on the axes already transformed,
     # inverse (True) those holding band data on the axes still to transform
     _band_lines: dict = field(init=False, repr=False, compare=False)
+    _held: weakref.WeakValueDictionary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -119,7 +121,8 @@ class PeriodicGrid:
         for prefix, k in (("", k1), ("band_", np.concatenate([k1[s] for s in kept]))):
             axes = np.meshgrid(*([k] * self.dim), indexing="ij", sparse=True)
             object.__setattr__(self, prefix + "wavenumbers", tuple(axes))
-            object.__setattr__(self, prefix + "kmag", np.sqrt(sum(a**2 for a in axes)))
+        object.__setattr__(self, "_held", weakref.WeakValueDictionary())
+        object.__setattr__(self, "band_kmag", _resize(self.kmag, self.band_shape, float))
 
         def lines(cut):  # index of the lines holding band data on the axes in ``cut``
             return tuple((..., *index) for index in itertools.product(
@@ -151,6 +154,14 @@ class PeriodicGrid:
         return tuple(np.meshgrid(*([x1] * self.dim), indexing="ij", sparse=True))
 
     @property
+    def kmag(self) -> np.ndarray:
+        """|k| on the full layout: formed on access, the same array while a caller holds it."""
+        kmag = self._held.get("kmag")
+        if kmag is None:
+            kmag = self._held["kmag"] = np.sqrt(sum(a**2 for a in self.wavenumbers))
+        return kmag
+
+    @property
     def axes(self) -> tuple[int, ...]:
         """The grid axes of a stacked field, last axis first."""
         return tuple(range(-1, -self.dim - 1, -1))
@@ -171,6 +182,7 @@ class PeriodicGrid:
             for row in np.ndindex(lead):
                 value = self._c2c(f[row], inverse, band, False)
                 out[row] = value.real if real else value
+                del value  # not alive while the next row is transformed
             return out
         out = self.from_band(f) if band and inverse else np.array(f, dtype=complex)
         transform = np.fft.ifft if inverse else np.fft.fft
@@ -204,8 +216,8 @@ class PeriodicGrid:
         return _resize(bhat, self.shape)
 
     def derivative_hat(self, fhat: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        k = self.band_wavenumbers if self.in_band(fhat) else self.wavenumbers
-        return fhat * (1j * k[axis]) ** order
+        ik = 1j * (self.band_wavenumbers if self.in_band(fhat) else self.wavenumbers)[axis]
+        return fhat * (ik if order == 1 else ik**order)  # ik**1 would be a copy
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """``(dim, *f.shape)`` stack of the partial derivatives of ``f``."""
@@ -245,11 +257,18 @@ class PeriodicGrid:
         return float(np.mean(f))
 
     @functools.cached_property
-    def radii(self) -> tuple[np.ndarray, dict]:
-        """The distinct values of ``kmag`` and, per layout (band or not), each mode's index."""
+    def radii(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values of ``kmag``, and each band mode's index into them."""
         r, index = np.unique(self.kmag, return_inverse=True)
-        index = index.reshape(self.shape)
-        return r, {False: index, True: _resize(index, self.band_shape, index.dtype)}
+        return r, _resize(index.reshape(self.shape), self.band_shape, index.dtype)
+
+    def radius_index(self, band: bool) -> np.ndarray:
+        """Each mode's index into ``radii[0]``, in the band layout or, formed on access and
+        the same array while a caller holds it, the full one."""
+        index = self.radii[1] if band else self._held.get("index")
+        if index is None:
+            index = self._held["index"] = np.searchsorted(self.radii[0], self.kmag)
+        return index
 
     # ------------------------------------------------------------------
     @functools.cached_property

@@ -239,7 +239,7 @@ class LittlewoodPaley:
                 table = self.cutoffs.phi(self.grid.radii[0] * 2.0 ** (-j))
                 table[0] = 0.0  # zero mode (radius 0, alone) never belongs to a shell
                 self._phi_cache[j] = table
-            mult = self._laid_out[j, band] = table[self.grid.radii[1][band]]
+            mult = self._laid_out[j, band] = table[self.grid.radius_index(band)]
         return mult
 
     def block_hat(self, fhat: np.ndarray, j: int) -> np.ndarray:
@@ -319,12 +319,18 @@ class ShellSeries:
 
     @classmethod
     def of_state(cls, lp: LittlewoodPaley, state) -> ShellSeries:
-        """Single-time series (at t = 0) of a :class:`~eulerfourier.grid.StateFields`."""
-        return cls.of_hats(lp, lp.grid.forward(state.data))
+        """Single-time series (at t = 0) of a state, one field transformed at a time."""
+        grid, held = lp.grid, lp.grid.radius_index(False)  # one index lays out every shell
+        mults = [lp.shell_multiplier(j) for j in lp.shells]
+        norms_of = lambda fhat: [grid.l2_norm_hat(fhat, m) for m in mults]
+        rows = [norms_of(grid.forward(f)) for f in state.data]  # one transform alive at a time
+        norms = [(n[0], ell2(n[1:-1]), n[-1]) for n in np.array(rows).T]
+        return cls(np.zeros(1), tuple(lp.shells), grid.dim, np.array(norms)[:, :, None])
 
     @classmethod
     def of_hats(cls, lp: LittlewoodPaley, hats: np.ndarray) -> ShellSeries:
         """Single-time series (at t = 0) of a spectral stack [a, u_1, ..., u_d, theta]."""
+        held = lp.grid.radius_index(lp.grid.in_band(hats))  # one index lays out every shell
         norms = np.array([lp.state_l2_hat(hats, j) for j in lp.shells])[:, :, None]
         return cls(np.zeros(1), tuple(lp.shells), lp.grid.dim, norms)
 

@@ -487,6 +487,7 @@ def lyapunov_residual(
     if lp is None:
         lp = LittlewoodPaley(trajectory.grid)
     grid = lp.grid
+    held = grid.radius_index(False)  # every chunk lays out its shells from one index
     margins = [coercivity_margin(j, eta, regime) for regime, j in pairs]
     high_shells = sorted({j for regime, j in pairs if regime == "high"})
 

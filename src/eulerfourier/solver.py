@@ -28,9 +28,10 @@ symbol plus the same remainder; :func:`linear_rhs` is a physical-space oracle.
 
 A step's working set is three band stacks, about (2/3)**d of a full one
 each: its input (reused for N(mid) - N(input)), N(input) and the midpoint,
-which it returns.  The remainder adds one physical state and a few single
-fields, one gradient at a time; the tables add into the midpoint row by
-row.  A sample zero-fills only the band stack's squares, so its norms sum as before.
+which it returns.  The remainder holds u with [a, theta] for the flux rows,
+then u with q = (theta - a)/(1 + a) alone for the momentum rows, one gradient
+at a time; the tables form k/|k| and add into the midpoint row by row.  A
+sample zero-fills only the band stack's squares, so its norms sum as before.
 
 The continuity equation is advanced in divergence form, so the mean of
 the density is conserved to rounding.
@@ -173,7 +174,7 @@ def _phi_tables(mats: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.
     big[:, n : 2 * n, 2 * n :] = eye
     ebig = expm(big)
     shape = mats.shape
-    e0 = ebig[:, :n, :n].reshape(shape)
+    e0 = ebig[:, :n, :n].reshape(shape).copy()  # a copy: a view would hold all of ebig
     f1 = (h * ebig[:, :n, n : 2 * n]).reshape(shape)
     f2 = (h * ebig[:, :n, 2 * n :]).reshape(shape)
     return e0, f1, f2
@@ -181,8 +182,8 @@ def _phi_tables(mats: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.
 
 def _remainder_hat(
     grid: PeriodicGrid, hats: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Spectral nonlinear remainder (full tendency minus linear part).
+) -> tuple[np.ndarray, float]:
+    """Spectral nonlinear remainder (tendency minus linear part) and the input's positivity margin.
 
     The one place the quadratic and quotient terms are formed: -div(a u),
     -(u . grad) u - ((theta - a)/(1 + a)) grad a, and
@@ -190,32 +191,37 @@ def _remainder_hat(
     ``hats`` and the result are band stacks, the result written into ``out`` when given.
     """
     d = grid.dim
-    fields = grid.inverse(hats)
-    a, u, theta = fields[0], fields[1:-1], fields[-1]
-    one_a = 1.0 + a
-    q = (theta - a) / one_a
+    u = grid.inverse(hats[1:-1])
+    a, theta = fields = grid.inverse(hats[:: d + 1])
+    margin = 1.0 + float(fields.min())  # positivity_margin, as rounding is monotone
 
     out = np.empty_like(hats) if out is None else out
     out[...] = 0.0
     # continuity: -div(a u), kept in divergence form
     for m in range(d):
         out[0] -= grid.derivative_hat(grid.forward(a * u[m], band=True), m)
+    for m in range(d):
+        out[-1] -= grid.derivative_hat(grid.forward(theta * u[m], band=True), m)
+
+    # in place over [a, theta]: q = (theta - a)/(1 + a), then -a/(1 + a)
+    one_a = 1.0 + a
+    np.divide(np.subtract(theta, a, out=theta), one_a, out=theta)
+    np.negative(np.divide(a, one_a, out=a), out=a)
+    del one_a
+    lap = grid.inverse(-(grid.band_kmag**2) * hats[-1])
+    lap *= a
+    out[-1] += grid.forward(lap, band=True)
+    q = theta.copy()  # so that [a, theta] is freed
+    del a, theta, fields, lap
 
     for m in range(d):
-        adv = np.zeros_like(a)  # one gradient live at a time: -sum_n u_n d_n u_m - q d_m a
+        adv = np.zeros_like(q)  # one gradient live at a time: -sum_n u_n d_n u_m - q d_m a
         for n in range(d):
             adv += u[n] * grid.inverse(grid.derivative_hat(hats[1 + m], n))
         np.negative(adv, out=adv)
         adv -= q * grid.inverse(grid.derivative_hat(hats[0], m))
         out[1 + m] = grid.forward(adv, band=True)
-    del adv, q
-
-    for m in range(d):
-        out[-1] -= grid.derivative_hat(grid.forward(theta * u[m], band=True), m)
-    lap = grid.inverse(-(grid.band_kmag**2) * hats[-1])
-    lap *= -(a / one_a)
-    out[-1] += grid.forward(lap, band=True)
-    return out
+    return out, margin
 
 
 class Stepper:
@@ -226,8 +232,7 @@ class Stepper:
             raise ValueError("dt must be positive")
         self.grid = grid
 
-        kmag = grid.band_kmag
-        r_unique, idx = np.unique(np.round(kmag, 12), return_inverse=True)
+        r_unique, idx = np.unique(np.round(grid.band_kmag, 12), return_inverse=True)
         self._idx = idx.reshape(grid.band_shape)
         self._e0, self._f1, self._f2 = _phi_tables(reduced_symbol(r_unique), dt)
 
@@ -235,16 +240,16 @@ class Stepper:
         e0t, f1t, f2t = _phi_tables(np.array([[[-1.0 + 0j]]]), dt)
         self._perp = (complex(e0t[0, 0, 0]), complex(f1t[0, 0, 0]), complex(f2t[0, 0, 0]))
 
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self._unit_k = [np.where(kmag > 0, km / kmag, 0.0) for km in grid.band_wavenumbers]
-
     def _apply_table(self, table: np.ndarray, hats: np.ndarray, scalar: complex,
                      out: np.ndarray, add: bool = True) -> None:
         """Apply a per-radius 3x3 table to (a, u_par, theta) and damp u_perp,
         adding the result into ``out`` (storing it, if not ``add``) one row at a time."""
         put = (lambda row, value: np.add(out[row], value, out=out[row])) if add else out.__setitem__
         ah, uh, th = hats[0], hats[1:-1], hats[-1]
-        upar = sum(k * um for k, um in zip(self._unit_k, uh))
+        kmag = self.grid.band_kmag
+        unit_k = [np.divide(km, kmag, out=np.zeros(kmag.shape), where=kmag > 0)
+                  for km in self.grid.band_wavenumbers]
+        upar = sum(k * um for k, um in zip(unit_k, uh))
 
         # one gather per entry: a gathered (*shape, 3, 3) block is read with strides
         def t(i: int, j: int) -> np.ndarray:
@@ -253,13 +258,13 @@ class Stepper:
         put(0, t(0, 0) * ah + t(0, 1) * upar + t(0, 2) * th)
         p2 = t(1, 0) * ah + t(1, 1) * upar + t(1, 2) * th
         put(-1, t(2, 0) * ah + t(2, 1) * upar + t(2, 2) * th)
-        for m, (k, um) in enumerate(zip(self._unit_k, uh)):
+        for m, (k, um) in enumerate(zip(unit_k, uh)):
             put(1 + m, k * p2 + scalar * (um - k * upar))
 
     def step_hat(self, hats: np.ndarray) -> np.ndarray:
         """One ETDRK2 step on a band stack, which it consumes: its buffer
-        is reused for N(mid) - N(hats)."""
-        n0 = _remainder_hat(self.grid, hats)
+        is reused for N(mid) - N(hats).  Sets ``margin`` to the input's positivity margin."""
+        n0, self.margin = _remainder_hat(self.grid, hats)
         e0, f1, f2 = self._e0, self._f1, self._f2
         s0, s1, s2 = self._perp
 
@@ -267,7 +272,7 @@ class Stepper:
         self._apply_table(e0, hats, s0, mid, add=False)
         self._apply_table(f1, n0, s1, mid)
 
-        dn = _remainder_hat(self.grid, mid, out=hats)
+        dn = _remainder_hat(self.grid, mid, out=hats)[0]
         dn -= n0
         del n0
         self._apply_table(f2, dn, s2, mid)
@@ -295,7 +300,7 @@ def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
         raise PositivityViolation("1 + a and 1 + theta must stay positive to form quotients")
     d = grid.dim
     hats = grid.forward(state.data, band=True)
-    out = _remainder_hat(grid, hats)
+    out = _remainder_hat(grid, hats)[0]
     ah, uh, th = hats[0], hats[1:-1], hats[-1]
     div_u = sum(grid.derivative_hat(uh[m], m) for m in range(d))
     out[0] -= div_u
@@ -346,14 +351,14 @@ def integrate(
 ) -> TrajectoryRecord:
     """March the system to ``config.t_end`` recording shell norms.
 
-    Every step checks all spectral components for finiteness and raises
-    :class:`NonFinite` with the failure time.  Diagnostics are sampled
-    every ``sample_stride`` steps: per-shell L^2
-    norms of each component (the raw material of every Besov-type
-    functional downstream), the density mean and the maximum signal
-    speed.  Full snapshots are kept every ``snapshot_stride`` samples,
-    and the final state always.  ``state0`` is left unchanged and dropped once the band
-    stack exists, so a temporary passed in is freed before the first step (CPython 3.11+).
+    Every step checks all spectral components for finiteness and its input for
+    the positivity floor, raising :class:`NonFinite` or :class:`PositivityViolation`
+    with the failure time.  Diagnostics are sampled every ``sample_stride`` steps:
+    per-shell L^2 norms of each component (the raw material of every Besov-type
+    functional downstream), the density mean and the maximum signal speed.  Full
+    snapshots are kept every ``snapshot_stride`` samples, and the final state
+    always.  ``state0`` is left unchanged and dropped once the band stack exists,
+    so a temporary passed in is freed before the first step (CPython 3.11+).
     """
     if lp is None:
         lp = LittlewoodPaley(grid)
@@ -398,6 +403,8 @@ def integrate(
     i_sample = 1
     for i_step in range(1, n_steps + 1):
         hats = stepper.step_hat(hats)
+        if stepper.margin < POSITIVITY_FLOOR:  # every step's input, sampled or not
+            raise PositivityViolation(f"positivity floor crossed at t={(i_step - 1) * dt:g}")
         # a NaN or inf anywhere in a component makes its sum non-finite
         if not np.isfinite(np.sum(hats)):
             raise NonFinite(f"solution lost finiteness at t={i_step * dt:g}")

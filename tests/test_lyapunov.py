@@ -22,6 +22,7 @@ from eulerfourier.solver import (
     SolverConfig,
     TrajectoryRecord,
     integrate,
+    linear_rhs,
     nonlinear_rhs,
 )
 
@@ -97,6 +98,41 @@ def test_energy_weight_uses_unfiltered_state():
     expected = 0.5 * GRID.cell_volume * np.sum(weight * a_j * a_j)
     e2, _ = shell_functionals(LP, state, j, DEFAULT_ETA, "high")
     assert np.isclose(e2, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim, npts", [(1, 64), (2, 32)])
+def test_low_energy_falls_at_the_dissipation_rate_along_the_linear_flow(dim, npts):
+    # in the low regime (weight 1) the chain rule along T = linear_rhs gives
+    #   dE_j/dt = <a_j, T_a,j> + <u_j, T_u,j> + <theta_j, T_theta,j>
+    #             + eta (<grad T_a,j, u_j> + <grad a_j, T_u,j>) = -D_j
+    # exactly: measured to 5.4e-15 of D_j.  E_j is quadratic, so its centered
+    # difference (E_j(s + T) - E_j(s - T)) / 2 is the same rate.  theta follows a,
+    # so <grad theta_j, grad a_j> is not small; halving it in D_j moves D_j by
+    # 5e-4 or more of itself, and so does each mutant of D_j and E_j tried
+    eta = DEFAULT_ETA
+    grid = PeriodicGrid(dim=dim, npts=npts, length=16.0 * np.pi)
+    lp = LittlewoodPaley(grid)
+    rng = np.random.default_rng(dim)
+    fhat = grid.forward(rng.standard_normal((dim + 2,) + grid.shape))
+    state = StateFields(grid.inverse(np.where(grid.dealias_mask, fhat, 0.0)))
+    state.u[...] *= 0.1
+    state.theta[...] = 0.6 * state.a + 0.4 * state.theta
+    tend = linear_rhs(grid, state)
+
+    def inner(f, g):
+        return float(np.sum(f * g) * grid.cell_volume)
+
+    for j in lp.shells:
+        s_j, t_j = ([lp.block(f, j) for f in fields.data] for fields in (state, tend))
+        rate = sum(inner(f, g) for f, g in zip(s_j, t_j))
+        rate += eta * sum(inner(g, u) for g, u in zip(grid.gradient(t_j[0]), s_j[1:-1]))
+        rate += eta * sum(inner(g, u) for g, u in zip(grid.gradient(s_j[0]), t_j[1:-1]))
+        _, dissipation = shell_functionals(lp, state, j, eta, "low")
+        assert dissipation > 0.0
+        assert abs(rate + dissipation) <= 1e-12 * dissipation, (j, rate, dissipation)
+        e_plus, e_minus = (shell_functionals(lp, StateFields(state.data + sign * tend.data),
+                                             j, eta, "low")[0] for sign in (1.0, -1.0))
+        assert abs((e_plus - e_minus) / 2.0 - rate) <= 1e-12 * dissipation, j
 
 
 def test_eta_range_is_validated():

@@ -342,6 +342,31 @@ def test_nan_in_any_component_stops_the_run_at_that_step(monkeypatch):
         integrate(grid, state0, SolverConfig(dt=1e-3, t_end=0.01, sample_stride=10**9))
 
 
+def test_a_dip_below_the_positivity_floor_between_samples_stops_the_run():
+    # an outflow from x = 0 takes 1 + a from 0.12 to 0.096 and the pressure
+    # refills it: below the floor for t in [0.175, 0.565], back above it by
+    # t = 0.8.  The samples at t = 0 and t = 0.8 alone pass; each step checks
+    # its input, so the run stops at the first state under the floor
+    grid = PeriodicGrid(dim=1, npts=64, length=2.0 * np.pi)
+    (x,) = grid.coordinates()
+    state0 = StateFields.zeros(grid)
+    state0.a[:] = -0.88 * np.cos(x)
+    state0.u[0] = 1.8 * np.sin(x)
+    dt, n_steps = 5e-4, 1600
+    stepper, hats, margins = Stepper(grid, dt), grid.forward(state0.data, band=True), []
+    for _ in range(n_steps):
+        hats = stepper.step_hat(hats)
+        margins.append(stepper.margin)
+    final = positivity_margin(StateFields(grid.inverse(hats)))
+    assert margins[0] >= POSITIVITY_FLOOR and final >= POSITIVITY_FLOOR
+    first = next(i for i, m in enumerate(margins) if m < POSITIVITY_FLOOR)
+    assert min(margins) < 0.097 and first == 350
+
+    cfg = SolverConfig(dt=dt, t_end=n_steps * dt, epsilon0=None, sample_stride=10**9)
+    with pytest.raises(PositivityViolation, match=r"t=0\.175$"):
+        integrate(grid, state0, cfg)
+
+
 def test_positivity_margin_is_the_least_of_one_plus_a_and_theta(rng):
     # one state, a chunk of states, and NaN in either field
     for shape in ((3,) + GRID.shape, (3, 4) + GRID.shape):
@@ -499,11 +524,13 @@ def _reference_step(grid, tables, hats):
     return mid + table(f2, remainder(mid) - n0, s2)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_step_in_place_equals_the_fresh_array_step_bit_for_bit(dim):
+@pytest.mark.parametrize("dim, npts", [(1, 64), (2, 32), (3, 16), (3, 32)],
+                         ids=["1", "2", "3", "3-32"])
+def test_step_in_place_equals_the_fresh_array_step_bit_for_bit(dim, npts):
     # the band step, with tables over the band radii only, against the
-    # full-layout oracle with tables over every radius
-    grid = PeriodicGrid(dim=dim, npts={1: 64, 2: 32, 3: 16}[dim], length=8.0 * np.pi)
+    # full-layout oracle with tables over every radius; 32**3 (>= ROW_POINTS)
+    # transforms a stack one field at a time
+    grid = PeriodicGrid(dim=dim, npts=npts, length=8.0 * np.pi)
     rng = np.random.default_rng(dim)
     full = grid.forward(1e-2 * rng.standard_normal((dim + 2,) + grid.shape))
     full = np.where(grid.dealias_mask, full, 0.0)
@@ -516,14 +543,10 @@ def test_step_in_place_equals_the_fresh_array_step_bit_for_bit(dim):
         assert np.all(full[:, ~grid.dealias_mask] == 0.0)
 
 
-def test_step_peak_memory_and_integrate_leaves_state0_intact():
-    # the step works on band stacks, reuses its input's buffer and forms one
-    # gradient and one table row at a time; in full-layout state stacks above
-    # its input at 16**3: 2.16 now, 3.5 on the full layout, 6.2 when every
-    # stage and gradient was a fresh array
-    grid = PeriodicGrid(dim=3, npts=16, length=2.0 * np.pi)
-    state0 = _varying_state(grid, 1e-2)
-    hats = grid.forward(state0.data, band=True)
+def _step_peak(npts):
+    """Traced peak of one 3-D step above its input, in full-layout complex state stacks."""
+    grid = PeriodicGrid(dim=3, npts=npts, length=2.0 * np.pi)
+    hats = grid.forward(_varying_state(grid, 1e-2).data, band=True)
     full_nbytes = hats.itemsize * len(hats) * grid.npts**grid.dim
     stepper = Stepper(grid, 1e-3)
     tracemalloc.start()
@@ -531,14 +554,33 @@ def test_step_peak_memory_and_integrate_leaves_state0_intact():
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         stepper.step_hat(hats)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return (tracemalloc.get_traced_memory()[1] - base) / full_nbytes
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * full_nbytes, f"{peak / full_nbytes:.2f} full-layout stacks"
 
+
+def test_step_peak_memory_and_integrate_leaves_state0_intact():
+    # the step works on band stacks, reuses its input's buffer, forms one
+    # gradient and one table row at a time, and its remainder holds u with
+    # [a, theta], then u with q alone; at 16**3: 1.56 now, 2.16 when the remainder
+    # held the whole physical state, 3.5 on the full layout, 6.2 when every
+    # stage and gradient was a fresh array
+    peak = _step_peak(16)
+    assert peak <= 1.6, f"{peak:.2f} full-layout stacks"
+
+    grid = PeriodicGrid(dim=3, npts=16, length=2.0 * np.pi)
+    state0 = _varying_state(grid, 1e-2)
     before = state0.data.tobytes()
     integrate(grid, state0, SolverConfig(dt=1e-3, t_end=3e-3, epsilon0=None, snapshot_stride=1))
     assert state0.data.tobytes() == before
+
+
+def test_step_peak_memory_at_32_cubed():
+    # at 32**3 (>= ROW_POINTS) stacks are transformed one field at a time:
+    # 1.42 full-layout stacks now, 1.72 when the remainder held the whole
+    # physical state and the stepper its unit wave vectors
+    peak = _step_peak(32)
+    assert peak <= 1.5, f"{peak:.2f} full-layout stacks"
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -577,6 +619,8 @@ def test_shell_tables_are_kept_by_radius_and_a_sample_stays_small():
     assert all(t.shape == grid.radii[0].shape for t in lp._phi_cache.values())
     assert not any(isinstance(v, np.ndarray) for v in vars(lp).values())
     assert len(lp._laid_out) == 0
+    # nor does the grid: |k| and the radius index of the full layout are formed on access
+    assert len(grid._held) == 0 and grid.radius_index(True).shape == grid.band_shape
 
     # a sample reduces the band stack, one zero-filled real field at a time at
     # 32**3 (>= ROW_POINTS); in full-layout complex state stacks, its peak read

@@ -6,7 +6,8 @@
 The run is ``KIND`` at its default config with seed 0, changed by each
 ``--set key=value``, in a fresh temporary directory, under ``tracemalloc``.
 The phases are the calls of ``decay.generate_initial_data`` (initial data),
-``solver.Stepper.step_hat`` (each step), the sampler inside
+``solver._check_admissible`` (the admissibility gates on the initial state and
+its transform), ``solver.Stepper.step_hat`` (each step), the sampler inside
 ``solver.integrate`` (each sample) and ``solver.save_checkpoint`` (the
 checkpoint), caught by a profile hook on their code objects, so nothing is
 patched.  Each line gives the bytes traced when the phase starts ("held") and
@@ -35,6 +36,7 @@ from eulerfourier.config import KINDS, parse_config  # noqa: E402
 #: code object of each phase's function -> its label
 PHASES = {
     decay.generate_initial_data.__code__: "initial data",
+    solver._check_admissible.__code__: "admissibility",
     solver.Stepper.step_hat.__code__: "step",
     solver.save_checkpoint.__code__: "checkpoint",
 }
