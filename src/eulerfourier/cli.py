@@ -356,7 +356,7 @@ def _guarded_run(out_dir: Path, strict: bool, label: str, parse) -> tuple:
     """
     try:
         cfg = parse()
-    except (ValueError, OSError, ImportError) as exc:
+    except Exception as exc:  # noqa: BLE001 - any parse failure becomes an error record
         print(f"configuration error: {exc}", file=sys.stderr)
         _record_error(out_dir, label, "unparsed", exc)
         return None, label, "unparsed"

@@ -185,7 +185,7 @@ def generate_initial_data(
     state = StateFields(np.stack([draw() for _ in range(grid.dim + 2)]))
     del kmag
 
-    series = ShellSeries.of_state(lp, state)
+    series = ShellSeries.of_hats(lp, grid.forward(state.data, band=True))
     measured_delta0 = series.delta0(spec.sigma1)
     if measured_delta0 <= 0.0:
         raise RuntimeError("drawn data vanished; enlarge the band or grid")

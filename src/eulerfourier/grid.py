@@ -244,10 +244,8 @@ class PeriodicGrid:
         return _per_row(total ** (1.0 / p))
 
     def l2_norm_hat(self, fhat: np.ndarray, weight: np.ndarray | None = None):
-        """L^2 norm of ``weight * fhat`` by Parseval, fields of ``ROW_POINTS`` or more one at
-        a time; a band stack's squares are zero-filled, to sum as its full layout does."""
-        if np.ndim(fhat) > self.dim and self.npts**self.dim >= ROW_POINTS:
-            return np.array([self.l2_norm_hat(row, weight) for row in fhat])
+        """L^2 norm of ``weight * fhat`` by Parseval, one value per row of a stack; a band
+        stack's squares are zero-filled, to sum as its full layout does."""
         square = np.abs(fhat if weight is None else fhat * weight) ** 2
         square = _resize(square, self.shape, float) if self.in_band(fhat) else square
         total = np.sqrt(square.sum(axis=self.axes))

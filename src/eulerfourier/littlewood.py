@@ -55,6 +55,16 @@ def ell2(norms) -> np.ndarray:
     return np.sqrt(sum(square(n) for n in norms))
 
 
+def ell_r(rows: np.ndarray, r: float) -> np.ndarray:
+    """The ell^r over shells, the leading axis of ``rows``: one value per later index."""
+    if rows.shape[0] == 0:
+        return np.zeros(rows.shape[1:])
+    if r == np.inf:
+        return rows.max(axis=0)
+    # cumsum adds shell by shell, where sum() of 8 or more terms is pairwise
+    return np.cumsum(rows**r, axis=0)[-1] ** (1.0 / r)
+
+
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Running trapezoid integral of ``y`` over the 1-D abscissae ``x`` along
     ``axis``, starting at 0 (scipy's ``cumulative_trapezoid(..., initial=0)``)."""
@@ -273,14 +283,6 @@ class LittlewoodPaley:
         return norms[0], ell2(norms[1:-1]), norms[-1]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _accumulate(weighted: list[float], r: float) -> float:
-        if not weighted:
-            return 0.0
-        if r == np.inf:
-            return max(weighted)
-        return float(np.sum(np.asarray(weighted) ** r) ** (1.0 / r))
-
     def besov_norm(
         self,
         f: np.ndarray,
@@ -292,7 +294,7 @@ class LittlewoodPaley:
         fhat = self.grid.forward(np.asarray(f, dtype=float))
         shells = FrequencySplit().select(self.shells, regime)
         vals = [2.0 ** (j * s) * self.shell_l2_hat(fhat, j) for j in shells]
-        return self._accumulate(vals, r)
+        return float(ell_r(np.array(vals), r))
 
 
 #: component order of :attr:`ShellSeries.norms`
@@ -318,19 +320,8 @@ class ShellSeries:
     norms: np.ndarray
 
     @classmethod
-    def of_state(cls, lp: LittlewoodPaley, state) -> ShellSeries:
-        """Single-time series (at t = 0) of a state, one field transformed at a time."""
-        grid, held = lp.grid, lp.grid.radius_index(False)  # one index lays out every shell
-        mults = [lp.shell_multiplier(j) for j in lp.shells]
-        norms_of = lambda fhat: [grid.l2_norm_hat(fhat, m) for m in mults]
-        rows = [norms_of(grid.forward(f)) for f in state.data]  # one transform alive at a time
-        norms = [(n[0], ell2(n[1:-1]), n[-1]) for n in np.array(rows).T]
-        return cls(np.zeros(1), tuple(lp.shells), grid.dim, np.array(norms)[:, :, None])
-
-    @classmethod
     def of_hats(cls, lp: LittlewoodPaley, hats: np.ndarray) -> ShellSeries:
         """Single-time series (at t = 0) of a spectral stack [a, u_1, ..., u_d, theta]."""
-        held = lp.grid.radius_index(lp.grid.in_band(hats))  # one index lays out every shell
         norms = np.array([lp.state_l2_hat(hats, j) for j in lp.shells])[:, :, None]
         return cls(np.zeros(1), tuple(lp.shells), lp.grid.dim, norms)
 
@@ -352,15 +343,6 @@ class ShellSeries:
             scale = scale * weight
         return scale * self.composite(components)[[self.shells.index(j) for j in shells]]
 
-    def _ell(self, rows: np.ndarray, r: float) -> np.ndarray:
-        if rows.shape[0] == 0:
-            return np.zeros_like(self.times)
-        if r == np.inf:
-            return rows.max(axis=0)
-        # cumsum adds shell by shell; sum() would switch to pairwise
-        # summation when a single time is stored
-        return np.cumsum(rows**r, axis=0)[-1] ** (1.0 / r)
-
     def besov(
         self,
         s: float,
@@ -370,7 +352,7 @@ class ShellSeries:
         split: FrequencySplit = FrequencySplit(),
     ) -> np.ndarray:
         """Besov norm B^s_{2,r} of the composite at every stored time."""
-        return self._ell(self._weighted(s, components, regime, split), r)
+        return ell_r(self._weighted(s, components, regime, split), r)
 
     def chemin_lerner(
         self,
@@ -396,7 +378,7 @@ class ShellSeries:
         else:
             integral = cumulative_trapezoid(rows**rho, self.times, axis=1)
             prefix = integral ** (1.0 / rho)
-        return self._ell(prefix, r)
+        return ell_r(prefix, r)
 
     def critical(self, split: FrequencySplit = FrequencySplit()) -> np.ndarray:
         """Critical norm X(t): low shells at d/2 plus high shells at d/2 + 1."""

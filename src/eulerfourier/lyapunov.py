@@ -106,7 +106,7 @@ def _dealiased(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
 
 
 def _check_positive(state: StateFields) -> None:
-    if positivity_margin(state) <= 0.0:
+    if not positivity_margin(state) > 0.0:
         raise PositivityViolation("density or temperature lost positivity")
 
 

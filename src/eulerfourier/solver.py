@@ -68,8 +68,8 @@ class NonFinite(RuntimeError):
 
 def positivity_margin(state: StateFields) -> float:
     """How far a state or chunk is from vacuum: the least of 1 + a and 1 + theta
-    (1 + the least a or theta, which rounding, being monotone, keeps bit for bit)."""
-    return float(min(1.0 + state.a.min(), 1.0 + state.theta.min()))
+    (1 + the least a or theta, bit for bit as rounding is monotone), NaN if either holds one."""
+    return float(np.minimum(1.0 + state.a.min(), 1.0 + state.theta.min()))
 
 
 def check_trajectory(traj: TrajectoryRecord, mass_tol: float) -> Outcome:
@@ -102,9 +102,9 @@ class SolverConfig:
     ``dt=None`` selects the largest step allowed by :func:`cfl_check`.
     ``epsilon0`` bounds the critical norm of the initial data whose
     smallness the decay theory requires, :meth:`ShellSeries.critical` at
-    t = 0 (the start of the run's critical curve, for band-limited data);
-    ``None`` skips that gate.  ``snapshot_stride=None`` keeps the final
-    state only, as a one-element ``snapshots`` list.
+    t = 0, where the run's critical curve starts; ``None`` skips that
+    gate.  ``snapshot_stride=None`` keeps the final state only, as a
+    one-element ``snapshots`` list.
     """
 
     dt: float | None = None
@@ -132,7 +132,7 @@ def cfl_check(grid: PeriodicGrid, state: StateFields) -> float:
     speed sqrt(1 + theta) plus the flow speed |u|.  At the zero state
     this reduces to ``CFL_SAFETY * dx`` (unit sound speed).
     """
-    if positivity_margin(state) <= 0:
+    if not positivity_margin(state) > 0:
         raise PositivityViolation("density and temperature must stay positive for a wave speed")
     return CFL_SAFETY * grid.spacing / _max_speed(state)
 
@@ -296,7 +296,7 @@ def nonlinear_rhs(grid: PeriodicGrid, state: StateFields) -> StateFields:
     by mode and the remainder is the stepper's own :func:`_remainder_hat`,
     so this is the band-limited tendency the integrator advances.
     """
-    if positivity_margin(state) <= 0:
+    if not positivity_margin(state) > 0:
         raise PositivityViolation("1 + a and 1 + theta must stay positive to form quotients")
     d = grid.dim
     hats = grid.forward(state.data, band=True)
@@ -325,22 +325,13 @@ class TrajectoryRecord:
     snapshots: list[StateFields]
 
 
-def _check_admissible(
-    state: StateFields, hats: np.ndarray, config: SolverConfig, lp: LittlewoodPaley
-) -> None:
+def _check_admissible(state: StateFields) -> None:
     if not np.all(np.isfinite(state.data)):
         raise NonFinite("initial data contains non-finite values")
-    if positivity_margin(state) < POSITIVITY_FLOOR:
+    if not positivity_margin(state) >= POSITIVITY_FLOOR:
         raise PositivityViolation(
             f"initial density/temperature below positivity floor {POSITIVITY_FLOOR}"
         )
-    if config.epsilon0 is not None:
-        size = float(ShellSeries.of_hats(lp, hats).critical()[0])
-        if size > config.epsilon0:
-            raise ValueError(
-                f"initial data critical norm {size:.3e} exceeds epsilon0 "
-                f"{config.epsilon0:.3e}; pass epsilon0=None to bypass"
-            )
 
 
 def integrate(
@@ -351,31 +342,21 @@ def integrate(
 ) -> TrajectoryRecord:
     """March the system to ``config.t_end`` recording shell norms.
 
-    Every step checks all spectral components for finiteness and its input for
-    the positivity floor, raising :class:`NonFinite` or :class:`PositivityViolation`
+    ``state0`` is transformed once, to the band, and the ``epsilon0`` gate reads
+    sample 0's critical norm before any propagator table is built.  Every step
+    checks all spectral components for finiteness and its input for the
+    positivity floor, raising :class:`NonFinite` or :class:`PositivityViolation`
     with the failure time.  Diagnostics are sampled every ``sample_stride`` steps:
     per-shell L^2 norms of each component (the raw material of every Besov-type
     functional downstream), the density mean and the maximum signal speed.  Full
     snapshots are kept every ``snapshot_stride`` samples, and the final state
-    always.  ``state0`` is left unchanged and dropped once the band stack exists,
+    always.  ``state0`` is left unchanged and dropped once the step is fixed,
     so a temporary passed in is freed before the first step (CPython 3.11+).
     """
     if lp is None:
         lp = LittlewoodPaley(grid)
-    # one forward transform serves the epsilon0 gate and, as its band layout, the run
-    hats = grid.forward(state0.data)
-    _check_admissible(state0, hats, config, lp)
-
-    bound = cfl_check(grid, state0)
-    dt = config.dt if config.dt is not None else bound
-    if dt > bound * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:g} exceeds the advective bound {bound:g}")
-    n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
-    dt = config.t_end / n_steps
-
-    stepper = Stepper(grid, dt)
-    hats = grid.to_band(hats)
-    del state0  # the band stack is all the run reads of it
+    _check_admissible(state0)
+    hats = grid.forward(state0.data, band=True)
 
     times: list[float] = []
     shell_rows: list[np.ndarray] = []  # per sample: (shells, 3, 1) norms
@@ -389,7 +370,7 @@ def integrate(
         shell_rows.append(ShellSeries.of_hats(lp, hats_now).norms)
         mean_a.append(float(np.real(hats_now[0].flat[0])))
         state = StateFields(grid.inverse(hats_now))
-        if positivity_margin(state) < POSITIVITY_FLOOR:
+        if not positivity_margin(state) >= POSITIVITY_FLOOR:
             raise PositivityViolation(f"positivity floor crossed at t={t:g}")
         max_speed.append(_max_speed(state))
         # the final state is always kept: downstream checks (positivity
@@ -399,11 +380,31 @@ def integrate(
             snap_times.append(t)
             snaps.append(state)
 
+    def series(norms: np.ndarray) -> ShellSeries:  # (shells, 3, samples so far)
+        return ShellSeries(np.asarray(times), tuple(lp.shells), grid.dim, norms)
+
     sample(0, 0.0, hats)
+    if config.epsilon0 is not None:
+        size = float(series(shell_rows[0]).critical()[0])
+        if not size <= config.epsilon0:
+            raise ValueError(
+                f"initial data critical norm {size:.3e} exceeds epsilon0 "
+                f"{config.epsilon0:.3e}; pass epsilon0=None to bypass"
+            )
+
+    bound = cfl_check(grid, state0)
+    del state0  # the band stack is all the run reads of it
+    dt = config.dt if config.dt is not None else bound
+    if dt > bound * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt:g} exceeds the advective bound {bound:g}")
+    n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
+    dt = config.t_end / n_steps
+
+    stepper = Stepper(grid, dt)
     i_sample = 1
     for i_step in range(1, n_steps + 1):
         hats = stepper.step_hat(hats)
-        if stepper.margin < POSITIVITY_FLOOR:  # every step's input, sampled or not
+        if not stepper.margin >= POSITIVITY_FLOOR:  # every step's input, sampled or not
             raise PositivityViolation(f"positivity floor crossed at t={(i_step - 1) * dt:g}")
         # a NaN or inf anywhere in a component makes its sum non-finite
         if not np.isfinite(np.sum(hats)):
@@ -412,12 +413,11 @@ def integrate(
             sample(i_sample, i_step * dt, hats, final=i_step == n_steps)
             i_sample += 1
 
-    norms = np.concatenate(shell_rows, axis=2)  # (shells, 3, times)
     return TrajectoryRecord(
         grid=grid,
         config=config,
         dt=dt,
-        series=ShellSeries(np.asarray(times), tuple(lp.shells), grid.dim, norms),
+        series=series(np.concatenate(shell_rows, axis=2)),
         mean_a=np.asarray(mean_a),
         max_speed=np.asarray(max_speed),
         snapshot_times=snap_times,

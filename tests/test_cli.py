@@ -24,7 +24,7 @@ from eulerfourier.config import (
     read_config_file,
     validate_config,
 )
-from eulerfourier import reporting
+from eulerfourier import cli, reporting
 from eulerfourier.cli import main, run
 from eulerfourier.reporting import (
     SCHEMA_VERSION,
@@ -767,6 +767,25 @@ def test_sweep_isolates_failing_configs(tmp_path):
     assert rows["sweep:good"]["pass"]
     assert not rows["sweep:typo"]["pass"] and not rows["sweep:raises"]["pass"]
     assert rows["sweep:raises"]["config_hash"] == run_err["config_hash"]
+
+
+def test_any_exception_from_parsing_exits_2_with_error_record(tmp_path, monkeypatch):
+    # not only ValueError, OSError and ImportError: anything parse_config raises
+    def broken(**kwargs):
+        raise RuntimeError("parser broke")
+
+    monkeypatch.setattr(cli, "parse_config", broken)
+    out = tmp_path / "single"
+    assert main(["lp-inspect", "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["schema"] == "error-v1" and err["error"] == "RuntimeError"
+    cfg = tmp_path / "member.cfg"
+    cfg.write_text("kind = lp-inspect\nradii = 1500\ntrials = 10\n")
+    out = tmp_path / "sweepout"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "member" / "error.json").read_text())
+    assert err["schema"] == "error-v1" and "parser broke" in err["message"]
+    assert not load_verdicts(out / "sweep_summary.jsonl")[0]["pass"]
 
 
 def test_sweep_rejects_configs_whose_stems_collide(tmp_path):

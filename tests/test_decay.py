@@ -108,7 +108,7 @@ def test_generated_data_is_normalized_and_uniform():
     spec = InitialDataSpec(sigma1=0.5, dim=1, amplitude=1e-3, seed=3)
     state = generate_initial_data(spec, grid, lp)
 
-    series = ShellSeries.of_state(lp, state)
+    series = ShellSeries.of_hats(lp, grid.forward(state.data, band=True))
     assert np.isclose(series.delta0(spec.sigma1), 1e-3, rtol=1e-10)
     comp = dict(zip(series.shells, series.composite()[:, 0]))
 
@@ -125,9 +125,10 @@ def test_generated_data_is_normalized_and_uniform():
 
 def test_generated_data_holds_one_state_at_a_time():
     # at 32**3 (>= ROW_POINTS) the state is scaled in place and its shell norms
-    # transform one field at a time: the traced peak reads 3.08 physical
-    # states, 4.08 when the norms transformed the whole state at once and the
-    # scaling made a second state
+    # read its band transform, made one field at a time: the traced peak reads
+    # 2.99 physical states (3.08 when the norms read the full layout, one
+    # field at a time, and 4.08 when they transformed the whole state at once
+    # and the scaling made a second state)
     grid = PeriodicGrid(dim=3, npts=32, length=8.0 * np.pi)
     lp = LittlewoodPaley(grid)
     spec = InitialDataSpec(sigma1=0.5, dim=3, amplitude=1e-2, seed=0)
@@ -142,7 +143,8 @@ def test_generated_data_holds_one_state_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 3.3, f"{peak:.2f} physical states"
-    assert np.isclose(ShellSeries.of_state(lp, state).delta0(spec.sigma1), 1e-2, rtol=1e-10)
+    series = ShellSeries.of_hats(lp, grid.forward(state.data, band=True))
+    assert np.isclose(series.delta0(spec.sigma1), 1e-2, rtol=1e-10)
 
 
 def test_generated_data_zero_amplitude_and_bad_band():

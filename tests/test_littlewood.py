@@ -158,8 +158,8 @@ def test_vector_shell_norms_combine_components(grid2d, lp2d, rng):
 def test_band_stack_shell_norms_equal_the_full_layout_bit_for_bit(dim, npts):
     # the tables are kept by radius and laid out on request: each multiplier is
     # phi(2^-j |k|) of the full layout, restricted to the band; a band stack's
-    # norms are those of its zero-filled full layout, and a stack's rows those
-    # of its fields alone, below ROW_POINTS (one pass) and at or above (per field)
+    # norms are those of its zero-filled full layout, and a stack's rows, summed in
+    # one pass, those of its fields alone, on both sides of ROW_POINTS
     grid = PeriodicGrid(dim=dim, npts=npts, length=16.0 * np.pi)
     lp = LittlewoodPaley(grid)
     assert (npts**dim >= ROW_POINTS) == (npts in (ROW_POINTS, 128, 32))

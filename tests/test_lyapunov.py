@@ -11,6 +11,7 @@ from eulerfourier.littlewood import LittlewoodPaley, ShellSeries
 from eulerfourier.lyapunov import (
     DEFAULT_ETA,
     StrideTooCoarse,
+    _ChunkTerms,
     coercivity_margin,
     commutator_remainders,
     lyapunov_residual,
@@ -230,6 +231,67 @@ def test_coercivity_margin_equals_generalized_eigh_loop(regime):
                     coercivity_margin(j, eta, regime)
             else:
                 assert coercivity_margin(j, eta, regime) == want
+
+
+#: eta of each regime's sharp-coercivity checks: the low form at eta = 0.1 is
+#: coercive only up to j = 0, at 1e-3 up to j = 3
+SHARP_ETA = {"low": 1e-3, "high": DEFAULT_ETA}
+
+
+def _paper_forms(r, j, eta, regime):
+    """D and Q of one wave vector of radius r, as forms F and G in (|a|, |u|, |theta|),
+    with the phases that make both cross terms of D negative (the paper's forms)."""
+    if regime == "low":
+        beta, target = eta, [4.0**j, 1.0, 4.0**j]
+    else:
+        beta, target = eta * 2.0 ** (-2 * j), [1.0, 1.0, 4.0**j]
+    f = np.array([[beta * r * r, -beta * r / 2.0, -beta * r * r / 2.0],
+                  [-beta * r / 2.0, 1.0 - beta * r * r, 0.0],
+                  [-beta * r * r / 2.0, 0.0, r * r]])
+    return f, np.diag(target)
+
+
+@pytest.mark.parametrize("regime", ["low", "high"])
+def test_the_functionals_meet_the_generalized_eigenvalues_sharply(regime):
+    # D_j and Q_j read from the code (shell_functionals and _ChunkTerms.target),
+    # not from a restated F.  The worst radius of shell j is its inner edge
+    # 3/4 2^j, where phi_j vanishes; the next lattice radius r (spacing 1/8)
+    # carries a single wave vector with amplitudes from a generalized eigenvector
+    # v of F against G: a = v_a cos rx, u = v_u sin rx, theta = -v_theta cos rx
+    # give <grad a, u> and <grad theta, grad a> the signs of F, so D_j / Q_j is
+    # the eigenvalue (measured to 1e-15; phi_j(r) is 7e-7 at j = 3)
+    from scipy.linalg import eigh
+
+    grid = PeriodicGrid(dim=1, npts=512, length=16.0 * np.pi)
+    lp = LittlewoodPaley(grid)
+    (x,) = grid.coordinates()
+    eta = SHARP_ETA[regime]
+    for j in (1, 2, 3):
+        r = 0.75 * 2.0**j + 2.0 * np.pi / grid.length
+        lams, vecs = eigh(*_paper_forms(r, j, eta, regime))
+        for lam, (va, vu, vth) in zip(lams, 1e-2 * vecs.T):
+            state = StateFields(np.stack([va * np.cos(r * x), vu * np.sin(r * x),
+                                          -vth * np.cos(r * x)]))
+            _, dissipation = shell_functionals(lp, state, j, eta, regime)
+            target = _ChunkTerms(lp, state).target(j, regime)
+            assert dissipation / target == pytest.approx(lam, rel=1e-12, abs=0.0), (j, lam)
+        # the state of the least eigenvalue is a shell-j state: D_j >= margin Q_j
+        assert 0.0 < coercivity_margin(j, eta, regime) <= lams[0]
+
+
+@pytest.mark.parametrize("regime", ["low", "high"])
+def test_random_shell_states_satisfy_the_coercivity_margin(regime):
+    # D_j >= margin Q_j for every state whose block is on shell j, the
+    # transverse velocity included (d = 2)
+    grid = PeriodicGrid(dim=2, npts=128, length=4.0 * np.pi)
+    lp = LittlewoodPaley(grid)
+    eta = SHARP_ETA[regime]
+    chunk = StateFields(1e-2 * np.random.default_rng(7).standard_normal((4, 6) + grid.shape))
+    for j in (1, 2, 3):
+        _, dissipation = shell_functionals(lp, chunk, j, eta, regime)
+        target = _ChunkTerms(lp, chunk).target(j, regime)
+        assert np.all(target > 0.0)
+        assert np.all(dissipation >= coercivity_margin(j, eta, regime) * target), j
 
 
 def test_commutators_vanish_for_constant_coefficients(rng):

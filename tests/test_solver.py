@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from eulerfourier.decay import InitialDataSpec, generate_initial_data
 from eulerfourier.grid import PeriodicGrid, StateFields
 from eulerfourier.linear import expm_stack, mode_propagator, reduced_symbol
 from eulerfourier.littlewood import LittlewoodPaley, ShellSeries
@@ -368,18 +369,36 @@ def test_a_dip_below_the_positivity_floor_between_samples_stops_the_run():
 
 
 def test_positivity_margin_is_the_least_of_one_plus_a_and_theta(rng):
-    # one state, a chunk of states, and NaN in either field
+    # one state, a chunk of states, and NaN in either field, which the margin carries
     for shape in ((3,) + GRID.shape, (3, 4) + GRID.shape):
         for nan_at in (None, 0, -1):
             data = 0.5 * rng.standard_normal(shape)
             if nan_at is not None:
                 data[nan_at].flat[5] = np.nan
             state = StateFields(data)
+            if nan_at is not None:
+                assert np.isnan(positivity_margin(state))
+                continue
             want = min(1.0 + state.a.min(), 1.0 + state.theta.min())
             assert np.float64(positivity_margin(state)).tobytes() == np.float64(want).tobytes()
-            if nan_at is None:  # rounding is monotone: min fl(1 + a) = fl(1 + min a)
-                least = min(np.min(1.0 + state.a), np.min(1.0 + state.theta))
-                assert positivity_margin(state) == least
+            # rounding is monotone: min fl(1 + a) = fl(1 + min a)
+            least = min(np.min(1.0 + state.a), np.min(1.0 + state.theta))
+            assert positivity_margin(state) == least
+
+
+def test_a_nan_in_theta_alone_fails_every_positivity_guard():
+    # a = 0 and one NaN in theta: the margin must not read 1 + min a = 1
+    state = StateFields.zeros(GRID)
+    state.theta[5] = np.nan
+    record = _hand_built_record()
+    record.snapshots[-1].theta[5] = np.nan
+    outcome = check_trajectory(record, mass_tol=1e-10)
+    assert [v.name for v in outcome.verdicts if not v.passed] == ["final-positivity-margin"]
+    for guard in (cfl_check, nonlinear_rhs):
+        with pytest.raises(PositivityViolation):
+            guard(GRID, state)
+    with pytest.raises(NonFinite):  # integrate checks finiteness first
+        integrate(GRID, state, SolverConfig(dt=1e-3, t_end=2e-3, epsilon0=None))
 
 
 def _hand_built_record(mean_a=(0.0, 0.0, 0.0), nan_norm=False, least_a=0.0):
@@ -434,7 +453,7 @@ def test_dt_above_cfl_bound_is_rejected():
 
 
 def _critical(lp, state):
-    return ShellSeries.of_state(lp, state).critical()[0]
+    return ShellSeries.of_hats(lp, lp.grid.forward(state.data, band=True)).critical()[0]
 
 
 def test_critical_norm_zero_state():
@@ -473,6 +492,38 @@ def test_epsilon0_gate_is_the_critical_curve_at_t0():
     integrate(grid, state0, cfg(critical * (1.0 + 1e-12)), lp=lp)
     with pytest.raises(ValueError, match="epsilon0"):
         integrate(grid, state0, cfg(critical * (1.0 - 1e-12)), lp=lp)
+
+
+def test_epsilon0_is_the_start_of_the_critical_curve_exactly():
+    # white noise fills every mode, and at N = 32, L = 1 the top shell (j = 5,
+    # |k| up to 85, |m| up to 13) reaches past the band (|m| <= 10): a gate on
+    # the full layout read 0.20582 here, above the curve's start 0.20263
+    grid = PeriodicGrid(dim=1, npts=32, length=1.0)
+    lp = LittlewoodPaley(grid)
+    state0 = StateFields(1e-3 * np.random.default_rng(0).standard_normal((3,) + grid.shape))
+    cfg = lambda eps0: SolverConfig(t_end=1e-3, epsilon0=eps0)
+    start = integrate(grid, state0, cfg(None), lp=lp).series.critical()[0]
+    assert lp.j_max == 5 and np.isclose(start, 0.20263, rtol=1e-4)
+    integrate(grid, state0, cfg(start), lp=lp)
+    with pytest.raises(ValueError, match="epsilon0"):
+        integrate(grid, state0, cfg(np.nextafter(start, 0.0)), lp=lp)
+
+
+def test_a_box_run_never_forms_the_full_layout_radius_index(monkeypatch):
+    # the initial data's delta0, the epsilon0 gate and every sample reduce band stacks
+    layouts = []
+    radius_index = PeriodicGrid.radius_index
+
+    def logged(self, band):
+        layouts.append(band)
+        return radius_index(self, band)
+
+    monkeypatch.setattr(PeriodicGrid, "radius_index", logged)
+    grid = PeriodicGrid(dim=3, npts=16, length=4.0 * np.pi)
+    lp = LittlewoodPaley(grid)
+    state0 = generate_initial_data(InitialDataSpec(sigma1=0.5, dim=3, amplitude=1e-3), grid, lp)
+    integrate(grid, state0, SolverConfig(t_end=2e-2, epsilon0=0.5), lp=lp)
+    assert layouts and all(layouts), layouts
 
 
 def _full_tables(grid, dt):
@@ -609,8 +660,8 @@ def test_integrate_frees_a_temporary_initial_state_before_the_first_step(monkeyp
 
 def test_shell_tables_are_kept_by_radius_and_a_sample_stays_small():
     # the shell tables live over the grid's distinct radii and no one holds a
-    # laid-out multiplier, so after a run (whose epsilon0 gate reads the full
-    # layout) the shell calculus holds no array of the grid's full layout
+    # laid-out multiplier, so after a run the shell calculus holds no array of
+    # the grid's full layout
     grid = PeriodicGrid(dim=3, npts=16, length=2.0 * np.pi)
     lp = LittlewoodPaley(grid)
     integrate(grid, _varying_state(grid, 1e-2),
@@ -622,10 +673,11 @@ def test_shell_tables_are_kept_by_radius_and_a_sample_stays_small():
     # nor does the grid: |k| and the radius index of the full layout are formed on access
     assert len(grid._held) == 0 and grid.radius_index(True).shape == grid.band_shape
 
-    # a sample reduces the band stack, one zero-filled real field at a time at
-    # 32**3 (>= ROW_POINTS); in full-layout complex state stacks, its peak read
-    # 0.90 (1.04 for the first sample, which builds the tables), and 1.30 (1.74)
-    # when each sample zero-filled the band into a complex stack
+    # a sample reduces the band stack, zero-filling its real squares; in
+    # full-layout complex state stacks, its peak reads 0.80 (0.84 for the first
+    # sample, which builds the tables) at 32**3, the same as when it reduced one
+    # field at a time, and read 1.30 (1.74) when each sample zero-filled the band
+    # into a complex stack
     grid = PeriodicGrid(dim=3, npts=32, length=2.0 * np.pi)
     state0 = _varying_state(grid, 1e-2)
     full_nbytes = 16 * len(state0.data) * grid.npts**grid.dim

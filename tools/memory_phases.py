@@ -6,9 +6,9 @@
 The run is ``KIND`` at its default config with seed 0, changed by each
 ``--set key=value``, in a fresh temporary directory, under ``tracemalloc``.
 The phases are the calls of ``decay.generate_initial_data`` (initial data),
-``solver._check_admissible`` (the admissibility gates on the initial state and
-its transform), ``solver.Stepper.step_hat`` (each step), the sampler inside
-``solver.integrate`` (each sample) and ``solver.save_checkpoint`` (the
+``solver._check_admissible`` (the finiteness and positivity gates on the
+initial state), ``solver.Stepper.step_hat`` (each step), the sampler inside
+``solver.integrate`` (each sample, the first of which the epsilon0 gate reads) and ``solver.save_checkpoint`` (the
 checkpoint), caught by a profile hook on their code objects, so nothing is
 patched.  Each line gives the bytes traced when the phase starts ("held") and
 the most traced inside it ("peak"), in MB, and the last line the run's peak.
