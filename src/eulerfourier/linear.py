@@ -12,17 +12,17 @@ velocity is a gradient field the system block-diagonalises into the
 longitudinal 3x3 system :func:`reduced_symbol` (identical to the d=1
 symbol at |xi|) plus pure exponential damping of the transverse part.
 
-Every matrix exponential of the package goes through :func:`expm_stack`,
-a vectorised Pade-13 scaling-and-squaring routine for stacks of small
-matrices (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
+:func:`expm_stack` is a vectorised Pade-13 scaling-and-squaring routine for
+stacks of small matrices (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+2009).  The solver's phi-tables use ``scipy.linalg.expm`` instead.
 
 :func:`semigroup_besov_decay` evolves a radial spectral profile with the
 exact propagator on a logarithmic radial quadrature and returns dyadic
 shell norms over time, from which whole-space Besov decay rates are fit.
 The diagonal similarity u = i w makes the longitudinal symbol
-(:func:`real_reduced_symbol`) and the profile data real, so the whole
-quadrature runs in real arithmetic, in one pass over the nodes where the
-data do not vanish: the node-doubling check's nodes contain the base ones.
+(:func:`real_reduced_symbol`) and the profile data real.  :func:`_evolve`
+diagonalises each node with data once, in one pass: the node-doubling
+check's nodes contain the base ones.
 """
 
 from __future__ import annotations
@@ -209,9 +209,37 @@ def expm_stack(a) -> np.ndarray:
     return out
 
 
+#: largest 2-norm cond(V) of an eigenvector matrix that _evolve uses: its error is about
+#: cond(V) u, under 2e-12 of |v0| (Higham, Functions of Matrices, 2008, 4.5).  Only radii
+#: within ~1e-8 relative of r* = (2 - 6.75^(1/3))^(1/2), a double eigenvalue, exceed it.
+_EIG_COND_MAX = 1e4
+
+
+def _evolve(r: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(t B_r) v0 (T, R, 3) at each node r with data: Re(V (e^{t lam} V^-1 v0))
+    from one eig of B_r = real_reduced_symbol(r) (Moler & Van Loan, SIAM Review
+    45, 2003, method 14), expm_stack past _EIG_COND_MAX, and v0 at t = 0."""
+    live = np.flatnonzero(np.any(v0 != 0.0, axis=1))  # exp(tB) 0 = 0 elsewhere
+    lam, vec = np.linalg.eig(real_reduced_symbol(r[live]))
+    ok = np.linalg.cond(vec) <= _EIG_COND_MAX
+    far, near = live[ok], live[~ok]
+    modes = vec[ok] * np.linalg.solve(vec[ok], v0[far, :, None]).transpose(0, 2, 1)
+    out = np.zeros((times.size,) + v0.shape)
+    chunk = max(1, _BLOCK_ENTRIES // (9 * max(live.size, 1)))  # bounds each (chunk, L, 3)
+    for i in range(0, times.size, chunk):
+        tt = times[i : i + chunk, None, None]
+        out[i : i + chunk, far] = (modes @ np.exp(tt * lam[ok])[..., None])[..., 0].real
+    if near.size:  # a node or two near the collision: every time in one call
+        a = times[:, None, None, None] * real_reduced_symbol(r[near])
+        props = expm_stack(a.reshape(-1, 3, 3)).reshape(a.shape)
+        out[:, near] = (props @ v0[near, :, None])[..., 0]
+    out[times == 0.0] = v0  # exp(0) = I exactly
+    return out
+
+
 def mode_propagator(xi: np.ndarray, t: float) -> np.ndarray:
-    """exp(t M(xi)) through :func:`expm_stack` (scaling and squaring,
-    robust at eigenvalue collisions, unlike diagonalisation)."""
+    """exp(t M(xi)) through :func:`expm_stack` (scaling and squaring, robust
+    at eigenvalue collisions, where the quadrature's diagonalisation is not)."""
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
     return expm_stack((t * symbol_matrix(xi))[None])[0]
@@ -343,18 +371,10 @@ def semigroup_besov_decay(
     r = np.exp(s)
 
     # real form: (a, w, theta) under B = D^-1 M D; |u| = |w| per node
-    v0 = profile.amplitudes(r, cutoffs)  # (R, 3)
-    live = np.flatnonzero(np.any(v0 != 0.0, axis=1))  # exp(tB) 0 = 0 elsewhere
-    mats = real_reduced_symbol(r[live])  # (L, 3, 3)
-    evolved = np.zeros((times.size, r.size, 3))
-    # about one kernel block of times per call: no (T, L, 3, 3) stack is built
-    chunk = max(1, _BLOCK_ENTRIES // (9 * max(live.size, 1)))
-    for i in range(0, times.size, chunk):
-        tt = times[i : i + chunk, None, None, None]
-        props = expm_stack((tt * mats).reshape(-1, 3, 3)).reshape(tt.size, live.size, 3, 3)
-        evolved[i : i + chunk, live] = (props @ v0[live, :, None])[..., 0]
-
+    evolved = _evolve(r, profile.amplitudes(r, cutoffs), times)  # (T, R, 3)
     shells = _resolved_shells(r_range)
+    # each shell's phi_j^2 on every node; a coarser set takes every stride-th
+    phi2 = [_SPHERE_AREA[dim] * cutoffs.phi(r * 2.0 ** (-j)) ** 2 for j in shells]
 
     def series(stride: int) -> ShellSeries:
         # trapezoid weights over every stride-th node, with the Jacobian r ds
@@ -363,10 +383,10 @@ def semigroup_besov_decay(
         w[[0, -1]] *= 0.5
         meas = w * rs * rs ** (dim - 1)
         norms = np.empty((len(shells), 3, times.size))
-        for k, j in enumerate(shells):
-            kern = _SPHERE_AREA[dim] * cutoffs.phi(rs * 2.0 ** (-j)) ** 2 * meas
-            for c in range(3):
-                norms[k, c] = np.sqrt(evolved[:, ::stride, c] ** 2 @ kern)
+        for c in range(3):  # one component's squares alive at a time
+            sq = evolved[:, ::stride, c] ** 2
+            for k, p in enumerate(phi2):
+                norms[k, c] = np.sqrt(sq @ (p[::stride] * meas))
         return ShellSeries(times, tuple(shells), dim, norms)
 
     meta = {"nodes_per_octave": nodes_per_octave, "r_range": r_range,

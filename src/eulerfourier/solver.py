@@ -350,8 +350,8 @@ def integrate(
     per-shell L^2 norms of each component (the raw material of every Besov-type
     functional downstream), the density mean and the maximum signal speed.  Full
     snapshots are kept every ``snapshot_stride`` samples, and the final state
-    always.  ``state0`` is left unchanged and dropped once the step is fixed,
-    so a temporary passed in is freed before the first step (CPython 3.11+).
+    always.  ``state0`` is left unchanged and dropped before sample 0, so a
+    temporary passed in is freed before the first sample (CPython 3.11+).
     """
     if lp is None:
         lp = LittlewoodPaley(grid)
@@ -383,6 +383,8 @@ def integrate(
     def series(norms: np.ndarray) -> ShellSeries:  # (shells, 3, samples so far)
         return ShellSeries(np.asarray(times), tuple(lp.shells), grid.dim, norms)
 
+    bound = cfl_check(grid, state0)
+    del state0  # the band stack is all the run reads of it, from sample 0 on
     sample(0, 0.0, hats)
     if config.epsilon0 is not None:
         size = float(series(shell_rows[0]).critical()[0])
@@ -392,8 +394,6 @@ def integrate(
                 f"{config.epsilon0:.3e}; pass epsilon0=None to bypass"
             )
 
-    bound = cfl_check(grid, state0)
-    del state0  # the band stack is all the run reads of it
     dt = config.dt if config.dt is not None else bound
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:g} exceeds the advective bound {bound:g}")

@@ -82,6 +82,9 @@ MUTANTS = (
            "predicted = m_exp - (dim / 2.0 + sigma1) / 2.0",
            "predicted = m_exp - (dim / 2.0 + sigma1) / 2.0 + 0.25",
            ("tests/test_decay.py::test_time_weighted_functional_growth_matches_prediction",)),
+    Mutant("evolve-drops-the-conditioning-guard", "linear.py",
+           "ok = np.linalg.cond(vec) <= _EIG_COND_MAX", "ok = np.linalg.cond(vec) <= np.inf",
+           ("tests/test_linear.py::test_nodes_at_the_eigenvalue_collision_take_expm_stack",)),
     # the sharp-coercivity test's own mutants
     Mutant("high-target-form-drops-4j", "lyapunov.py",
            "return a_j + u_j + 4.0**j * th_j", "return a_j + u_j + th_j",
