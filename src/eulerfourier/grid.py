@@ -26,9 +26,9 @@ each transforming only the lines the band needs.  numpy transforms each line
 on its own, an all-zero one to +0, so they equal the full-layout transforms
 restricted to, or zero-filled from, the band bit for bit.  One layout's
 modes sit in another as the 2**d slab blocks of :func:`_blocks`: the band in
-the full layout, and that in ``fine``'s, the same box at 2N points, where
-``times`` multiplies, alias-free as 2N points hold every sum frequency.  The
-full layout's ``kmag`` and radius index are formed on access and shared while held.
+the full layout, and that in the (3N/2)**d one, where ``times`` multiplies by
+Orszag's 3/2 rule with ``numpy.fft.fftn``.  The full layout's ``kmag`` and
+radius index are formed on access and shared while held.
 """
 
 from __future__ import annotations
@@ -269,21 +269,23 @@ class PeriodicGrid:
         return index
 
     # ------------------------------------------------------------------
-    @functools.cached_property
-    def fine(self) -> "PeriodicGrid":
-        """The same box at 2N points, where :meth:`times` multiplies."""
-        return PeriodicGrid(self.dim, 2 * self.npts, self.length)
-
     def times(self, f: np.ndarray):
-        """g -> f g, alias-free: both factors zero-padded onto :attr:`fine`,
-        multiplied there and truncated back.  ``f`` is transformed once; ``g``
-        is a field or a stack, or a chunk row for row with a chunk ``f``."""
-        fine = self.fine
-        f_fine = fine.inverse(_resize(self.forward(f), fine.shape))
+        """g -> f g, alias-free: both factors zero-padded onto (3N/2)**d points (Orszag's
+        3/2 rule), multiplied there and truncated back.  ``f`` (transformed once) and ``g``
+        (a stack, or a chunk row for row with a chunk ``f``) are real fields or full-layout
+        spectra; the product comes back in ``g``'s form.  Only both factors' -N/2 halves
+        alias, onto the Nyquist planes: elsewhere, and where a factor has no content there,
+        this is the 2N-point product to rounding."""
+        fine = (3 * self.npts // 2,) * self.dim
 
-        def product(g: np.ndarray) -> np.ndarray:
-            g_fine = fine.inverse(_resize(self.forward(g), fine.shape))
-            return self.inverse(_resize(fine.forward(f_fine * g_fine), self.shape))
+        def pad(h):  # the real field of a field or a spectrum on the fine points
+            h = _resize(h if np.iscomplexobj(h) else self.forward(h), fine)
+            return np.fft.ifftn(h, axes=self.axes, norm="forward", out=h).real
+        f_fine = pad(f)
+
+        def product(g: np.ndarray) -> np.ndarray:  # truncated back to N**d modes
+            fg = _resize(np.fft.fftn(f_fine * pad(g), axes=self.axes, norm="forward"), self.shape)
+            return fg if np.iscomplexobj(g) else self.inverse(fg)
         return product
 
 

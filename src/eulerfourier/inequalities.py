@@ -95,17 +95,16 @@ def check_partition(
         f = covered_field()
         f = f - grid.mean(f)
         norm = grid.l2_norm(f)
-        total = np.zeros_like(f)
-        for j in lp.shells:
-            total += lp.block(f, j)
+        fhat = grid.forward(f)
+        total = sum(lp.block(fhat, j) for j in lp.shells)
         tele_worst = max(tele_worst, grid.l2_norm(total - f) / norm)
     probe = covered_field()
-    pnorm = grid.l2_norm(probe)
+    pnorm, phat = grid.l2_norm(probe), grid.forward(probe)
     for j in lp.shells:
-        bj = lp.block(probe, j)
+        bj_hat = grid.forward(lp.block(phat, j))
         for jp in lp.shells:
             if abs(j - jp) >= 2:
-                disjoint_worst = max(disjoint_worst, grid.l2_norm(lp.block(bj, jp)) / pnorm)
+                disjoint_worst = max(disjoint_worst, grid.l2_norm(lp.block(bj_hat, jp)) / pnorm)
 
     verdicts = [
         Verdict.from_bound("partition-residual", float(residual.max()), partition_tol,
@@ -204,10 +203,10 @@ def check_interpolation(
     worst = 0.0
     for _ in range(trials):
         exponent = rng.uniform(-(grid.dim / 2.0 + 1.5), 1.5)
-        f = _band_field(lp, rng, exponent)
-        lhs = lp.besov_norm(f, s_mid, r=1)
-        rhs = lp.besov_norm(f, s1, r=math.inf) ** theta_mix
-        rhs *= lp.besov_norm(f, s2, r=math.inf) ** (1.0 - theta_mix)
+        fhat = grid.forward(_band_field(lp, rng, exponent))
+        lhs = lp.besov_norm(fhat, s_mid, r=1)
+        rhs = lp.besov_norm(fhat, s1, r=math.inf) ** theta_mix
+        rhs *= lp.besov_norm(fhat, s2, r=math.inf) ** (1.0 - theta_mix)
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)
 
@@ -239,8 +238,8 @@ def check_product(
     - ``"mixed"``: second factor only bounded in sup-over-shells norm;
       needs ``s1 <= d/2``, ``s2 < d/2`` and ``s1 + s2 >= 0``.
 
-    Products are formed on the 2x grid (:meth:`PeriodicGrid.times`) so the
-    quadratic terms carry no aliasing.
+    Products are formed alias-free on the 3/2-padded grid (:meth:`PeriodicGrid.times`)
+    from the spectra, which the norms read: each drawn field is transformed once.
     """
     grid = lp.grid
     half_d = grid.dim / 2.0
@@ -265,20 +264,20 @@ def check_product(
     for _ in range(trials):
         ef = rng.uniform(-(half_d + 1.5), 1.0)
         eg = rng.uniform(-(half_d + 1.5), 1.0)
-        f = _band_field(lp, rng, ef)
-        g = _band_field(lp, rng, eg)
-        fg = grid.times(f)(g)
+        f, g = _band_field(lp, rng, ef), _band_field(lp, rng, eg)
+        fhat, ghat = grid.forward(f), grid.forward(g)
+        fg = grid.times(fhat)(ghat)  # its spectrum
 
         if variant == "algebra":
             lhs = lp.besov_norm(fg, s1, r=1)
-            rhs = grid.lp_norm(f, math.inf) * lp.besov_norm(g, s1, r=1)
-            rhs += grid.lp_norm(g, math.inf) * lp.besov_norm(f, s1, r=1)
+            rhs = grid.lp_norm(f, math.inf) * lp.besov_norm(ghat, s1, r=1)
+            rhs += grid.lp_norm(g, math.inf) * lp.besov_norm(fhat, s1, r=1)
         elif variant == "summed":
             lhs = lp.besov_norm(fg, s1 + s2 - half_d, r=1)
-            rhs = lp.besov_norm(f, s1, r=1) * lp.besov_norm(g, s2, r=1)
+            rhs = lp.besov_norm(fhat, s1, r=1) * lp.besov_norm(ghat, s2, r=1)
         else:
             lhs = lp.besov_norm(fg, s1 + s2 - half_d, r=math.inf)
-            rhs = lp.besov_norm(f, s1, r=1) * lp.besov_norm(g, s2, r=math.inf)
+            rhs = lp.besov_norm(fhat, s1, r=1) * lp.besov_norm(ghat, s2, r=math.inf)
         if rhs > 0.0:
             worst = max(worst, lhs / rhs)
 
@@ -302,10 +301,10 @@ def check_commutator(
 
         2^(j(s+1)) |[P_j, f] g|_{L^2} / (|f|_{B^{d/2+1}} |g|_{B^s})
 
-    is recorded (both products on the 2x grid).  The verdict measures
-    the largest *sum over shells*, which dominates the largest single
-    shell; that largest single-shell ratio goes in the ``worst_shell``
-    extra, since its normalization is a free choice.
+    is recorded (both products on the 3/2-padded grid; each field is transformed
+    once).  The verdict measures the largest *sum over shells*, which dominates
+    the largest single shell; that largest single-shell ratio goes in the
+    ``worst_shell`` extra, since its normalization is a free choice.
     """
     grid = lp.grid
     half_d = grid.dim / 2.0
@@ -316,13 +315,13 @@ def check_commutator(
     worst_shell = 0.0
     for _ in range(trials):
         # smooth factor: steep spectral slope; rough factor: shallow one
-        f = _band_field(lp, rng, rng.uniform(-(half_d + 2.5), -(half_d + 1.0)))
-        g = _band_field(lp, rng, rng.uniform(-0.5, 1.0))
-        denom = lp.besov_norm(f, half_d + 1.0, r=1) * lp.besov_norm(g, s, r=1)
+        fhat = grid.forward(_band_field(lp, rng, rng.uniform(-(half_d + 2.5), -(half_d + 1.0))))
+        ghat = grid.forward(_band_field(lp, rng, rng.uniform(-0.5, 1.0)))
+        denom = lp.besov_norm(fhat, half_d + 1.0, r=1) * lp.besov_norm(ghat, s, r=1)
         if denom == 0.0:
             continue
         total = 0.0
-        for j, comm in zip(lp.shells, lp.commutators(f, g, lp.shells)):
+        for j, comm in zip(lp.shells, lp.commutators(fhat, ghat, lp.shells)):
             ratio = 2.0 ** (j * (s + 1.0)) * grid.l2_norm(comm) / denom
             worst_shell = max(worst_shell, ratio)
             total += ratio

@@ -257,23 +257,25 @@ class LittlewoodPaley:
         return fhat * self.shell_multiplier(j, self.grid.in_band(fhat))
 
     def block(self, f: np.ndarray, j: int) -> np.ndarray:
-        """Physical-space dyadic block of a real field."""
-        return self.grid.inverse(self.block_hat(self.grid.forward(f), j))
+        """Physical-space dyadic block of a real field, or of a spectral stack."""
+        fhat = f if np.iscomplexobj(f) else self.grid.forward(f)
+        return self.grid.inverse(self.block_hat(fhat, j))
 
     def commutators(self, f: np.ndarray, g: np.ndarray, shells) -> list[np.ndarray]:
-        """``[P_j, f] g = P_j(f g) - f P_j(g)`` for every j of ``shells``, both
-        products alias-free (:meth:`PeriodicGrid.times`).  ``f`` on the 2x grid
-        and ``f g`` are formed once; each shell then costs one product ``f P_j(g)``."""
+        """``[P_j, f] g = P_j(f g) - f P_j(g)`` for every j of ``shells``, both products
+        alias-free (:meth:`PeriodicGrid.times`), of real fields or full-layout spectra,
+        each transformed once; each shell pads ``P_j(g)`` from its spectrum for ``f P_j(g)``."""
         grid = self.grid
+        ghat = g if np.iscomplexobj(g) else grid.forward(g)
         times_f = grid.times(f)
-        fg_hat = grid.forward(times_f(g))
-        return [grid.inverse(self.block_hat(fg_hat, j)) - times_f(self.block(g, j))
+        fg_hat = times_f(ghat)
+        return [self.block(fg_hat, j) - grid.inverse(times_f(self.block_hat(ghat, j)))
                 for j in shells]
 
     # ------------------------------------------------------------------
     def shell_l2_hat(self, fhat: np.ndarray, j: int):
         """L^2 norm of the shell-j block, evaluated by Parseval; one value
-        per row of a stack, in the layout of ``fhat``."""
+        per row of a stack (or of its modulus), in the layout of ``fhat``."""
         return self.grid.l2_norm_hat(fhat, self.shell_multiplier(j, self.grid.in_band(fhat)))
 
     def state_l2_hat(self, hats: np.ndarray, j: int) -> tuple:
@@ -290,10 +292,10 @@ class LittlewoodPaley:
         r: float = 1,
         regime: str = "all",
     ) -> float:
-        """Homogeneous Besov norm B^s_{2,r}, truncated to the resolvable shells."""
-        fhat = self.grid.forward(np.asarray(f, dtype=float))
+        """Homogeneous B^s_{2,r} norm of a field or spectrum, truncated to the resolvable shells."""
+        modulus = np.abs(f if np.iscomplexobj(f) else self.grid.forward(np.asarray(f, dtype=float)))
         shells = FrequencySplit().select(self.shells, regime)
-        vals = [2.0 ** (j * s) * self.shell_l2_hat(fhat, j) for j in shells]
+        vals = [2.0 ** (j * s) * self.shell_l2_hat(modulus, j) for j in shells]
         return float(ell_r(np.array(vals), r))
 
 

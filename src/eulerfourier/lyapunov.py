@@ -139,7 +139,7 @@ class _ChunkTerms:
         """Blocks a_j, u_j, theta_j with grad a_j, grad theta_j and div u_j."""
         if self._blocks[0] != j:
             grid = self.grid
-            blocks = grid.inverse(self.lp.block_hat(self.hats, j))
+            blocks = self.lp.block(self.hats, j)
             grad_a, grad_th = grid.gradient(blocks[[0, -1]]).swapaxes(0, 1)
             self._blocks = (j, (blocks[0], blocks[1:-1], blocks[-1], grad_a, grad_th,
                                 grid.divergence(blocks[1:-1])))
@@ -211,22 +211,19 @@ class _ChunkTerms:
     def remainder_fields(self, shells) -> dict[int, tuple]:
         """Commutator remainders (R1, [R2_m], R3) of every shell in ``shells``."""
         _check_positive(self.state)
-        grid, d, k, state = self.grid, self.grid.dim, self.coef, self.state
+        grid, d, k, hats = self.grid, self.grid.dim, self.coef, self.hats
 
         def subtract(total, f, g):
             for r, c in zip(total, self.lp.commutators(f, g, shells)):
                 r -= c
 
-        r1 = [-c for c in self.lp.commutators(state.a, k.div_u, shells)]
-        for m in range(d):
-            subtract(r1, state.u[m], k.grad_a[m])
-        r2 = []
-        for m in range(d):
-            r2.append([-c for c in self.lp.commutators(k.ratio_v, k.grad_a[m], shells)])
-            for n in range(d):
-                subtract(r2[m], state.u[n], k.grad_u[m][n])
-        r3 = self.lp.commutators(k.ratio_s, grid.laplacian(state.theta), shells)
-        return {j: (r1[i], [comp[i] for comp in r2], r3[i]) for i, j in enumerate(shells)}
+        r1 = [-c for c in self.lp.commutators(hats[0], k.div_u, shells)]
+        r2 = [-c for c in self.lp.commutators(k.ratio_v, k.grad_a, shells)]  # stacks over m
+        for n in range(d):
+            subtract(r1, hats[1 + n], k.grad_a[n])
+            subtract(r2, hats[1 + n], k.grad_u[:, n])
+        r3 = self.lp.commutators(k.ratio_s, grid.laplacian(self.state.theta), shells)
+        return {j: (r1[i], list(r2[i]), r3[i]) for i, j in enumerate(shells)}
 
     @cached_property
     def remainders(self) -> dict[int, tuple]:
@@ -348,7 +345,7 @@ def commutator_remainders(
     with multiplication by the solution-dependent coefficients.
 
     With ``[P_j, f] g = P_j(f g) - f P_j(g)`` (both products alias-free on the
-    2x grid, :meth:`LittlewoodPaley.commutators`):
+    3/2-padded grid, :meth:`LittlewoodPaley.commutators`):
 
         R1 = -[P_j, 1+a] div u - sum_m [P_j, u_m] d_m a
         R2_m = -sum_n [P_j, u_n] d_n u_m - [P_j, (1+theta)/(1+a)] d_m a

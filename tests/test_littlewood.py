@@ -14,6 +14,7 @@ from eulerfourier.littlewood import (
     build_cutoffs,
     cumulative_trapezoid,
 )
+from eulerfourier.randfields import ball_field, random_field
 
 
 def _band_limited_field(grid, lp, rng):
@@ -117,6 +118,87 @@ def test_shell_supports_are_disjoint_beyond_neighbours(lp1d):
     # could not sum to one on the seams
     j = lp1d.shells[len(lp1d.shells) // 2]
     assert np.max(mults[j] * mults[j + 1]) > 1e-3
+
+
+def _commutators_on_2n_points(lp, f, g, shells, product_2n):
+    """[P_j, f] g = P_j(f g) - f P_j(g) from real fields: each block a round trip
+    through the spectrum, each product on (2N)**d points."""
+    grid = lp.grid
+
+    def block(h, j):
+        return grid.inverse(lp.block_hat(grid.forward(h), j))
+    fg = product_2n(grid, f, g)
+    return [block(fg, j) - product_2n(grid, f, block(g, j)) for j in shells]
+
+
+def _harness_pair(lp, rng):
+    """A smooth and a rough band field, drawn as ``check_commutator`` draws them."""
+    lo, hi = 0.75 * 2.0**lp.j_min, (8.0 / 3.0) * 2.0**lp.j_max
+    return (random_field(lp.grid, rng, band=(lo, hi), exponent=rng.uniform(-4.0, -2.0)),
+            random_field(lp.grid, rng, band=(lo, hi), exponent=rng.uniform(-0.5, 1.0)))
+
+
+def _audit_chunk(grid, rng):
+    """The audit's (1+theta)/(1+a) and grad a on a chunk of four snapshots: both
+    factors full-spectrum, as the nonlinear coefficients of a state are."""
+    a, th = (0.2 * np.stack([ball_field(grid, rng, scale_j=2) for _ in range(4)])
+             for _ in range(2))
+    return (1.0 + th) / (1.0 + a), grid.gradient(a)[0]
+
+
+#: largest difference from the 2N-point formula, relative to max|f| max|g|:
+#: measured 2.9e-16 (2-D harness pairs) and 4.5e-16 (1-D audit chunks)
+COMMUTATOR_RTOL = 2e-15
+
+
+@pytest.mark.parametrize("case", ["harness-2d", "audit-chunk-1d"])
+def test_commutators_equal_the_2n_point_formula(case, product_2n):
+    rng = np.random.default_rng(7)
+    if case == "harness-2d":
+        lp = LittlewoodPaley(PeriodicGrid(dim=2, npts=64, length=16.0 * np.pi))
+        f, g = _harness_pair(lp, rng)
+    else:
+        lp = LittlewoodPaley(PeriodicGrid(dim=1, npts=512, length=8.0 * np.pi))
+        f, g = _audit_chunk(lp.grid, rng)
+    grid, shells = lp.grid, list(lp.shells)
+    want = _commutators_on_2n_points(lp, f, g, shells, product_2n)
+    scale = np.abs(f).max() * np.abs(g).max()
+    for got in (lp.commutators(f, g, shells),
+                lp.commutators(grid.forward(f), grid.forward(g), shells)):
+        assert len(got) == len(shells)
+        for c, w in zip(got, want):
+            assert c.shape == f.shape
+            assert np.abs(c - w).max() < COMMUTATOR_RTOL * scale
+    # the commutators are not small against the bound: a wrong term shows
+    assert max(np.abs(w).max() for w in want) > 1e3 * COMMUTATOR_RTOL * scale
+
+
+def test_one_commutators_call_transforms_f_and_g_once_each(lp2d, rng, monkeypatch):
+    grid = lp2d.grid
+    f, g = _harness_pair(lp2d, rng)
+    seen = []
+    forward = PeriodicGrid.forward
+
+    def counting(self, h, band=False):
+        seen.append(h)
+        return forward(self, h, band)
+    monkeypatch.setattr(PeriodicGrid, "forward", counting)
+    lp2d.commutators(f, g, lp2d.shells)
+    assert len(seen) == 2 and {id(h) for h in seen} == {id(f), id(g)}
+    seen.clear()
+    fhat, ghat = forward(grid, f), forward(grid, g)
+    lp2d.commutators(fhat, ghat, lp2d.shells)
+    assert seen == []
+
+
+def test_spectral_inputs_give_the_field_results_bit_for_bit(grid2d, lp2d, rng):
+    # a block and a Besov norm read a spectrum as they read its field
+    f = _band_limited_field(grid2d, lp2d, rng)
+    fhat = grid2d.forward(f)
+    for j in lp2d.shells:
+        assert lp2d.block(fhat, j).tobytes() == lp2d.block(f, j).tobytes()
+    for s, r in ((0.0, 1), (1.0, np.inf), (-0.5, 2)):
+        assert lp2d.besov_norm(fhat, s, r) == lp2d.besov_norm(f, s, r)
 
 
 def test_single_mode_besov_norm_oracle(grid1d, lp1d):

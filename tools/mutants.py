@@ -44,6 +44,7 @@ LYA = "tests/test_lyapunov.py"
 SOL = "tests/test_solver.py"
 ACC = "tests/test_acceptance.py"
 SHARP = f"{LYA}::test_the_functionals_meet_the_generalized_eigenvalues_sharply"
+COMMUTATOR = "tests/test_littlewood.py::test_commutators_equal_the_2n_point_formula"
 
 MUTANTS = (
     Mutant("dissipation-half-grad-theta-grad-a", "lyapunov.py",
@@ -85,6 +86,15 @@ MUTANTS = (
     Mutant("evolve-drops-the-conditioning-guard", "linear.py",
            "ok = np.linalg.cond(vec) <= _EIG_COND_MAX", "ok = np.linalg.cond(vec) <= np.inf",
            ("tests/test_linear.py::test_nodes_at_the_eigenvalue_collision_take_expm_stack",)),
+    Mutant("times-pads-to-5n-4-aliased", "grid.py",
+           "fine = (3 * self.npts // 2,) * self.dim",
+           "fine = (5 * self.npts // 4,) * self.dim",
+           ("tests/test_grid.py::test_product_on_3n_2_points_equals_the_2n_product",
+            COMMUTATOR)),
+    Mutant("commutator-multiplies-by-g-not-pj-g", "littlewood.py",
+           "return [self.block(fg_hat, j) - grid.inverse(times_f(self.block_hat(ghat, j)))",
+           "return [self.block(fg_hat, j) - grid.inverse(times_f(ghat))",
+           (COMMUTATOR,)),
     # the sharp-coercivity test's own mutants
     Mutant("high-target-form-drops-4j", "lyapunov.py",
            "return a_j + u_j + 4.0**j * th_j", "return a_j + u_j + th_j",
