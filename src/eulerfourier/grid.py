@@ -10,14 +10,17 @@ which is how every L^2-type norm in this package is evaluated.
 
 Transforms, derivatives, products and norms act on the last d axes of any
 ``(..., *grid.shape)`` stack of fields in one call; norms give one value per
-row.  A transform is one ``numpy.fft`` complex FFT per grid axis, last axis
-first, in place on one complex copy of the input: the order of
-``numpy.fft.fftn``, and scaling by a power of two is exact, so each one equals
-``numpy.fft.fftn(f) / N**d`` bit for bit, and scipy's ``fftn`` over the same
-axes too, in one pass per stack of small fields or one pass per field of at
-least ``ROW_POINTS``.  numpy loads ``numpy.fft`` lazily;
-:func:`~eulerfourier.config.parse_config` imports it up front for the kinds
-that transform.
+row.  Below ``ROW_POINTS`` points, and of complex input, a transform is one
+``numpy.fft`` complex FFT per grid axis, last axis first, in place on one
+complex copy of the input: the order of ``numpy.fft.fftn``, and scaling by a
+power of two is exact, so each equals ``numpy.fft.fftn(f) / N**d`` bit for bit,
+and scipy's ``fftn`` over the same axes too.  Fields of at least ``ROW_POINTS``
+go one at a time, a real one by ``rfft`` and the Hermitian fill F(-k) = conj
+F(k): equal to ``fftn`` to rounding (about 5e-16 of the largest coefficient),
+not bit for bit.  ``inverse`` is the real part of ``ifftn`` for every input,
+there the inverse rfft of the Hermitian part (F(k) + conj F(-k)) / 2.  numpy
+loads ``numpy.fft`` lazily; :func:`~eulerfourier.config.parse_config` imports it
+up front for the kinds that transform.
 
 The 2/3 rule is stated here alone.  Its band layout holds the kept modes,
 all integer frequencies at most N/3 in size, (2 floor(N/3) + 1)**d of them
@@ -42,7 +45,8 @@ import numpy as np
 
 #: fields of at least this many points are transformed one at a time: on a 2-vCPU
 #: Xeon that makes a 64**3 simulate run 2-10 % faster and 2 MB smaller than one
-#: pass per stack, while below 2**14 points one pass per stack is 1.1-1.6x faster
+#: pass per stack, while below 2**14 points one pass per stack is 1.1-1.6x faster;
+#: a real field of this size goes through real-to-complex FFTs, equal to fftn to rounding
 ROW_POINTS = 2**14
 
 
@@ -95,6 +99,9 @@ class PeriodicGrid:
     # touches: forward (False) those kept on the axes already transformed,
     # inverse (True) those holding band data on the axes still to transform
     _band_lines: dict = field(init=False, repr=False, compare=False)
+    # per layout (``band``), for ``_r2c`` (None below ROW_POINTS): the other axes' band lines,
+    # the flat mirror index of the columns 0..m and of the rest, and those columns' place
+    _r2c_plan: dict | None = field(init=False, repr=False, compare=False)
     _held: weakref.WeakValueDictionary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -130,6 +137,18 @@ class PeriodicGrid:
         object.__setattr__(self, "_band_lines", {
             False: tuple(lines(range(k + 1, self.dim)) for k in reversed(range(self.dim))),
             True: tuple(lines(range(k)) for k in reversed(range(self.dim)))})
+
+        def mirror(size):  # flat index of -k in a layout, for the columns 0..m and the rest
+            r = np.roll(np.arange(size)[::-1], 1)  # the position of -k for each position k
+            return [np.ravel_multi_index(np.ix_(*[r] * (self.dim - 1), last), (size,) * self.dim)
+                    .astype(np.int32) for last in np.split(r, [size // 2 + 1])]
+        # small grids stay on the complex transforms while the Lyapunov audit's centered
+        # difference amplifies solver rounding: item 1B deletes this size condition
+        object.__setattr__(self, "_r2c_plan", None if n**self.dim < ROW_POINTS else {
+            False: ([[...]] * (self.dim - 1), *mirror(n), ...),
+            True: ([lines(range(k + 1, self.dim - 1)) for k in reversed(range(self.dim - 1))],
+                   *mirror(2 * m + 1),
+                   (..., *np.ix_(*[np.r_[kept]] * (self.dim - 1)), slice(None)))})
 
     # ------------------------------------------------------------------
     @property
@@ -167,23 +186,22 @@ class PeriodicGrid:
         return tuple(range(-1, -self.dim - 1, -1))
 
     # ------------------------------------------------------------------
-    def _c2c(self, f, inverse: bool, band: bool, real: bool) -> np.ndarray:
-        """The FFT or inverse FFT along each grid axis in turn, last axis first, in
-        place on one complex copy of ``f`` (real input is cast: a real-input FFT
-        rounds differently); a stack of large fields one field at a time.  With
-        ``band``, only the lines of ``_band_lines``, on a copy of the full layout."""
+    def _transform(self, f, inverse: bool, band: bool) -> np.ndarray:
+        """The FFT or inverse FFT over the grid axes, complex (in place on one complex copy
+        of ``f``: real input is cast) or by :meth:`_r2c`; a stack of large fields one field
+        at a time.  With ``band``, only the lines of ``_band_lines``, on the full layout."""
         f = np.asarray(f)
         lead = f.shape[: f.ndim - self.dim]
         if f.shape[len(lead) :] != (self.band_shape if band and inverse else self.shape):
             raise ValueError(f"field shape {f.shape} does not end in grid shape {self.shape}")
         if lead and self.npts**self.dim >= ROW_POINTS:
             shape = lead + (self.band_shape if band and not inverse else self.shape)
-            out = np.empty(shape, dtype=float if real else complex)
+            out = np.empty(shape, dtype=float if inverse else complex)
             for row in np.ndindex(lead):
-                value = self._c2c(f[row], inverse, band, False)
-                out[row] = value.real if real else value
-                del value  # not alive while the next row is transformed
+                out[row] = self._transform(f[row], inverse, band)
             return out
+        if self._r2c_plan and (inverse or not np.iscomplexobj(f)):
+            return self._r2c(f, inverse, band)
         out = self.from_band(f) if band and inverse else np.array(f, dtype=complex)
         transform = np.fft.ifft if inverse else np.fft.fft
         lines = self._band_lines[inverse] if band else [[...]] * self.dim
@@ -193,15 +211,37 @@ class PeriodicGrid:
         if band and not inverse:
             out = self.to_band(out)
         # a copy, so that a held real part does not keep the complex array alive
-        return out.real.copy() if real else out
+        return out.real.copy() if inverse else out
+
+    def _r2c(self, f: np.ndarray, inverse: bool, band: bool) -> np.ndarray:
+        """Forward, of a real stack: ``rfft`` on the last axis, complex FFTs on the others'
+        band lines, the negative last-axis frequencies filled as F(-k) = conj F(k).  Inverse:
+        those steps reversed on the Hermitian part (F(k) + conj F(-k)) / 2: ``ifftn(F).real``."""
+        lines, fold, fill, take = self._r2c_plan[band]
+        lead, cols = f.shape[: -self.dim], fold.shape[-1]  # columns 0..m, m = N/3 or N/2
+        if inverse:  # zero-filled onto N points per other axis; irfft zero-pads the last
+            h = np.zeros(lead + self.shape[:-1] + (cols,), dtype=complex)
+            h[take] = 0.5 * (f[..., :cols] + np.conj(np.take(f.reshape(lead + (-1,)), fold, -1)))
+            for axis, axis_lines in zip(self.axes[:0:-1], lines[::-1]):
+                for line in axis_lines:
+                    np.fft.ifft(h[line], axis=axis, norm="forward", out=h[line])
+            return np.fft.irfft(h, self.npts, axis=-1, norm="forward")
+        h = np.fft.rfft(f, axis=-1, norm="forward")[..., :cols]
+        for axis, axis_lines in zip(self.axes[1:], lines):
+            for line in axis_lines:
+                np.fft.fft(h[line], axis=axis, norm="forward", out=h[line])
+        out = np.empty(lead + (self.band_shape if band else self.shape), dtype=complex)
+        out[..., :cols] = h[take]
+        np.conjugate(np.take(out.reshape(lead + (-1,)), fill, -1), out=out[..., cols:])
+        return out
 
     def forward(self, f: np.ndarray, band: bool = False) -> np.ndarray:
         """FFT normalised so the zero mode is the mean of ``f``; its band layout if ``band``."""
-        return self._c2c(f, inverse=False, band=band, real=False)
+        return self._transform(f, inverse=False, band=band)
 
     def inverse(self, fhat: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`, of a full-layout or band stack; returns the real part."""
-        return self._c2c(fhat, inverse=True, band=self.in_band(fhat), real=True)
+        return self._transform(fhat, inverse=True, band=self.in_band(fhat))
 
     def in_band(self, fhat: np.ndarray) -> bool:
         """Whether a spectral stack is in the band layout (else the full one)."""

@@ -114,10 +114,10 @@ class SolverConfig:
     snapshot_stride: int | None = None
 
     def __post_init__(self) -> None:
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.t_end < np.inf:  # NaN and inf too: integrate counts steps from them
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
         if self.snapshot_stride is not None and self.snapshot_stride < 1:

@@ -91,6 +91,10 @@ MUTANTS = (
            "fine = (5 * self.npts // 4,) * self.dim",
            ("tests/test_grid.py::test_product_on_3n_2_points_equals_the_2n_product",
             COMMUTATOR)),
+    Mutant("hermitian-fill-mirror-without-shift", "grid.py",
+           "r = np.roll(np.arange(size)[::-1], 1)  # the position of -k for each position k",
+           "r = np.arange(size)[::-1]",
+           ("tests/test_grid.py::test_real_to_complex_transforms_keep_the_complex_contract",)),
     Mutant("commutator-multiplies-by-g-not-pj-g", "littlewood.py",
            "return [self.block(fg_hat, j) - grid.inverse(times_f(self.block_hat(ghat, j)))",
            "return [self.block(fg_hat, j) - grid.inverse(times_f(ghat))",
